@@ -5,7 +5,8 @@ the highest-weight representation V^lambda is the Schur coefficient of a
 product of plethysms: one factor per slot j, substituting the arithmetic-
 progression alphabet h_j + h_{j+m} + h_{j+2m} + ... into the slot's Schur
 function (the j = 0 alphabet includes the constant 1).  Everything on this
-path is rational arithmetic.
+path is exact: the symfunc kernel works on integer z-scaled power-sum
+coefficients, and the read-off is one integer division per cell.
 """
 
 from __future__ import annotations
@@ -16,15 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import partitions
-from .exactnum import to_rational
+
+# hall_inner_product and to_rational are not called here but stay bound:
+# perfbench/layertrace.py patches both by name in this module.
+from .exactnum import common_denominator, to_rational  # noqa: F401
 from .partitions import Partition, format_partition
-from .symfunc import (
-    SymSeries,
-    constant,
-    hall_inner_product,
-    plethysm,
-    s_basis,
-)
+from .symfunc import SymSeries, constant, hall_inner_product, plethysm, s_basis  # noqa: F401
 from .wreath import NonIntegralError, WreathLabel, format_label, wreath_class_labels
 
 __all__ = [
@@ -33,6 +31,7 @@ __all__ = [
     "branching_coefficient",
     "branching_series",
     "branching_table",
+    "coefficient_and_series",
     "littlewood_coefficient",
 ]
 
@@ -43,11 +42,8 @@ class HypothesisViolationError(ValueError):
 
 def _progression_alphabet(order: int, j: int, max_degree: int) -> SymSeries:
     # h_j + h_{j+m} + ... up to max_degree; for j = 0 the k = 0 term is h_0 = 1.
-    terms: dict[Partition, Fraction] = {}
-    k = j
-    while k <= max_degree:
-        terms[(k,) if k else ()] = Fraction(1)
-        k += order
+    # Integer coefficients keep the whole plethysm in integer arithmetic.
+    terms = {(k,) if k else (): 1 for k in range(j, max_degree + 1, order)}
     return SymSeries("h", terms, max_degree)
 
 
@@ -56,34 +52,49 @@ def branching_series(rho: WreathLabel, max_degree: int) -> SymSeries:
     d(rho, lambda), truncated by total degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    result = constant(Fraction(1), truncation=max_degree)
+    result = None
     for j, part in enumerate(rho.parts):
         if not part:
             continue
         alphabet = _progression_alphabet(rho.order, j, max_degree)
-        result = result * plethysm(s_basis(part), alphabet, max_degree)
+        factor = plethysm(s_basis(part, 1), alphabet, max_degree)
+        result = factor if result is None else result * factor
         if result.is_zero():
             break
-    return result
+    return constant(Fraction(1), truncation=max_degree) if result is None else result
 
 
-def _coefficient_from_series(series: SymSeries, lam: Partition) -> int:
-    value = to_rational(hall_inner_product(series, s_basis(lam)))
-    if value.denominator != 1 or value < 0:
-        raise NonIntegralError(
-            f"multiplicity at {format_partition(lam)} came out {value}"
-        )
-    return int(value)
+def _coefficients_from_series(series: SymSeries, lambdas) -> list[int]:
+    """<f, s_lam> = sum over nu of [p_nu] f * chi^lam(nu) for a row of lambdas:
+    one exact integer division each, over the coefficients' common denominator."""
+    numerators, den = common_denominator(series.terms)
+    by_degree: dict[int, list] = {}
+    for nu, a in numerators.items():
+        by_degree.setdefault(sum(nu), []).append((nu, a))
+    row = []
+    for lam in lambdas:
+        chi = partitions.character_table(sum(lam))
+        total = sum(a * chi[(lam, nu)] for nu, a in by_degree.get(sum(lam), ()))
+        value, rem = divmod(total, den)
+        if rem or value < 0:
+            exact = Fraction(total, den)
+            raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {exact}")
+        row.append(value)
+    return row
+
+
+def coefficient_and_series(rho: WreathLabel, lam: Partition) -> tuple[int, SymSeries]:
+    """The multiplicity d(rho, lam) and the generating series it was read from."""
+    if len(lam) > rho.size:
+        raise HypothesisViolationError(f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}")
+    series = branching_series(rho, sum(lam))
+    return _coefficients_from_series(series, [lam])[0], series
 
 
 def branching_coefficient(rho: WreathLabel, lam: Partition) -> int:
     """Multiplicity of the irreducible labelled rho in the restriction of
     the highest-weight representation indexed by lam."""
-    if len(lam) > rho.size:
-        raise HypothesisViolationError(
-            f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
-        )
-    return _coefficient_from_series(branching_series(rho, sum(lam)), lam)
+    return coefficient_and_series(rho, lam)[0]
 
 
 def littlewood_coefficient(mu: Partition, lam: Partition, n: int) -> int:
@@ -162,7 +173,7 @@ def _lambda_grid(size: int, max_degree: int) -> list[Partition]:
 def _table_row(args) -> list[int]:
     order, parts, max_degree, lambdas = args
     series = branching_series(WreathLabel(order, parts), max_degree)
-    return [_coefficient_from_series(series, lam) for lam in lambdas]
+    return _coefficients_from_series(series, lambdas)
 
 
 def branching_table(

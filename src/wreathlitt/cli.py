@@ -1,7 +1,8 @@
 """Command-line front end: coefficient queries, tables, verification sweeps.
 
 Exit codes: 0 success, 1 usage or parse error, 2 mathematical mismatch found
-by a verification command.  All stdout output is byte-deterministic for a
+by a verification command or an arithmetic failure (reported as one JSON line
+on stderr).  All stdout output is byte-deterministic for a
 fixed set of flags (timings go to stderr), so identical invocations can be
 diffed in CI regardless of worker count.
 
@@ -22,9 +23,9 @@ from pathlib import Path
 from . import oracle, partitions
 from .branching import (
     HypothesisViolationError,
-    branching_coefficient,
     branching_series,
     branching_table,
+    coefficient_and_series,
 )
 from .partitions import parse_partition
 from .symfunc import series_to_json
@@ -38,9 +39,18 @@ EXIT_MISMATCH = 2
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the CLI contract wants 1.
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     coeff = sub.add_parser("coeff", help="one branching coefficient")
-    coeff.add_argument("--m", type=int, required=True, help="order of the cyclic group")
+    coeff.add_argument("--m", type=_int_at_least(1), required=True, help="order of the cyclic group")
     coeff.add_argument("--rho", required=True, help='wreath label, e.g. "0:2,1;1:1"')
     coeff.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "2,1"')
     coeff.add_argument("--dump", type=Path, help="write the generating series as JSON")
@@ -60,27 +70,27 @@ def build_parser() -> argparse.ArgumentParser:
     coeff.set_defaults(handler=_cmd_coeff)
 
     table = sub.add_parser("table", help="all coefficients for one group")
-    table.add_argument("--m", type=int, required=True)
-    table.add_argument("--n", type=int, required=True, help="number of boxes in the labels")
-    table.add_argument("--max-deg", type=int, required=True, help="largest |lambda|")
+    table.add_argument("--m", type=_int_at_least(1), required=True)
+    table.add_argument("--n", type=_int_at_least(1), required=True, help="number of boxes in the labels")
+    table.add_argument("--max-deg", type=_int_at_least(0), required=True, help="largest |lambda|")
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    table.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    table.add_argument("--jobs", type=_int_at_least(1), default=None, help="worker processes (default: all cores)")
     table.add_argument("--cache-dir", type=Path)
     table.set_defaults(handler=_cmd_table)
 
     verify = sub.add_parser("verify", help="triple agreement and dimension sums")
-    verify.add_argument("--m", type=int, required=True)
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--max-deg", type=int, required=True)
+    verify.add_argument("--m", type=_int_at_least(1), required=True)
+    verify.add_argument("--n", type=_int_at_least(1), required=True)
+    verify.add_argument("--max-deg", type=_int_at_least(0), required=True)
     verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
     verify.add_argument("--dump", type=Path, help="write every generating series as JSON")
     verify.add_argument("--cache-dir", type=Path)
     verify.set_defaults(handler=_cmd_verify)
 
     identities = sub.add_parser("identities", help="truncated checks of every intermediate identity")
-    identities.add_argument("--m", type=int, required=True)
-    identities.add_argument("--dx", type=int, required=True, help="label-size cap on the wreath side")
-    identities.add_argument("--dy", type=int, required=True, help="degree cap on the symmetric side")
+    identities.add_argument("--m", type=_int_at_least(1), required=True)
+    identities.add_argument("--dx", type=_int_at_least(0), required=True, help="label-size cap on the wreath side")
+    identities.add_argument("--dy", type=_int_at_least(0), required=True, help="degree cap on the symmetric side")
     identities.add_argument("--format", choices=("json", "pretty"), default="pretty")
     identities.add_argument("--cache-dir", type=Path)
     identities.set_defaults(handler=_cmd_identities)
@@ -90,12 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_coeff(args) -> int:
     rho = parse_label(args.rho, args.m)
     lam = parse_partition(args.lam)
-    value = branching_coefficient(rho, lam)
+    value, series = coefficient_and_series(rho, lam)
     if args.dump:
         payload = {
             "rho": format_label(rho),
             "max_degree": sum(lam),
-            "series": series_to_json(branching_series(rho, sum(lam))),
+            "series": series_to_json(series),
         }
         args.dump.write_text(json.dumps(payload, indent=2) + "\n")
     print(value)
@@ -198,6 +208,10 @@ def main(argv=None) -> int:
     except (ValueError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(failure), file=sys.stderr)
+        return EXIT_MISMATCH
     _save_cache(cache_dir)
     return code
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 __all__ = [
     "Cyclotomic",
     "NotRationalError",
+    "common_denominator",
     "cyclotomic_polynomial",
     "euler_phi",
     "reduce_mod_cyclotomic",
@@ -278,6 +280,15 @@ def to_rational(value) -> Fraction:
     if isinstance(value, Cyclotomic):
         return value.to_rational()
     return Fraction(value)
+
+
+def common_denominator(values: dict) -> tuple[dict, int]:
+    """(numerators, den): rational values as integers over their least common
+    denominator; values of any other type (cyclotomic) unchanged over 1."""
+    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
+        return values, 1
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
 def _trim(poly: list[Fraction]) -> list[Fraction]:

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import partitions
 from .branching import HypothesisViolationError, branching_coefficient
 from .exactnum import Cyclotomic, NotRationalError, to_rational, zeta
@@ -192,6 +190,8 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
 def _group_trace_data(order: int, n: int, max_power: int):
     """Per group element: its class label and the numeric traces of its
     first powers, from an explicit enumeration of all monomial matrices."""
+    import numpy as np  # only the brute force needs numpy; importing it costs ~14 MB RSS
+
     root = np.exp(2j * np.pi / order)
     elements = []
     for exponents in itertools.product(range(order), repeat=n):

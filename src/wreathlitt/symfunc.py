@@ -7,15 +7,19 @@ the power sums, where the Hall pairing is diagonal and plethysm acts by
 stretching part sizes.  Truncation is explicit on each value (None meaning
 an exact, finitely supported element) and propagates as the minimum across
 binary operations.
+
+Products, conversions and plethysm share one kernel on z-scaled power-sum
+coefficients, F_mu = z_mu [p_mu] f = <f, p_mu> (Macdonald, ch. I 2 and 8).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm, prod
 
 from . import partitions
-from .exactnum import Cyclotomic, zeta
+from .exactnum import Cyclotomic, common_denominator, zeta
 from .partitions import Partition
 
 POWER_SUM = "p"
@@ -49,10 +53,6 @@ class TruncationTooShortError(ValueError):
 
 class DegreeOutOfRangeError(ValueError):
     """A coefficient beyond the series truncation was requested."""
-
-
-def _merge(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
@@ -122,7 +122,15 @@ class SymSeries:
 
     def __mul__(self, other):
         if isinstance(other, SymSeries):
-            return _series_product(self, other)
+            # p- and h-basis elements multiply by merging indices; s goes to p.
+            if self.basis == other.basis and self.basis in (POWER_SUM, HOMOGENEOUS):
+                basis, f, g = self.basis, self, other
+            else:
+                basis, f, g = POWER_SUM, _to_power(self), _to_power(other)
+            trunc = _min_trunc(self.truncation, other.truncation)
+            (f, fden), (g, gden) = common_denominator(f.terms), common_denominator(g.terms)
+            product = _graded_product(_z_scaled(f), _z_scaled(g), trunc)
+            return SymSeries(basis, _unscaled(product, fden * gden), trunc)
         return SymSeries(
             self.basis,
             {lam: c * other for lam, c in self.terms.items()},
@@ -173,89 +181,103 @@ def constant(value, basis: str = POWER_SUM, truncation: int | None = None) -> Sy
 
 
 @lru_cache(maxsize=None)
-def _h_part_in_p(n: int) -> tuple[tuple[Partition, Fraction], ...]:
-    # h_n = sum over lam of p_lam / z_lam
-    return tuple(
-        (lam, Fraction(1, partitions.centralizer_order(lam)))
+def _z(lam: Partition) -> int:
+    return partitions.centralizer_order(lam)
+
+
+def _p_part_in_h(n: int) -> dict:
+    # From log(sum_k h_k t^k) = sum_n p_n t^n / n, the z-scaled h coefficients
+    # of p_n are z_lam [h_lam] p_n = (-1)^(l-1) n (l-1)! prod(lam), l = len(lam).
+    return {
+        lam: (-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1) * prod(lam)
         for lam in partitions.partitions_of(n)
-    )
+    }
 
 
-@lru_cache(maxsize=None)
-def _p_part_in_h(n: int) -> tuple[tuple[Partition, Fraction], ...]:
-    # Newton: p_n = n*h_n - sum_{k=1}^{n-1} h_k * p_{n-k}
-    if n == 0:
-        return (((), Fraction(1)),)
-    acc: dict[Partition, Fraction] = {(n,): Fraction(n)}
-    for k in range(1, n):
-        for mu, coeff in _p_part_in_h(n - k):
-            key = _merge(mu, (k,))
-            acc[key] = acc.get(key, Fraction(0)) - coeff
-    return tuple(sorted((kv for kv in acc.items() if kv[1]), key=lambda kv: kv[0]))
+def _graded_product(f: dict, g: dict, max_degree: int | None) -> dict:
+    """The one truncated product loop, for any exact coefficient type.
 
-
-def _s_in_p_terms(lam: Partition) -> list[tuple[Partition, Fraction]]:
-    # s_lam = sum over mu of chi^lam(mu)/z_mu * p_mu
-    out = []
-    for mu in partitions.partitions_of(sum(lam)):
-        chi = partitions.symmetric_group_character(lam, mu)
-        if chi:
-            out.append((mu, Fraction(chi, partitions.centralizer_order(mu))))
+    With b_a * b_b = b_(a+b) (p or h) and F_a = z_a [b_a] f, F_(a+b) gains
+    C * F_a * G_b for the integer C = z_(a+b) / (z_a z_b) = prod_k
+    binom(m_k(a) + m_k(b), m_k(a)).  Only degree pairs within max_degree are visited.
+    """
+    g_by_degree = _by_degree(g)
+    out: dict = {}
+    for da, f_terms in _by_degree(f).items():
+        for db, g_terms in g_by_degree.items():
+            if max_degree is not None and da + db > max_degree:
+                continue
+            for a, ca, za in f_terms:
+                for b, cb, zb in g_terms:
+                    key = tuple(sorted(a + b, reverse=True))
+                    out[key] = out.get(key, 0) + _z(key) // (za * zb) * ca * cb
     return out
 
 
-def _p_in_s_terms(mu: Partition) -> list[tuple[Partition, int]]:
-    # p_mu = sum over lam of chi^lam(mu) * s_lam
-    out = []
-    for lam in partitions.partitions_of(sum(mu)):
-        chi = partitions.symmetric_group_character(lam, mu)
-        if chi:
-            out.append((lam, chi))
+def _by_degree(terms: dict) -> dict[int, list]:
+    out: dict[int, list] = {}
+    for lam, c in terms.items():
+        out.setdefault(sum(lam), []).append((lam, c, _z(lam)))
     return out
 
 
-def _product_of_expansions(factors, trunc: int | None) -> dict[Partition, Fraction]:
-    prod: dict[Partition, Fraction] = {(): Fraction(1)}
-    for expansion in factors:
-        nxt: dict[Partition, Fraction] = {}
-        for base, cb in prod.items():
-            db = sum(base)
-            for lam, cl in expansion:
-                if trunc is not None and db + sum(lam) > trunc:
-                    continue
-                key = _merge(base, lam)
-                nxt[key] = nxt.get(key, Fraction(0)) + cb * cl
-        prod = nxt
-        if not prod:
-            break
-    return prod
+def _product_over_parts(lam: Partition, part_terms) -> dict:
+    """The z-scaled product over the parts k of lam of part_terms(k)."""
+    out: dict = {(): 1}
+    for i, part in enumerate(lam):
+        out = part_terms(part) if i == 0 else _graded_product(out, part_terms(part), None)
+    return out
+
+
+def _z_scaled(terms: dict) -> dict:
+    return {lam: c * _z(lam) for lam, c in terms.items()}
+
+
+def _unscaled(terms: dict, den: int = 1) -> dict:
+    out = {}
+    for lam, c in terms.items():
+        scale = _z(lam) * den
+        # Fraction(c, scale) is the cheap exact quotient; cyclotomics multiply.
+        rational = isinstance(c, (int, Fraction))
+        out[lam] = Fraction(c, scale) if rational else c * Fraction(1, scale)
+    return out
+
+
+def _scaled(f: SymSeries) -> dict:
+    """F_mu = z_mu [p_mu] f, read off directly: s_lam has F_mu = chi^lam(mu)
+    and h_k has F_mu = 1 for every mu of size k."""
+    if f.basis == POWER_SUM:
+        return _z_scaled(f.terms)
+    out: dict = {}
+    for lam, coeff in f.terms.items():
+        if f.basis == SCHUR:
+            shapes = partitions.partitions_of(sum(lam))
+            chars = {mu: partitions.symmetric_group_character(lam, mu) for mu in shapes}
+            expansion = {mu: chi for mu, chi in chars.items() if chi}
+        else:
+            ones = lambda k: dict.fromkeys(partitions.partitions_of(k), 1)  # noqa: E731
+            expansion = _product_over_parts(lam, ones)
+        for mu, c in expansion.items():
+            out[mu] = out.get(mu, 0) + coeff * c
+    return out
 
 
 def _to_power(f: SymSeries) -> SymSeries:
     if f.basis == POWER_SUM:
         return f
-    out: dict[Partition, object] = {}
-    for lam, coeff in f.terms.items():
-        if f.basis == HOMOGENEOUS:
-            expanded = _product_of_expansions(
-                (_h_part_in_p(part) for part in lam), f.truncation
-            )
-        else:
-            expanded = dict(_s_in_p_terms(lam))
-        for mu, c in expanded.items():
-            out[mu] = out.get(mu, 0) + coeff * c
-    return SymSeries(POWER_SUM, out, f.truncation)
+    return SymSeries(POWER_SUM, _unscaled(_scaled(f)), f.truncation)
 
 
 def _from_power(f: SymSeries, target: str) -> SymSeries:
     out: dict[Partition, object] = {}
     for mu, coeff in f.terms.items():
         if target == HOMOGENEOUS:
-            expanded = _product_of_expansions(
-                (_p_part_in_h(part) for part in mu), f.truncation
-            ).items()
+            # h is multiplicative like p: the same product works on z-scaled h coefficients.
+            expanded = _unscaled(_product_over_parts(mu, _p_part_in_h)).items()
         else:
-            expanded = _p_in_s_terms(mu)
+            # p_mu = sum over lam of chi^lam(mu) * s_lam; zero terms are dropped below
+            shapes = partitions.partitions_of(sum(mu))
+            expanded = ((lam, partitions.symmetric_group_character(lam, mu)) for lam in shapes)
         for lam, c in expanded:
             out[lam] = out.get(lam, 0) + coeff * c
     return SymSeries(target, out, f.truncation)
@@ -273,35 +295,12 @@ def convert(f: SymSeries, target: str) -> SymSeries:
     return _from_power(g, target)
 
 
-def _series_product(f: SymSeries, g: SymSeries) -> SymSeries:
-    # p- and h-basis elements multiply by merging indices; route s through p.
-    if f.basis == g.basis and f.basis in (POWER_SUM, HOMOGENEOUS):
-        basis = f.basis
-    else:
-        basis = POWER_SUM
-        f, g = convert(f, POWER_SUM), convert(g, POWER_SUM)
-    trunc = _min_trunc(f.truncation, g.truncation)
-    out: dict[Partition, object] = {}
-    for a, ca in f.terms.items():
-        da = sum(a)
-        for b, cb in g.terms.items():
-            if trunc is not None and da + sum(b) > trunc:
-                continue
-            key = _merge(a, b)
-            out[key] = out.get(key, 0) + ca * cb
-    return SymSeries(basis, out, trunc)
-
-
 def hall_inner_product(f: SymSeries, g: SymSeries):
     """Hall pairing: diagonal on power sums with <p_lam, p_lam> = z_lam."""
-    fp, gp = _to_power(f), _to_power(g)
-    if len(gp.terms) < len(fp.terms):
-        fp, gp = gp, fp
+    fp, gp = _to_power(f).terms, _to_power(g).terms
     total = Fraction(0)
-    for lam, cf in fp.terms.items():
-        cg = gp.terms.get(lam)
-        if cg is not None:
-            total = total + partitions.centralizer_order(lam) * cf * cg
+    for lam in fp.keys() & gp.keys():
+        total = total + _z(lam) * fp[lam] * gp[lam]
     return total
 
 
@@ -330,38 +329,43 @@ def plethysm(f: SymSeries, g: SymSeries, max_degree: int | None = None) -> SymSe
     stretched copies of g.  When max_degree is omitted, the truncation of g
     is used; an exact g gives an exact result for polynomial f.
     """
-    gp = _to_power(g)
     if max_degree is None:
-        degree = gp.truncation
+        degree = g.truncation
     else:
         degree = max_degree
-        if gp.truncation is not None and gp.truncation < max_degree:
+        if g.truncation is not None and g.truncation < max_degree:
             raise TruncationTooShortError(
-                f"argument known to degree {gp.truncation}, need {max_degree}"
+                f"argument known to degree {g.truncation}, need {max_degree}"
             )
-    fp = _to_power(f)
-    stretched: dict[int, SymSeries] = {}
+    # f = sum over mu of (W_mu / z_mu) p_mu; over den = lcm(z_mu) the weights
+    # W_mu * den / z_mu are integers when f is (a multiple of) a Schur function.
+    weights = _scaled(f)
+    den = lcm(*map(_z, weights))
+    g_scaled = _scaled(g)
+    stretched: dict[int, dict] = {}
+    # Products over the parts of mu, shared between all mu with the same prefix.
+    prefixes: dict[Partition, dict] = {(): {(): 1}}
     total: dict[Partition, object] = {}
-    for lam, coeff in fp.terms.items():
-        prod: dict[Partition, object] = {(): Fraction(1)}
-        for part in lam:
-            if part not in stretched:
-                stretched[part] = stretch(gp, part)
-            factor = stretched[part].terms
-            nxt: dict[Partition, object] = {}
-            for base, cb in prod.items():
-                db = sum(base)
-                for mu, cm in factor.items():
-                    if degree is not None and db + sum(mu) > degree:
-                        continue
-                    key = _merge(base, mu)
-                    nxt[key] = nxt.get(key, 0) + cb * cm
-            prod = nxt
-            if not prod:
-                break
-        for mu, c in prod.items():
-            total[mu] = total.get(mu, 0) + coeff * c
-    return SymSeries(POWER_SUM, total, degree)
+    for mu, weight in weights.items():
+        k = len(mu)
+        while mu[:k] not in prefixes:
+            k -= 1
+        product = prefixes[mu[:k]]
+        for i in range(k, len(mu)):
+            r = mu[i]
+            if r not in stretched:
+                # p_r[g]: z_(r nu) = r^len(nu) z_nu, so F_(r nu) = r^len(nu) G_nu.
+                stretched[r] = {
+                    tuple(r * part for part in nu): r ** len(nu) * c
+                    for nu, c in g_scaled.items()
+                    if degree is None or r * sum(nu) <= degree
+                }
+            product = stretched[r] if i == 0 else _graded_product(product, stretched[r], degree)
+            prefixes[mu[: i + 1]] = product
+        weight = weight * (den // _z(mu))
+        for nu, c in product.items():
+            total[nu] = total.get(nu, 0) + weight * c
+    return SymSeries(POWER_SUM, _unscaled(total, den), degree)
 
 
 def omega(max_degree: int) -> SymSeries:

@@ -3,6 +3,9 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from wreathlitt import partitions
 from wreathlitt.branching import branching_coefficient
@@ -165,3 +168,77 @@ def test_cache_flag_used_when_env_absent(tmp_path):
     code, out, _ = run_cli(args, env=env)
     assert code == 0 and out == b"1\n"
     assert list(cache.glob("char_table_*.json"))
+
+
+DATA = Path(__file__).with_name("data")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["coeff", "--m", "0", "--rho", "0:1", "--lambda", "1"], "--m"),
+        (["coeff", "--m", "-1", "--rho", "0:1", "--lambda", "1"], "--m"),
+        (["table", "--m", "2", "--n", "0", "--max-deg", "2"], "--n"),
+        (["table", "--m", "2", "--n", "2", "--max-deg", "2", "--jobs", "0"], "--jobs"),
+        (["table", "--m", "2", "--n", "2", "--max-deg", "-1"], "--max-deg"),
+        (["verify", "--m", "2", "--n", "2", "--max-deg", "-1"], "--max-deg"),
+        (["identities", "--m", "2", "--dx", "-1", "--dy", "2"], "--dx"),
+    ],
+)
+def test_out_of_range_flags_exit_1_with_one_line(args, flag, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and f"argument {flag}: must be >=" in lines[0], captured.err
+
+
+def test_coeff_m_zero_has_no_traceback():
+    code, out, err = run_cli(["coeff", "--m", "0", "--rho", "0:1", "--lambda", "1"])
+    assert code == 1 and out == b"" and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("error", ["NonIntegralError", "NotRationalError", "ToleranceExceededError"])
+def test_arithmetic_errors_exit_2_with_json_line(error, capsys, monkeypatch):
+    from wreathlitt import cli, exactnum, oracle, wreath
+
+    cls = {
+        "NonIntegralError": wreath.NonIntegralError,
+        "NotRationalError": exactnum.NotRationalError,
+        "ToleranceExceededError": oracle.ToleranceExceededError,
+    }[error]
+    detail = {"rho": "0:1", "lambda": "1", "numeric": "0.5", "exact": "1"}
+    exc = cls(detail) if cls is oracle.ToleranceExceededError else cls("boom")
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "branching_table", failing)
+    assert main(["table", "--m", "1", "--n", "1", "--max-deg", "1", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"command": "table", "error": error, "message": str(exc)}
+
+
+def test_non_integral_read_off_exits_2(capsys, monkeypatch):
+    table = partitions.character_table(3)
+    monkeypatch.setitem(table, ((2, 1), (3,)), table[((2, 1), (3,))] + 1)
+    assert main(["coeff", "--m", "1", "--rho", "0:2", "--lambda", "2,1"]) == 2
+    failure = json.loads(capsys.readouterr().err)
+    assert failure["error"] == "NonIntegralError" and "came out 4/3" in failure["message"]
+
+
+@pytest.mark.parametrize(
+    "m, rho, lam, value, golden",
+    [
+        ("1", "0:3,2,1", "4,2,1", "56", "coeff_dump_m1.json"),
+        ("3", "0:2;1:1;2:1", "3,2,1", "1", "coeff_dump_m3.json"),
+    ],
+)
+def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_path, capsys):
+    dump = tmp_path / "series.json"
+    assert main(["coeff", "--m", m, "--rho", rho, "--lambda", lam, "--dump", str(dump)]) == 0
+    assert capsys.readouterr().out == value + "\n"
+    assert dump.read_bytes() == (DATA / golden).read_bytes()

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from bruteforce import h_k_mono, schur_decompose
 from wreathlitt.exactnum import zeta
-from wreathlitt.partitions import partitions_of
+from wreathlitt.partitions import centralizer_order, multiplicities, partitions_of
 from wreathlitt.symfunc import (
     DegreeOutOfRangeError,
     SymSeries,
     TruncationTooShortError,
+    _graded_product,
+    _scaled,
     constant,
     convert,
     h_basis,
@@ -196,3 +199,99 @@ def test_json_round_trip():
     # entries are sorted by degree then reverse-lexicographically
     degrees = [sum(e["partition"]) for e in obj["terms"]]
     assert degrees == sorted(degrees)
+
+
+# ----------------------------------------------------------------------
+# The z-scaled kernel: F_mu = z_mu [p_mu] f, checked against the Fraction
+# definitions and against the plain loops it replaced.
+# ----------------------------------------------------------------------
+
+
+def test_scaled_h_is_all_ones():
+    for k in range(7):
+        assert _scaled(h_basis((k,), 1)) == dict.fromkeys(partitions_of(k), 1)
+        in_p = convert(h_basis((k,)), "p")
+        for mu in partitions_of(k):
+            assert in_p.terms[mu] == Fraction(1, centralizer_order(mu))
+            assert hall_inner_product(h_basis((k,)), p_basis(mu)) == 1
+
+
+def test_scaled_stretch_multiplies_by_r_to_the_length():
+    rng = random.Random(3)
+    g = _random_series(rng, "p", 6)
+    for r in (1, 2, 3):
+        stretched = _scaled(stretch(g, r))
+        for nu, coeff in _scaled(g).items():
+            r_nu = tuple(r * part for part in nu)
+            assert stretched[r_nu] == r ** len(nu) * coeff
+            assert hall_inner_product(stretch(g, r), p_basis(r_nu)) == r ** len(nu) * hall_inner_product(
+                g, p_basis(nu)
+            )
+        # the kernel's own stretch inside plethysm agrees with stretch()
+        assert plethysm(p_basis((r,)), g, 6).terms == stretch(g, r).restricted(6).terms
+
+
+def test_scaled_merge_factor_is_a_product_of_binomials():
+    shapes = [lam for k in range(5) for lam in partitions_of(k)]
+    for a in shapes:
+        for b in shapes:
+            merged = tuple(sorted(a + b, reverse=True))
+            ma, mb = multiplicities(a), multiplicities(b)
+            factor = 1
+            for part in set(ma) | set(mb):
+                factor *= comb(ma.get(part, 0) + mb.get(part, 0), ma.get(part, 0))
+            assert _graded_product({a: 1}, {b: 1}, None) == {merged: factor}
+            assert factor == Fraction(
+                centralizer_order(merged), centralizer_order(a) * centralizer_order(b)
+            )
+            assert hall_inner_product(p_basis(a) * p_basis(b), p_basis(merged)) == centralizer_order(merged)
+
+
+def _reference_product(f, g):
+    # The plain merge loop on power-sum coefficients.
+    f, g = convert(f, "p"), convert(g, "p")
+    trunc = min(f.truncation, g.truncation)
+    out = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            if sum(a) + sum(b) <= trunc:
+                key = tuple(sorted(a + b, reverse=True))
+                out[key] = out.get(key, 0) + ca * cb
+    return SymSeries("p", out, trunc)
+
+
+def _reference_plethysm(f, g, degree):
+    # Product of stretched copies of g for each p_mu of f, no prefix sharing.
+    total = {}
+    for mu, coeff in convert(f, "p").terms.items():
+        prod = constant(Fraction(1), truncation=degree)
+        for part in mu:
+            prod = _reference_product(prod, stretch(g, part).restricted(degree))
+        for nu, c in prod.terms.items():
+            total[nu] = total.get(nu, 0) + coeff * c
+    return SymSeries("p", total, degree)
+
+
+def _random_cyclotomic_series(rng, basis, degree, order=3):
+    terms = {}
+    for k in range(degree + 1):
+        for lam in partitions_of(k):
+            if rng.random() < 0.4:
+                terms[lam] = zeta(order, rng.randrange(order)) * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return SymSeries(basis, terms, degree)
+
+
+@pytest.mark.parametrize("basis", ["p", "h", "s"])
+def test_products_match_the_plain_loop_on_rational_and_cyclotomic_series(basis):
+    rng = random.Random(17)
+    for make in (_random_series, _random_cyclotomic_series):
+        f, g = make(rng, basis, 5), make(rng, "p", 4)
+        assert f * g == _reference_product(f, g)
+        assert f * f == _reference_product(f, f)
+
+
+def test_plethysm_matches_the_plain_loop_on_rational_and_cyclotomic_series():
+    rng = random.Random(23)
+    for lam in [(3,), (2, 1), (2, 2), (3, 1, 1)]:
+        for g in (_random_series(rng, "p", 6, scale=3), _random_cyclotomic_series(rng, "h", 6)):
+            assert plethysm(s_basis(lam), g, 6) == _reference_plethysm(s_basis(lam), g, 6)

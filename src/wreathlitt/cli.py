@@ -1,15 +1,12 @@
 """Command-line front end: coefficient queries, tables, verification sweeps.
 
-Exit codes: 0 success, 1 usage or parse error, 2 mathematical mismatch found
-by a verification command or an arithmetic failure (reported as one JSON line
-on stderr).  All stdout output is byte-deterministic for a
-fixed set of flags (timings go to stderr), so identical invocations can be
-diffed in CI regardless of worker count.
-
-The symmetric-group character tables are the one expensive shared artifact;
-when a cache directory is configured (WREATHLITT_CACHE_DIR wins over
---cache-dir, no persistence when neither is set) each computed table is
-stored as one JSON file per degree and reloaded on startup.
+Exit codes: 0 success, 1 usage or parse error (or a --dump path that cannot
+be written), 2 mathematical mismatch found by a verification command or an
+arithmetic failure (reported as one JSON line on stderr).  All stdout output
+is byte-deterministic for a fixed set of flags (timings go to stderr), so
+identical invocations can be diffed in CI regardless of worker count.
+Nothing but --dump is written to disk: character tables are rebuilt in each
+process, so no persisted file can reach the main path or its checks.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import oracle, partitions
+from . import oracle
 from .branching import (
     HypothesisViolationError,
     branching_series,
@@ -66,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     coeff.add_argument("--rho", required=True, help='wreath label, e.g. "0:2,1;1:1"')
     coeff.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "2,1"')
     coeff.add_argument("--dump", type=Path, help="write the generating series as JSON")
-    coeff.add_argument("--cache-dir", type=Path)
     coeff.set_defaults(handler=_cmd_coeff)
 
     table = sub.add_parser("table", help="all coefficients for one group")
@@ -75,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--max-deg", type=_int_at_least(0), required=True, help="largest |lambda|")
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     table.add_argument("--jobs", type=_int_at_least(1), default=None, help="worker processes (default: all cores)")
-    table.add_argument("--cache-dir", type=Path)
     table.set_defaults(handler=_cmd_table)
 
     verify = sub.add_parser("verify", help="triple agreement and dimension sums")
@@ -84,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-deg", type=_int_at_least(0), required=True)
     verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
     verify.add_argument("--dump", type=Path, help="write every generating series as JSON")
-    verify.add_argument("--cache-dir", type=Path)
     verify.set_defaults(handler=_cmd_verify)
 
     identities = sub.add_parser("identities", help="truncated checks of every intermediate identity")
@@ -92,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     identities.add_argument("--dx", type=_int_at_least(0), required=True, help="label-size cap on the wreath side")
     identities.add_argument("--dy", type=_int_at_least(0), required=True, help="degree cap on the symmetric side")
     identities.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    identities.add_argument("--cache-dir", type=Path)
     identities.set_defaults(handler=_cmd_identities)
     return parser
 
@@ -163,56 +156,21 @@ def _cmd_identities(args) -> int:
     return _print_report(report, args.format)
 
 
-def _resolve_cache_dir(args) -> Path | None:
-    env = os.environ.get("WREATHLITT_CACHE_DIR")
-    if env:
-        return Path(env)
-    flag = getattr(args, "cache_dir", None)
-    return Path(flag) if flag else None
-
-
-def _load_cache(cache_dir: Path | None) -> None:
-    if cache_dir is None or not cache_dir.is_dir():
-        return
-    for path in sorted(cache_dir.glob("char_table_*.json")):
-        try:
-            degree = int(path.stem.rsplit("_", 1)[1])
-            payload = json.loads(path.read_text())
-        except (ValueError, IndexError, json.JSONDecodeError, OSError):
-            continue
-        partitions.import_character_table(degree, payload)
-
-
-def _save_cache(cache_dir: Path | None) -> None:
-    if cache_dir is None:
-        return
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    for degree in partitions.character_cache_sizes():
-        if degree == 0:
-            continue
-        path = cache_dir / f"char_table_{degree}.json"
-        if not path.exists():
-            path.write_text(json.dumps(partitions.export_character_table(degree)) + "\n")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    cache_dir = _resolve_cache_dir(args)
-    _load_cache(cache_dir)
     try:
         code = args.handler(args)
-    except (ValueError, HypothesisViolationError) as exc:
+    except (ValueError, HypothesisViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(failure), file=sys.stderr)
         return EXIT_MISMATCH
-    _save_cache(cache_dir)
     return code
 
 

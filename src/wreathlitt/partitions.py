@@ -4,7 +4,8 @@ Characters are computed by the Murnaghan-Nakayama recursion, phrased on
 beta-sets (first-column hook lengths): removing a border strip of size r
 means lowering one beta number by r, with sign given by the number of beta
 numbers jumped over.  Full character tables are built per degree on first
-use; the table store doubles as the cache payload the CLI can persist.
+use and kept in memory for the life of the process; they are never written
+to or read from disk.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ __all__ = [
     "centralizer_order",
     "character_table",
     "conjugate_partition",
-    "export_character_table",
     "format_partition",
-    "import_character_table",
     "multiplicities",
     "parse_partition",
     "partitions_of",
-    "reset_character_cache",
     "specht_dimension",
     "symmetric_group_character",
 ]
@@ -145,46 +143,6 @@ def symmetric_group_character(lam: Partition, mu: Partition) -> int:
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
     return character_table(sum(lam))[(lam, mu)]
-
-
-def character_cache_sizes() -> list[int]:
-    return sorted(_TABLES)
-
-
-def reset_character_cache() -> None:
-    """Drop all computed tables (degree 0 is reseeded)."""
-    _TABLES.clear()
-    _TABLES[0] = {((), ()): 1}
-
-
-def export_character_table(n: int) -> dict[str, int]:
-    """Serialize the degree-n table as {"lam|mu": value} in canonical order."""
-    table = character_table(n)
-    shapes = _partitions(n, n)
-    return {
-        f"{format_partition(lam)}|{format_partition(mu)}": table[(lam, mu)]
-        for lam in shapes
-        for mu in shapes
-    }
-
-
-def import_character_table(n: int, payload: dict[str, int]) -> bool:
-    """Install a persisted degree-n table; rejected unless complete and well-formed."""
-    shapes = _partitions(n, n)
-    table: dict[tuple[Partition, Partition], int] = {}
-    try:
-        for key, value in payload.items():
-            lam_text, mu_text = key.split("|")
-            lam, mu = parse_partition(lam_text), parse_partition(mu_text)
-            if sum(lam) != n or sum(mu) != n or not isinstance(value, int):
-                return False
-            table[(lam, mu)] = value
-    except (ValueError, AttributeError):
-        return False
-    if len(table) != len(shapes) ** 2:
-        return False
-    _TABLES[n] = table
-    return True
 
 
 def parse_partition(text: str) -> Partition:

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathlitt import partitions
 from wreathlitt.branching import branching_coefficient
@@ -133,41 +137,24 @@ def test_byte_determinism_across_jobs():
     assert out1 == out1b
 
 
-def test_cache_round_trip(tmp_path):
-    import os
+def test_removed_cache_flag_is_a_usage_error(tmp_path, capsys):
+    cache = str(tmp_path / "X")
+    assert main(["table", "--m", "1", "--n", "3", "--max-deg", "3", "--jobs", "1", "--cache-dir", cache]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and f"unrecognized arguments: --cache-dir {cache}" in lines[0], captured.err
 
-    env = dict(os.environ, WREATHLITT_CACHE_DIR=str(tmp_path / "cache"))
+
+def test_cache_environment_variable_is_ignored(tmp_path):
+    variable = "WREATHLITT_CACHE_DIR"
     args = ["table", "--m", "1", "--n", "3", "--max-deg", "3", "--format", "csv", "--jobs", "1"]
-    code, cold, _ = run_cli(args, env=env)
+    unset = {k: v for k, v in os.environ.items() if k != variable}
+    code, plain, _ = run_cli(args, env=unset)
     assert code == 0
-    files = sorted(p.name for p in (tmp_path / "cache").glob("*.json"))
-    assert files, "cache files were not written"
-    code, warm, _ = run_cli(args, env=env)
-    assert code == 0 and warm == cold
-    # deleting the cache never changes output
-    for p in (tmp_path / "cache").glob("*.json"):
-        p.unlink()
-    code, fresh, _ = run_cli(args, env=env)
-    assert code == 0 and fresh == cold
-    # corrupt cache files are ignored, not trusted
-    bad = tmp_path / "cache" / "char_table_3.json"
-    bad.write_text("{\"not\": \"a table\"}")
-    code, after, _ = run_cli(args, env=env)
-    assert code == 0 and after == cold
-
-
-def test_cache_flag_used_when_env_absent(tmp_path):
-    import os
-
-    env = {k: v for k, v in os.environ.items() if k != "WREATHLITT_CACHE_DIR"}
-    cache = tmp_path / "flagged"
-    args = [
-        "coeff", "--m", "1", "--rho", "0:2", "--lambda", "1",
-        "--cache-dir", str(cache),
-    ]
-    code, out, _ = run_cli(args, env=env)
-    assert code == 0 and out == b"1\n"
-    assert list(cache.glob("char_table_*.json"))
+    code, with_var, _ = run_cli(args, env={**unset, variable: str(tmp_path / "c")})
+    assert code == 0 and with_var == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 DATA = Path(__file__).with_name("data")
@@ -242,3 +229,78 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
     assert main(["coeff", "--m", m, "--rho", rho, "--lambda", lam, "--dump", str(dump)]) == 0
     assert capsys.readouterr().out == value + "\n"
     assert dump.read_bytes() == (DATA / golden).read_bytes()
+
+
+BAD_DUMP_PATHS = {
+    "missing parent": lambda tmp: str(tmp / "missing" / "x.json"),
+    "directory": str,
+    "empty": lambda tmp: "",
+}
+
+
+@pytest.mark.parametrize("where", sorted(BAD_DUMP_PATHS))
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coeff", "--m", "1", "--rho", "0:1", "--lambda", "1"],
+        ["verify", "--m", "1", "--n", "2", "--max-deg", "2"],
+    ],
+    ids=["coeff", "verify"],
+)
+def test_unwritable_dump_exits_1_with_one_line(args, where, tmp_path, capsys):
+    assert main([*args, "--dump", BAD_DUMP_PATHS[where](tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+# verify and identities grow fast with their sizes (verify's numeric brute
+# force as m^n n!), so theirs stay small and the whole run takes seconds.
+_SMALL = st.integers(-2, 2).map(str)
+_INT = st.integers(-2, 4).map(str)
+_FLAGS = {
+    "coeff": {
+        "--m": _INT,
+        "--rho": st.sampled_from(["0:1", "0:2,1", "0:1;1:1", "1:2", "3:1", "", "0:", ":1", "0:1;0:1", "x:1", "0:1,2", "0:-1", "2"]),
+        "--lambda": st.sampled_from(["1", "2,1", "3", "1,1,1", "", "[]", "1,2", "0", "-1", "a", "2,,1"]),
+    },
+    "table": {
+        "--m": _INT,
+        "--n": _INT,
+        "--max-deg": _INT,
+        "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
+        "--jobs": st.sampled_from(["1", "0", "-1", "x"]),  # never a pool of workers
+    },
+    "verify": {"--m": _INT, "--n": _SMALL, "--max-deg": _SMALL, "--format": st.sampled_from(["json", "pretty"])},
+    "identities": {"--m": _INT, "--dx": _SMALL, "--dy": _SMALL},
+}
+
+
+@st.composite
+def _argv(draw, dump_dir):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        # table always gets --jobs: its default is one worker per core.
+        if flag == "--jobs" or draw(st.integers(0, 5)) > 0:
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        paths = [str(dump_dir / "dump.json"), *(bad(dump_dir) for bad in BAD_DUMP_PATHS.values())]
+        argv += ["--dump", draw(st.sampled_from(paths))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_cli_fuzz_exits_0_1_or_2(dump_dir):
+    @settings(max_examples=300, deadline=None)
+    @given(argv=_argv(dump_dir))
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+
+    run()

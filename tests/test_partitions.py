@@ -6,10 +6,7 @@ from bruteforce import frobenius_character, pentagonal_partition_counts
 from wreathlitt.partitions import (
     SizeMismatchError,
     centralizer_order,
-    character_table,
-    export_character_table,
     format_partition,
-    import_character_table,
     parse_partition,
     partitions_of,
     specht_dimension,
@@ -98,17 +95,6 @@ def test_character_at_identity_is_dimension():
     for n in range(1, 9):
         for lam in partitions_of(n):
             assert symmetric_group_character(lam, (1,) * n) == specht_dimension(lam)
-
-
-def test_table_export_import_roundtrip():
-    payload = export_character_table(4)
-    assert import_character_table(4, payload)
-    assert character_table(4)[((2, 2), (2, 1, 1))] == symmetric_group_character((2, 2), (2, 1, 1))
-    # incomplete or malformed payloads are rejected
-    broken = dict(payload)
-    broken.pop(next(iter(broken)))
-    assert not import_character_table(4, broken)
-    assert not import_character_table(4, {"nonsense": 1})
 
 
 def test_parse_and_format():

@@ -12,6 +12,7 @@ process, so no persisted file can reach the main path or its checks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -40,11 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(low: int):
+# Every label stores one slot per power of the root of unity, so --m has a
+# cap; a coeff query at the cap still answers in under a second.
+MAX_ORDER = 10**6
+
+
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return int(text)
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f">= {low} and <= {high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")
+        return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -59,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     coeff = sub.add_parser("coeff", help="one branching coefficient")
-    coeff.add_argument("--m", type=_int_at_least(1), required=True, help="order of the cyclic group")
+    coeff.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True, help=f"order of the cyclic group, 1..{MAX_ORDER}")
     coeff.add_argument("--rho", required=True, help='wreath label, e.g. "0:2,1;1:1"')
     coeff.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "2,1"')
     coeff.add_argument("--dump", type=Path, help="write the generating series as JSON")
     coeff.set_defaults(handler=_cmd_coeff)
 
     table = sub.add_parser("table", help="all coefficients for one group")
-    table.add_argument("--m", type=_int_at_least(1), required=True)
+    table.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True)
     table.add_argument("--n", type=_int_at_least(1), required=True, help="number of boxes in the labels")
     table.add_argument("--max-deg", type=_int_at_least(0), required=True, help="largest |lambda|")
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(handler=_cmd_table)
 
     verify = sub.add_parser("verify", help="triple agreement and dimension sums")
-    verify.add_argument("--m", type=_int_at_least(1), required=True)
+    verify.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True)
     verify.add_argument("--n", type=_int_at_least(1), required=True)
     verify.add_argument("--max-deg", type=_int_at_least(0), required=True)
     verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
@@ -82,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     identities = sub.add_parser("identities", help="truncated checks of every intermediate identity")
-    identities.add_argument("--m", type=_int_at_least(1), required=True)
+    identities.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True)
     identities.add_argument("--dx", type=_int_at_least(0), required=True, help="label-size cap on the wreath side")
     identities.add_argument("--dy", type=_int_at_least(0), required=True, help="degree cap on the symmetric side")
     identities.add_argument("--format", choices=("json", "pretty"), default="pretty")
@@ -137,17 +145,19 @@ def _print_report(report: oracle.VerificationReport, fmt: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = oracle.run_verification(args.m, args.n, args.max_deg)
-    if args.dump:
-        payload = [
-            {
-                "rho": format_label(rho),
-                "max_degree": args.max_deg,
-                "series": series_to_json(branching_series(rho, args.max_deg)),
-            }
-            for rho in wreath_class_labels(args.n, args.m)
-        ]
-        args.dump.write_text(json.dumps(payload, indent=2) + "\n")
+    # Open the dump first: an unwritable path fails before any verification work.
+    with args.dump.open("w") if args.dump else contextlib.nullcontext() as dump:
+        report = oracle.run_verification(args.m, args.n, args.max_deg)
+        if dump:
+            payload = [
+                {
+                    "rho": format_label(rho),
+                    "max_degree": args.max_deg,
+                    "series": series_to_json(branching_series(rho, args.max_deg)),
+                }
+                for rho in wreath_class_labels(args.n, args.m)
+            ]
+            dump.write(json.dumps(payload, indent=2) + "\n")
     return _print_report(report, args.format)
 
 

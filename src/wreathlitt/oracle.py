@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from . import partitions
+from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
 from .exactnum import Cyclotomic, NotRationalError, to_rational, zeta
 from .partitions import Partition, format_partition
@@ -149,6 +149,34 @@ def _as_multiplicity(value, context: str) -> int:
     return int(rational)
 
 
+# Each path is built for one group and computes what it needs once per label
+# or per lambda, on first use; no path reads a value another path computed.
+# Cells are visited row by row, so a label's values are kept for its row only.
+_per_label = lru_cache(maxsize=1)
+_per_lambda = lru_cache(maxsize=None)
+
+
+def _main_path(degree_cap: int):
+    """The main path: one branching series per label, read off per cell."""
+    # Through the module, so a tracer that wraps branching.branching_series
+    # (perfbench/layertrace.py) sees these calls.
+    series = _per_label(lambda rho: branching.branching_series(rho, degree_cap))
+    return lambda rho, lam: branching._coefficients_from_series(series(rho), [lam])[0]
+
+
+def _pairing_path(order: int, n: int):
+    """Path A: one restriction characteristic per lambda and one conjugated
+    irreducible characteristic per label, paired once per cell."""
+    restricted = _per_lambda(lambda lam: restriction_characteristic(lam, n, order))
+    conjugated = _per_label(lambda rho: frobenius_characteristic(rho).conjugate())
+
+    def pairing(rho: WreathLabel, lam: Partition) -> int:
+        value = wreath_inner_product(restricted(lam), conjugated(rho))
+        return _as_multiplicity(value, f"pairing at ({format_label(rho)}, {format_partition(lam)})")
+
+    return pairing
+
+
 def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
     """Multiplicity via the wreath pairing of the restriction characteristic
     against the conjugated irreducible characteristic."""
@@ -156,9 +184,24 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
         raise HypothesisViolationError(
             f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
         )
-    flam = restriction_characteristic(lam, rho.size, rho.order)
-    value = wreath_inner_product(flam, frobenius_characteristic(rho).conjugate())
-    return _as_multiplicity(value, f"pairing at ({format_label(rho)}, {format_partition(lam)})")
+    return _pairing_path(rho.order, rho.size)(rho, lam)
+
+
+def _character_average_path():
+    """Path B: its own conjugated characteristic per label and its own Schur
+    value per (lambda, class)."""
+    conjugated = _per_label(lambda rho: frobenius_characteristic(rho).conjugate().terms)
+    schur = _per_lambda(schur_at_eigenvalues)
+
+    def average(rho: WreathLabel, lam: Partition) -> int:
+        total = Fraction(0)
+        for sigma, conj in conjugated(rho).items():
+            total = total + conj * schur(lam, sigma)
+        return _as_multiplicity(
+            total, f"character average at ({format_label(rho)}, {format_partition(lam)})"
+        )
+
+    return average
 
 
 def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
@@ -169,17 +212,7 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
         raise HypothesisViolationError(
             f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
         )
-    chi = frobenius_characteristic(rho)
-    total = Fraction(0)
-    for sigma in wreath_class_labels(rho.size, rho.order):
-        coeff = chi.coefficient(sigma)
-        if not coeff:
-            continue
-        conj = coeff.conjugate() if isinstance(coeff, Cyclotomic) else coeff
-        total = total + conj * schur_at_eigenvalues(lam, sigma)
-    return _as_multiplicity(
-        total, f"character average at ({format_label(rho)}, {format_partition(lam)})"
-    )
+    return _character_average_path()(rho, lam)
 
 
 # ----------------------------------------------------------------------
@@ -240,21 +273,36 @@ def _schur_from_traces(lam: Partition, traces) -> complex:
     return value
 
 
+def _numeric_path(order: int, n: int):
+    """Path C: conjugated complex character values once per label, and the
+    numeric Schur value at every group element once per lambda."""
+    @_per_label
+    def characters(rho):
+        chi = frobenius_characteristic(rho)
+        return {
+            sigma: (complex(centralizer_order(sigma)) * _to_complex(chi.coefficient(sigma))).conjugate()
+            for sigma in wreath_class_labels(n, order)
+        }
+
+    @_per_lambda
+    def elements(lam):
+        data = _group_trace_data(order, n, max(1, sum(lam)))
+        return [(label, _schur_from_traces(lam, traces)) for label, traces in data]
+
+    def estimate(rho: WreathLabel, lam: Partition) -> complex:
+        conj, group = characters(rho), elements(lam)
+        total = 0j
+        for label, value in group:
+            total += conj[label] * value
+        return total / len(group)
+
+    return estimate
+
+
 def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:
     """Floating-point multiplicity: average conj(character) * s_lam(eigenvalues)
     over every element of the group, all computed numerically."""
-    order, n = rho.order, rho.size
-    chi = frobenius_characteristic(rho)
-    char_values = {
-        sigma: complex(centralizer_order(sigma)) * _to_complex(chi.coefficient(sigma))
-        for sigma in wreath_class_labels(n, order)
-    }
-    max_power = max(1, sum(lam))
-    total = 0j
-    data = _group_trace_data(order, n, max_power)
-    for label, traces in data:
-        total += char_values[label].conjugate() * _schur_from_traces(lam, traces)
-    return total / len(data)
+    return _numeric_path(rho.order, rho.size)(rho, lam)
 
 
 def _to_complex(value) -> complex:
@@ -263,14 +311,7 @@ def _to_complex(value) -> complex:
     return complex(value)
 
 
-def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
-    """Compare the numeric estimate with the exact multiplicity; they must
-    differ by less than the tolerance and round to the same integer.
-
-    Returns the comparison detail, raising ToleranceExceededError on failure.
-    """
-    exact = branching_coefficient(rho, lam)
-    numeric = numeric_branching_estimate(rho, lam)
+def _numeric_detail(rho: WreathLabel, lam: Partition, exact: int, numeric: complex) -> dict:
     error = abs(numeric - exact)
     detail = {
         "rho": format_label(rho),
@@ -282,6 +323,15 @@ def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
     if error >= NUMERIC_TOLERANCE or round(numeric.real) != exact:
         raise ToleranceExceededError(detail)
     return detail
+
+
+def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
+    """Compare the numeric estimate with the exact multiplicity; they must
+    differ by less than the tolerance and round to the same integer.
+
+    Returns the comparison detail, raising ToleranceExceededError on failure.
+    """
+    return _numeric_detail(rho, lam, branching_coefficient(rho, lam), numeric_branching_estimate(rho, lam))
 
 
 # ----------------------------------------------------------------------
@@ -553,21 +603,16 @@ def evaluation_kernel_agreement_check(order: int, n_cap: int, degree_cap: int) -
 # Suites
 # ----------------------------------------------------------------------
 
-def _verification_lambdas(n: int, degree_cap: int) -> list[Partition]:
-    return [
-        lam
-        for k in range(degree_cap + 1)
-        for lam in partitions.partitions_of(k)
-        if len(lam) <= n
-    ]
-
-
 def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Triple agreement of the three branching paths on every cell, plus the
     weighted dimension sums; any disagreement is reported with its cell."""
     report = VerificationReport({"m": order, "n": n, "max_degree": degree_cap})
     labels = wreath_class_labels(n, order)
-    lambdas = _verification_lambdas(n, degree_cap)
+    lambdas = branching._lambda_grid(n, degree_cap)
+
+    main_path = _main_path(degree_cap)
+    pairing_path = _pairing_path(order, n)
+    average_path = _character_average_path()
 
     started = time.perf_counter()
     cells = 0
@@ -577,9 +622,9 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
         for lam in lambdas:
             cells += 1
             try:
-                main = branching_coefficient(rho, lam)
-                pairing = branching_by_pairing(rho, lam)
-                average = branching_by_character_average(rho, lam)
+                main = main_path(rho, lam)
+                pairing = pairing_path(rho, lam)
+                average = average_path(rho, lam)
             except (NotRationalError, ArithmeticError) as exc:
                 counterexample = {
                     "rho": format_label(rho),
@@ -626,14 +671,16 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
 def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Numeric brute force over all monomial matrices against the exact path."""
     report = VerificationReport({"m": order, "n": n, "max_degree": degree_cap})
+    main_path = _main_path(degree_cap)
+    numeric_path = _numeric_path(order, n)
     started = time.perf_counter()
     cells = 0
     counterexample = None
     for rho in wreath_class_labels(n, order):
-        for lam in _verification_lambdas(n, degree_cap):
+        for lam in branching._lambda_grid(n, degree_cap):
             cells += 1
             try:
-                numeric_matrix_check(rho, lam)
+                _numeric_detail(rho, lam, main_path(rho, lam), numeric_path(rho, lam))
             except ToleranceExceededError as exc:
                 counterexample = exc.detail
                 break

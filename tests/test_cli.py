@@ -170,6 +170,8 @@ DATA = Path(__file__).with_name("data")
         (["table", "--m", "2", "--n", "2", "--max-deg", "-1"], "--max-deg"),
         (["verify", "--m", "2", "--n", "2", "--max-deg", "-1"], "--max-deg"),
         (["identities", "--m", "2", "--dx", "-1", "--dy", "2"], "--dx"),
+        (["coeff", "--m", "99999999999999999999", "--rho", "0:1", "--lambda", "1"], "--m"),
+        (["verify", "--m", "1000001", "--n", "1", "--max-deg", "0"], "--m"),
     ],
 )
 def test_out_of_range_flags_exit_1_with_one_line(args, flag, capsys):
@@ -255,25 +257,44 @@ def test_unwritable_dump_exits_1_with_one_line(args, where, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
-# verify and identities grow fast with their sizes (verify's numeric brute
-# force as m^n n!), so theirs stay small and the whole run takes seconds.
+@pytest.mark.parametrize("where", sorted(BAD_DUMP_PATHS))
+def test_verify_opens_dump_before_verifying(where, tmp_path, capsys, monkeypatch):
+    from wreathlitt import oracle
+
+    def never(*args):
+        raise AssertionError("verification started before the --dump path was opened")
+
+    monkeypatch.setattr(oracle, "run_verification", never)
+    args = ["verify", "--m", "2", "--n", "4", "--max-deg", "4", "--dump", BAD_DUMP_PATHS[where](tmp_path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+# verify and identities grow fast with their sizes, so theirs stay small and
+# the whole run takes seconds.  Huge --m values are all rejected at parse
+# time, except the largest accepted one on coeff, which stays fast there.
 _SMALL = st.integers(-2, 2).map(str)
 _INT = st.integers(-2, 4).map(str)
+_HUGE = st.sampled_from(["1000001", "99999999999999999999", "-99999999999999999999"])
+_M = st.one_of(_INT, _HUGE)
 _FLAGS = {
     "coeff": {
-        "--m": _INT,
+        "--m": st.one_of(_M, st.just("1000000")),
         "--rho": st.sampled_from(["0:1", "0:2,1", "0:1;1:1", "1:2", "3:1", "", "0:", ":1", "0:1;0:1", "x:1", "0:1,2", "0:-1", "2"]),
         "--lambda": st.sampled_from(["1", "2,1", "3", "1,1,1", "", "[]", "1,2", "0", "-1", "a", "2,,1"]),
     },
     "table": {
-        "--m": _INT,
+        "--m": _M,
         "--n": _INT,
         "--max-deg": _INT,
         "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
         "--jobs": st.sampled_from(["1", "0", "-1", "x"]),  # never a pool of workers
     },
-    "verify": {"--m": _INT, "--n": _SMALL, "--max-deg": _SMALL, "--format": st.sampled_from(["json", "pretty"])},
-    "identities": {"--m": _INT, "--dx": _SMALL, "--dy": _SMALL},
+    "verify": {"--m": _M, "--n": _SMALL, "--max-deg": _SMALL, "--format": st.sampled_from(["json", "pretty"])},
+    "identities": {"--m": _M, "--dx": _SMALL, "--dy": _SMALL},
 }
 
 

@@ -22,12 +22,18 @@ from wreathlitt.oracle import (
     eigenvalue_substitution_check,
     _omega_composite_xy,
 )
+from wreathlitt.exactnum import to_rational
 from wreathlitt.symfunc import convert, hall_inner_product, omega, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
+    WreathSeries,
     centralizer_order,
     evaluation_kernel,
+    frobenius_characteristic,
+    identity_label,
+    irreducible_dimension,
     power_trace,
+    schur_at_eigenvalues,
     wreath_class_labels,
 )
 
@@ -171,3 +177,123 @@ def test_fault_injection_symmetric_flip_caught_by_dimension_sums(monkeypatch):
     assert not report.passed
     failure = report.first_failure()
     assert failure is not None and failure.counterexample is not None
+
+
+# ----------------------------------------------------------------------
+# The suites build each path's values once per label or lambda; these tests
+# check that this changes no report, and that the paths stay independent.
+# ----------------------------------------------------------------------
+
+def _grid(n, degree_cap):
+    return [lam for k in range(degree_cap + 1) for lam in partitions.partitions_of(k) if len(lam) <= n]
+
+
+def _per_cell_verification(order, n, degree_cap):
+    """run_verification's report, rebuilt from the per-cell functions."""
+    labels, lambdas = wreath_class_labels(n, order), _grid(n, degree_cap)
+    table = {}
+    for rho in labels:
+        for lam in lambdas:
+            value = branching_coefficient(rho, lam)
+            assert branching_by_pairing(rho, lam) == value == branching_by_character_average(rho, lam)
+            table[(rho, lam)] = value
+    ident = identity_label(n, order)
+    for lam in lambdas:
+        weighted = sum(table[(rho, lam)] * irreducible_dimension(rho) for rho in labels)
+        assert weighted == to_rational(schur_at_eigenvalues(lam, ident)), lam
+    return {
+        "scope": {"m": order, "n": n, "max_degree": degree_cap},
+        "passed": True,
+        "checks": [
+            {"name": "triple_agreement", "passed": True, "cells": len(labels) * len(lambdas)},
+            {"name": "dimension_sums", "passed": True, "cells": len(lambdas)},
+        ],
+    }
+
+
+@pytest.mark.parametrize("order, n, degree_cap", [(1, 4, 5), (2, 3, 4), (3, 2, 4)])
+def test_run_verification_matches_per_cell_reference(order, n, degree_cap):
+    expected = _per_cell_verification(order, n, degree_cap)
+    assert run_verification(order, n, degree_cap).to_json_obj() == expected
+
+
+def _per_cell_numeric(order, n, degree_cap):
+    """run_numeric_suite's report, rebuilt from numeric_matrix_check."""
+    cells, counterexample = 0, None
+    for rho in wreath_class_labels(n, order):
+        for lam in _grid(n, degree_cap):
+            cells += 1
+            try:
+                numeric_matrix_check(rho, lam)
+            except ToleranceExceededError as exc:
+                counterexample = exc.detail
+                break
+        if counterexample:
+            break
+    check = {"name": "numeric_matrix", "passed": counterexample is None, "cells": cells}
+    if counterexample:
+        check["counterexample"] = counterexample
+    return {"scope": {"m": order, "n": n, "max_degree": degree_cap}, "passed": check["passed"], "checks": [check]}
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 0.0], ids=["pass", "fail"])
+@pytest.mark.parametrize("order, n, degree_cap", [(1, 3, 4), (2, 2, 4), (3, 2, 3)])
+def test_run_numeric_suite_matches_per_cell_reference(order, n, degree_cap, tolerance, monkeypatch):
+    # A zero tolerance fails the first cell with any rounding error, so the
+    # counterexample compares the two estimates bit for bit.
+    import wreathlitt.oracle as oracle_module
+
+    monkeypatch.setattr(oracle_module, "NUMERIC_TOLERANCE", tolerance)
+    expected = _per_cell_numeric(order, n, degree_cap)
+    assert expected["passed"] == (tolerance > 0)
+    assert run_numeric_suite(order, n, degree_cap).to_json_obj() == expected
+
+
+# First failing cell and cell count of each corruption below, as reported by
+# the per-cell verification (captured before the suites built values per row).
+PATH_A_FAULT = ({"rho": "0:1;1:2", "lambda": "2,1", "main": 0, "pairing": 1, "character_average": 0}, 61)
+PATH_B_FAULT = ({"rho": "0:3", "lambda": "2,1", "main": 0, "pairing": 0, "character_average": 1}, 6)
+
+
+def test_corrupted_pairing_fails_only_path_a(monkeypatch):
+    import wreathlitt.oracle as oracle_module
+
+    true_pairing = oracle_module.wreath_inner_product
+    target_lam = restriction_characteristic((2, 1), 3, 2)
+    target_rho = frobenius_characteristic(lab(2, {0: (1,), 1: (2,)})).conjugate()
+
+    def corrupted(f, g):
+        value = true_pairing(f, g)
+        return value + 1 if f == target_lam and g == target_rho else value
+
+    monkeypatch.setattr(oracle_module, "wreath_inner_product", corrupted)
+    check = run_verification(2, 3, 4).checks[0]
+    assert check.name == "triple_agreement"
+    assert (check.counterexample, check.cells) == PATH_A_FAULT
+
+
+def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
+    # Path A's restriction characteristic is rebuilt from the true values, so
+    # only the character average sees the corrupted Schur evaluation.
+    import wreathlitt.oracle as oracle_module
+
+    true_schur = oracle_module.schur_at_eigenvalues
+    target_sigma = lab(2, {0: (1,), 1: (2,)})
+
+    def corrupted(lam, sigma):
+        value = true_schur(lam, sigma)
+        # shifts a character average by the conjugated character value at sigma
+        return value + centralizer_order(sigma) if lam == (2, 1) and sigma == target_sigma else value
+
+    def restriction_from_true_values(lam, n, order):
+        terms = {
+            sigma: true_schur(lam, sigma) * Fraction(1, centralizer_order(sigma))
+            for sigma in wreath_class_labels(n, order)
+        }
+        return WreathSeries(order, terms)
+
+    monkeypatch.setattr(oracle_module, "schur_at_eigenvalues", corrupted)
+    monkeypatch.setattr(oracle_module, "restriction_characteristic", restriction_from_true_values)
+    check = run_verification(2, 3, 4).checks[0]
+    assert check.name == "triple_agreement"
+    assert (check.counterexample, check.cells) == PATH_B_FAULT

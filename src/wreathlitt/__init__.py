@@ -45,12 +45,10 @@ from .symfunc import (
     convert,
     h_basis,
     hall_inner_product,
-    omega,
     omega_at_root,
     p_basis,
     plethysm,
     s_basis,
-    schur_coefficient,
     stretch,
 )
 from .wreath import (

@@ -2,9 +2,10 @@
 
 Rationals are plain ``fractions.Fraction``.  Elements of Q(zeta_m) are stored
 in the power basis of Q[x]/(Phi_m(x)), with Phi_m the m-th cyclotomic
-polynomial.  Quotienting by Phi_m rather than x^m - 1 makes the quotient a
-field, so equality and rationality tests are unambiguous and every nonzero
-element is invertible.
+polynomial.  Quotienting by Phi_m rather than x^m - 1 makes the quotient
+Q(zeta_m) itself, so each number has one representative and equality and
+rationality tests are unambiguous.  No computation divides in Q(zeta_m), so
+elements only add, multiply and conjugate.
 """
 
 from __future__ import annotations
@@ -126,20 +127,6 @@ class Cyclotomic:
             work[(m - i) % m] += c
         return reduce_mod_cyclotomic(work, m)
 
-    def inverse(self) -> "Cyclotomic":
-        # Extended Euclid against Phi_m over Q; gcd is a nonzero constant.
-        if not self:
-            raise ZeroDivisionError("cyclotomic division by zero")
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r1 = _trim(list(self.coeffs))
-        s0, s1 = [_ZERO], [_ONE]
-        while len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        g = r1[0]
-        return reduce_mod_cyclotomic([c / g for c in s1], self.order)
-
     def _coerced(self, other):
         if isinstance(other, Cyclotomic):
             if other.order == self.order:
@@ -199,32 +186,6 @@ class Cyclotomic:
         return reduce_mod_cyclotomic(prod, self.order)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            if isinstance(other, Cyclotomic):
-                return Cyclotomic.from_rational(self.coeffs[0], other.order) / other
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.from_rational(1, self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -289,44 +250,3 @@ def common_denominator(values: dict) -> tuple[dict, int]:
         return values, 1
     den = lcm(*(v.denominator for v in values.values()))
     return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
-
-
-def _trim(poly: list[Fraction]) -> list[Fraction]:
-    while len(poly) > 1 and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(rem) - 1 < db:
-        return [_ZERO], _trim(rem)
-    quot = [_ZERO] * (len(rem) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + db] / lead
-        quot[i] = c
-        if c:
-            for k in range(db + 1):
-                rem[i + k] -= c * b[k]
-    return _trim(quot), _trim(rem)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)

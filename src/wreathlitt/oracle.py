@@ -273,9 +273,11 @@ def _schur_from_traces(lam: Partition, traces) -> complex:
     return value
 
 
-def _numeric_path(order: int, n: int):
+def _numeric_path(order: int, n: int, max_power: int):
     """Path C: conjugated complex character values once per label, and the
-    numeric Schur value at every group element once per lambda."""
+    numeric Schur value at every group element once per lambda.  The group
+    is enumerated once, with the traces of powers up to max_power, which
+    must be at least 1 and at least every |lambda| asked for."""
     @_per_label
     def characters(rho):
         chi = frobenius_characteristic(rho)
@@ -286,7 +288,7 @@ def _numeric_path(order: int, n: int):
 
     @_per_lambda
     def elements(lam):
-        data = _group_trace_data(order, n, max(1, sum(lam)))
+        data = _group_trace_data(order, n, max_power)
         return [(label, _schur_from_traces(lam, traces)) for label, traces in data]
 
     def estimate(rho: WreathLabel, lam: Partition) -> complex:
@@ -302,7 +304,7 @@ def _numeric_path(order: int, n: int):
 def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:
     """Floating-point multiplicity: average conj(character) * s_lam(eigenvalues)
     over every element of the group, all computed numerically."""
-    return _numeric_path(rho.order, rho.size)(rho, lam)
+    return _numeric_path(rho.order, rho.size, max(1, sum(lam)))(rho, lam)
 
 
 def _to_complex(value) -> complex:
@@ -440,7 +442,7 @@ def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckR
                 if len(lam) > n:
                     continue
                 cells += 1
-                slam = convert(s_basis(lam), "p")
+                slam = convert(s_basis(lam))
                 extracted: dict = {}
                 for (label, nu), coeff in kernel.items():
                     if label.size != n:
@@ -672,7 +674,7 @@ def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport
     """Numeric brute force over all monomial matrices against the exact path."""
     report = VerificationReport({"m": order, "n": n, "max_degree": degree_cap})
     main_path = _main_path(degree_cap)
-    numeric_path = _numeric_path(order, n)
+    numeric_path = _numeric_path(order, n, max(1, degree_cap))
     started = time.perf_counter()
     cells = 0
     counterexample = None

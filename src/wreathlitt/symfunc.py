@@ -2,13 +2,13 @@
 
 A series is a sparse map partition -> coefficient, tagged with a basis:
 power sum ('p'), complete homogeneous ('h'), or Schur ('s').  The constant
-term lives at the empty partition.  Every basis conversion routes through
-the power sums, where the Hall pairing is diagonal and plethysm acts by
-stretching part sizes.  Truncation is explicit on each value (None meaning
-an exact, finitely supported element) and propagates as the minimum across
-binary operations.
+term lives at the empty partition.  Conversion goes one way only, from h and
+s into the power sums, where the Hall pairing is diagonal and plethysm acts
+by stretching part sizes; nothing converts back.  Truncation is explicit on
+each value (None meaning an exact, finitely supported element) and
+propagates as the minimum across binary operations.
 
-Products, conversions and plethysm share one kernel on z-scaled power-sum
+Products, the conversion and plethysm share one kernel on z-scaled power-sum
 coefficients, F_mu = z_mu [p_mu] f = <f, p_mu> (Macdonald, ch. I 2 and 8).
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import lcm
 
 from . import partitions
 from .exactnum import Cyclotomic, common_denominator, zeta
@@ -28,20 +28,16 @@ SCHUR = "s"
 _BASES = (POWER_SUM, HOMOGENEOUS, SCHUR)
 
 __all__ = [
-    "DegreeOutOfRangeError",
     "SymSeries",
     "TruncationTooShortError",
     "constant",
     "convert",
     "h_basis",
     "hall_inner_product",
-    "omega",
     "omega_at_root",
     "p_basis",
     "plethysm",
     "s_basis",
-    "schur_coefficient",
-    "series_from_json",
     "series_to_json",
     "stretch",
 ]
@@ -49,10 +45,6 @@ __all__ = [
 
 class TruncationTooShortError(ValueError):
     """The plethysm argument is not known to the degree requested."""
-
-
-class DegreeOutOfRangeError(ValueError):
-    """A coefficient beyond the series truncation was requested."""
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
@@ -71,8 +63,8 @@ def _canonical_order(lam: Partition):
 class SymSeries:
     """Sparse symmetric series; ``truncation`` None marks an exact element.
 
-    Equality compares expansions (converting bases when they differ); the
-    truncation bound is metadata and takes no part in it.
+    Sums and equality convert both sides to power sums when their bases
+    differ; the truncation bound is metadata and takes no part in equality.
     """
 
     __slots__ = ("basis", "truncation", "terms")
@@ -105,12 +97,13 @@ class SymSeries:
     def __add__(self, other: "SymSeries") -> "SymSeries":
         if not isinstance(other, SymSeries):
             return NotImplemented
-        if other.basis != self.basis:
-            other = convert(other, self.basis)
-        out = dict(self.terms)
-        for lam, coeff in other.terms.items():
+        a, b = self, other
+        if a.basis != b.basis:
+            a, b = convert(a), convert(b)
+        out = dict(a.terms)
+        for lam, coeff in b.terms.items():
             out[lam] = out.get(lam, 0) + coeff
-        return SymSeries(self.basis, out, _min_trunc(self.truncation, other.truncation))
+        return SymSeries(a.basis, out, _min_trunc(a.truncation, b.truncation))
 
     def __sub__(self, other: "SymSeries") -> "SymSeries":
         return self + (-other)
@@ -126,7 +119,7 @@ class SymSeries:
             if self.basis == other.basis and self.basis in (POWER_SUM, HOMOGENEOUS):
                 basis, f, g = self.basis, self, other
             else:
-                basis, f, g = POWER_SUM, _to_power(self), _to_power(other)
+                basis, f, g = POWER_SUM, convert(self), convert(other)
             trunc = _min_trunc(self.truncation, other.truncation)
             (f, fden), (g, gden) = common_denominator(f.terms), common_denominator(g.terms)
             product = _graded_product(_z_scaled(f), _z_scaled(g), trunc)
@@ -151,7 +144,7 @@ class SymSeries:
             return NotImplemented
         a, b = self, other
         if a.basis != b.basis:
-            a, b = convert(a, POWER_SUM), convert(b, POWER_SUM)
+            a, b = convert(a), convert(b)
         if a.terms.keys() != b.terms.keys():
             return False
         return all(a.terms[lam] == b.terms[lam] for lam in a.terms)
@@ -185,15 +178,6 @@ def _z(lam: Partition) -> int:
     return partitions.centralizer_order(lam)
 
 
-def _p_part_in_h(n: int) -> dict:
-    # From log(sum_k h_k t^k) = sum_n p_n t^n / n, the z-scaled h coefficients
-    # of p_n are z_lam [h_lam] p_n = (-1)^(l-1) n (l-1)! prod(lam), l = len(lam).
-    return {
-        lam: (-1) ** (len(lam) - 1) * n * factorial(len(lam) - 1) * prod(lam)
-        for lam in partitions.partitions_of(n)
-    }
-
-
 def _graded_product(f: dict, g: dict, max_degree: int | None) -> dict:
     """The one truncated product loop, for any exact coefficient type.
 
@@ -218,14 +202,6 @@ def _by_degree(terms: dict) -> dict[int, list]:
     out: dict[int, list] = {}
     for lam, c in terms.items():
         out.setdefault(sum(lam), []).append((lam, c, _z(lam)))
-    return out
-
-
-def _product_over_parts(lam: Partition, part_terms) -> dict:
-    """The z-scaled product over the parts k of lam of part_terms(k)."""
-    out: dict = {(): 1}
-    for i, part in enumerate(lam):
-        out = part_terms(part) if i == 0 else _graded_product(out, part_terms(part), None)
     return out
 
 
@@ -255,49 +231,26 @@ def _scaled(f: SymSeries) -> dict:
             chars = {mu: partitions.symmetric_group_character(lam, mu) for mu in shapes}
             expansion = {mu: chi for mu, chi in chars.items() if chi}
         else:
-            ones = lambda k: dict.fromkeys(partitions.partitions_of(k), 1)  # noqa: E731
-            expansion = _product_over_parts(lam, ones)
+            # h_lam is the product of the h_k over its parts, each all ones.
+            expansion = {(): 1}
+            for i, part in enumerate(lam):
+                ones = dict.fromkeys(partitions.partitions_of(part), 1)
+                expansion = ones if i == 0 else _graded_product(expansion, ones, None)
         for mu, c in expansion.items():
             out[mu] = out.get(mu, 0) + coeff * c
     return out
 
 
-def _to_power(f: SymSeries) -> SymSeries:
+def convert(f: SymSeries) -> SymSeries:
+    """Re-expand f in power sums, keeping its truncation."""
     if f.basis == POWER_SUM:
         return f
     return SymSeries(POWER_SUM, _unscaled(_scaled(f)), f.truncation)
 
 
-def _from_power(f: SymSeries, target: str) -> SymSeries:
-    out: dict[Partition, object] = {}
-    for mu, coeff in f.terms.items():
-        if target == HOMOGENEOUS:
-            # h is multiplicative like p: the same product works on z-scaled h coefficients.
-            expanded = _unscaled(_product_over_parts(mu, _p_part_in_h)).items()
-        else:
-            # p_mu = sum over lam of chi^lam(mu) * s_lam; zero terms are dropped below
-            shapes = partitions.partitions_of(sum(mu))
-            expanded = ((lam, partitions.symmetric_group_character(lam, mu)) for lam in shapes)
-        for lam, c in expanded:
-            out[lam] = out.get(lam, 0) + coeff * c
-    return SymSeries(target, out, f.truncation)
-
-
-def convert(f: SymSeries, target: str) -> SymSeries:
-    """Re-expand f in the target basis, keeping its truncation."""
-    if target not in _BASES:
-        raise ValueError(f"unknown basis tag {target!r}")
-    if f.basis == target:
-        return f
-    g = _to_power(f)
-    if target == POWER_SUM:
-        return g
-    return _from_power(g, target)
-
-
 def hall_inner_product(f: SymSeries, g: SymSeries):
     """Hall pairing: diagonal on power sums with <p_lam, p_lam> = z_lam."""
-    fp, gp = _to_power(f).terms, _to_power(g).terms
+    fp, gp = convert(f).terms, convert(g).terms
     total = Fraction(0)
     for lam in fp.keys() & gp.keys():
         total = total + _z(lam) * fp[lam] * gp[lam]
@@ -313,7 +266,7 @@ def stretch(f: SymSeries, n: int) -> SymSeries:
     """
     if n < 1:
         raise ValueError("stretch factor must be >= 1")
-    fp = _to_power(f)
+    fp = convert(f)
     trunc = None if fp.truncation is None else n * fp.truncation + (n - 1)
     return SymSeries(
         POWER_SUM,
@@ -368,16 +321,6 @@ def plethysm(f: SymSeries, g: SymSeries, max_degree: int | None = None) -> SymSe
     return SymSeries(POWER_SUM, _unscaled(total, den), degree)
 
 
-def omega(max_degree: int) -> SymSeries:
-    """1 + h_1 + ... + h_D: the plethystic exponential, truncated."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    terms: dict[Partition, Fraction] = {(): Fraction(1)}
-    for k in range(1, max_degree + 1):
-        terms[(k,)] = Fraction(1)
-    return SymSeries(HOMOGENEOUS, terms, max_degree)
-
-
 def omega_at_root(exponent: int, order: int, max_degree: int) -> SymSeries:
     """The geometric kernel sum of zeta^(j*k) h_k for the root zeta_order^exponent."""
     if not 0 <= exponent < order:
@@ -386,15 +329,6 @@ def omega_at_root(exponent: int, order: int, max_degree: int) -> SymSeries:
     for k in range(1, max_degree + 1):
         terms[(k,)] = zeta(order, exponent * k)
     return SymSeries(HOMOGENEOUS, terms, max_degree)
-
-
-def schur_coefficient(f: SymSeries, lam: Partition):
-    """Coefficient of the Schur element at lam, read off by Hall pairing."""
-    if f.truncation is not None and sum(lam) > f.truncation:
-        raise DegreeOutOfRangeError(
-            f"degree {sum(lam)} exceeds series truncation {f.truncation}"
-        )
-    return hall_inner_product(f, s_basis(lam))
 
 
 def series_to_json(f: SymSeries) -> dict:
@@ -406,10 +340,3 @@ def series_to_json(f: SymSeries) -> dict:
         coeff = to_rational(f.terms[lam])
         entries.append({"partition": list(lam), "coeff": str(coeff)})
     return {"basis": f.basis, "truncation": f.truncation, "terms": entries}
-
-
-def series_from_json(obj: dict) -> SymSeries:
-    terms = {
-        tuple(entry["partition"]): Fraction(entry["coeff"]) for entry in obj["terms"]
-    }
-    return SymSeries(obj["basis"], terms, obj["truncation"])

@@ -268,10 +268,6 @@ class WreathSeries:
         self.terms = clean
 
     @classmethod
-    def p_element(cls, label: WreathLabel, coeff=Fraction(1)) -> "WreathSeries":
-        return cls(label.order, {label: coeff})
-
-    @classmethod
     def one(cls, order: int) -> "WreathSeries":
         return cls(order, {WreathLabel(order, ((),) * order): Fraction(1)})
 
@@ -290,9 +286,6 @@ class WreathSeries:
         if trunc is None or (other.truncation is not None and other.truncation < trunc):
             trunc = other.truncation
         return WreathSeries(self.order, out, trunc)
-
-    def __sub__(self, other: "WreathSeries") -> "WreathSeries":
-        return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, WreathSeries):

@@ -3,8 +3,9 @@
 Everything here recomputes expected values from first principles, by routes
 disjoint from the library's own algorithms: explicit monomial polynomials in
 finitely many variables, the Frobenius alternant formula for characters,
-Euler's pentagonal recurrence for partition counts, and numpy root-finding
-for cyclotomic polynomials.
+Euler's pentagonal recurrence for partition counts, numpy root-finding
+for cyclotomic polynomials, and counting fixed points for permutation
+characters.
 """
 
 from __future__ import annotations
@@ -155,6 +156,27 @@ def schur_decompose(poly: Mono, nvars: int) -> dict[tuple, int]:
             else:
                 work.pop(key, None)
     return out
+
+
+def young_permutation_character(mu, nu) -> int:
+    """The number of ways to assign each cycle of nu to one part of mu so
+    that the cycle lengths given to every part add up to that part: the
+    fixed points of a permutation of cycle type nu on the ordered set
+    partitions with block sizes mu."""
+    assert sum(mu) == sum(nu)
+
+    def count(i: int, room: list[int]) -> int:
+        if i == len(nu):
+            return 1
+        total = 0
+        for j, free in enumerate(room):
+            if free >= nu[i]:
+                room[j] -= nu[i]
+                total += count(i + 1, room)
+                room[j] += nu[i]
+        return total
+
+    return count(0, list(mu))
 
 
 def cyclotomic_from_roots(order: int) -> list[int]:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import young_permutation_character
 from wreathlitt import partitions
 from wreathlitt.branching import littlewood_coefficient
 from wreathlitt.oracle import (
@@ -28,6 +29,7 @@ from wreathlitt.partitions import partitions_of
 from wreathlitt.symfunc import (
     SymSeries,
     convert,
+    h_basis,
     hall_inner_product,
     p_basis,
     plethysm,
@@ -122,24 +124,17 @@ def test_criterion_5_numeric_brute_force():
 def test_criterion_6_symmetric_function_kernel_properties():
     failures = []
 
-    # basis round-trips to degree 8
-    rng = random.Random(60221023)
-    for src in "phs":
-        for dst in "phs":
-            if src == dst:
-                continue
-            terms = {}
-            for k in range(9):
-                for lam in partitions_of(k):
-                    if rng.random() < 0.35:
-                        terms[lam] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-            f = SymSeries(src, terms, 8)
-            if convert(convert(f, dst), src).terms != f.terms:
-                failures.append(("round_trip", src, dst))
+    # h into power sums to degree 8: <h_mu, p_nu> is the permutation
+    # character of the Young subgroup S_mu at the cycle type nu
+    for k in range(9):
+        for mu in partitions_of(k):
+            for nu in partitions_of(k):
+                if hall_inner_product(h_basis(mu), p_basis(nu)) != young_permutation_character(mu, nu):
+                    failures.append(("h_to_p", mu, nu))
 
     # Schur orthonormality to degree 7
     shapes = [lam for k in range(8) for lam in partitions_of(k)]
-    expansions = {lam: convert(s_basis(lam), "p") for lam in shapes}
+    expansions = {lam: convert(s_basis(lam)) for lam in shapes}
     for a in shapes:
         for b in shapes:
             want = 1 if a == b else 0
@@ -147,6 +142,8 @@ def test_criterion_6_symmetric_function_kernel_properties():
                 failures.append(("schur_orthonormality", a, b))
 
     # plethysm laws to degree 6
+    rng = random.Random(60221023)
+
     def random_poly(degree):
         terms = {}
         for k in range(degree + 1):

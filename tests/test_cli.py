@@ -115,7 +115,7 @@ def test_coeff_dump_writes_series_json(tmp_path, capsys):
     payload = json.loads(dump.read_text())
     assert payload["rho"] == "0:1"
     series = payload["series"]
-    assert series["basis"] in ("p", "h", "s")
+    assert series["basis"] == "p"
     assert all(set(entry) == {"partition", "coeff"} for entry in series["terms"])
 
 

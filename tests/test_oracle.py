@@ -23,7 +23,7 @@ from wreathlitt.oracle import (
     _omega_composite_xy,
 )
 from wreathlitt.exactnum import to_rational
-from wreathlitt.symfunc import convert, hall_inner_product, omega, p_basis, s_basis
+from wreathlitt.symfunc import convert, hall_inner_product, omega_at_root, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
     WreathSeries,
@@ -91,6 +91,16 @@ def test_numeric_path():
     assert abs(value - 1) < 1e-9
 
 
+def test_numeric_suite_enumerates_the_group_once():
+    # The traces of powers up to |lambda| are a prefix of those up to the
+    # degree cap, so one enumeration serves every lambda of the suite.
+    from wreathlitt.oracle import _group_trace_data
+
+    _group_trace_data.cache_clear()
+    assert run_numeric_suite(3, 3, 4).passed
+    assert _group_trace_data.cache_info().misses == 1
+
+
 def test_numeric_mismatch_reports_cell(monkeypatch):
     import wreathlitt.oracle as oracle_module
 
@@ -106,7 +116,7 @@ def test_kernel_identity_trivia():
     assert kernel[(empty, ())] == 1
     # the single-box label carries the full plethystic exponential in Y
     box = lab(1, {0: (1,)})
-    for nu, coeff in convert(omega(3), "p").terms.items():
+    for nu, coeff in convert(omega_at_root(0, 1, 3)).terms.items():
         assert kernel[(box, nu)] == coeff
 
 

@@ -6,7 +6,10 @@ product of plethysms: one factor per slot j, substituting the arithmetic-
 progression alphabet h_j + h_{j+m} + h_{j+2m} + ... into the slot's Schur
 function (the j = 0 alphabet includes the constant 1).  Everything on this
 path is exact: the symfunc kernel works on integer z-scaled power-sum
-coefficients, and the read-off is one integer division per cell.
+coefficients, and the read-off is one integer division per cell.  Since
+s_lam[A] = sum over mu of chi^lam(mu) / z_mu * p_mu[A] (Macdonald, ch. I 7-8),
+a table builds each slot's products p_mu[A_j] once and each factor s_lam[A_j]
+once, and multiplies a label's factors in slot order per row.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import partitions
 # perfbench/layertrace.py patches both by name in this module.
 from .exactnum import common_denominator, to_rational  # noqa: F401
 from .partitions import Partition, format_partition
-from .symfunc import SymSeries, constant, hall_inner_product, plethysm, s_basis  # noqa: F401
+from .symfunc import SymSeries, constant, hall_inner_product, plethysm, plethysms, s_basis  # noqa: F401
 from .wreath import NonIntegralError, WreathLabel, format_label, wreath_class_labels
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "branching_table",
     "coefficient_and_series",
     "littlewood_coefficient",
+    "table_series",
 ]
 
 
@@ -52,12 +56,18 @@ def branching_series(rho: WreathLabel, max_degree: int) -> SymSeries:
     d(rho, lambda), truncated by total degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    factors = (
+        plethysm(s_basis(part, 1), _progression_alphabet(rho.order, j, max_degree), max_degree)
+        for j, part in enumerate(rho.parts)
+        if part
+    )
+    return _product(factors, max_degree)
+
+
+def _product(factors, max_degree: int) -> SymSeries:
+    # Slot order; stops at a zero product, before a lazy `factors` builds the rest.
     result = None
-    for j, part in enumerate(rho.parts):
-        if not part:
-            continue
-        alphabet = _progression_alphabet(rho.order, j, max_degree)
-        factor = plethysm(s_basis(part, 1), alphabet, max_degree)
+    for factor in factors:
         result = factor if result is None else result * factor
         if result.is_zero():
             break
@@ -170,9 +180,26 @@ def _lambda_grid(size: int, max_degree: int) -> list[Partition]:
     ]
 
 
-def _table_row(args) -> list[int]:
-    order, parts, max_degree, lambdas = args
-    series = branching_series(WreathLabel(order, parts), max_degree)
+def table_series(order: int, size: int, max_degree: int):
+    """Yield (rho, branching_series(rho, max_degree)) for the labels of the
+    given size, in table order, building each slot factor once per call."""
+    labels = wreath_class_labels(size, order)
+    shapes: dict[int, dict] = {}
+    for rho in labels:
+        for j, part in enumerate(rho.parts):
+            if part:
+                shapes.setdefault(j, {})[part] = None
+    factors = {}
+    for j, slot in shapes.items():
+        alphabet = _progression_alphabet(order, j, max_degree)
+        built = plethysms([s_basis(part, 1) for part in slot], alphabet, max_degree)
+        factors.update(zip([(j, part) for part in slot], built))
+    for rho in labels:
+        yield rho, _product((factors[j, part] for j, part in enumerate(rho.parts) if part), max_degree)
+
+
+def _table_row(series: SymSeries, lambdas) -> list[int]:
+    """One row of a table, under its own name so that a tracer can time each row."""
     return _coefficients_from_series(series, lambdas)
 
 
@@ -182,29 +209,15 @@ def branching_table(
     """Compute every multiplicity for labels of the given size and partitions
     of degree up to max_degree (with at most `size` rows).
 
-    The generating series is computed once per label and reused across all
-    columns; rows are independent, so any worker count yields identical
-    results (rows are merged back in label order).
+    The generating series come from ``table_series``, one per label, and
+    each is read off for all columns at once.  Everything runs in this
+    process: `jobs` is accepted for compatibility and has no effect.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    labels = wreath_class_labels(size, order)
     lambdas = _lambda_grid(size, max_degree)
-    # Warm the shared character cache before any fan-out.
-    partitions.character_table(max(size, max_degree))
-    tasks = [(order, rho.parts, max_degree, tuple(lambdas)) for rho in labels]
-    if jobs is not None and jobs > 1 and len(labels) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(labels))) as pool:
-            rows = list(pool.map(_table_row, tasks))
-    else:
-        rows = [_table_row(task) for task in tasks]
-    cells = {
-        (rho, lam): value
-        for rho, row in zip(labels, rows)
-        for lam, value in zip(lambdas, row)
-    }
-    return BranchingTable(order, size, max_degree, labels, lambdas, cells)
+    rows = {rho: _table_row(series, lambdas) for rho, series in table_series(order, size, max_degree)}
+    cells = {(rho, lam): d for rho, row in rows.items() for lam, d in zip(lambdas, row)}
+    return BranchingTable(order, size, max_degree, list(rows), lambdas, cells)

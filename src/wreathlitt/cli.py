@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage or parse error (or a --dump path that cannot
 be written), 2 mathematical mismatch found by a verification command or an
 arithmetic failure (reported as one JSON line on stderr).  All stdout output
 is byte-deterministic for a fixed set of flags (timings go to stderr), so
-identical invocations can be diffed in CI regardless of worker count.
+identical invocations can be diffed in CI.
 Nothing but --dump is written to disk: character tables are rebuilt in each
 process, so no persisted file can reach the main path or its checks.
 """
@@ -14,20 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import oracle
-from .branching import (
-    HypothesisViolationError,
-    branching_series,
-    branching_table,
-    coefficient_and_series,
-)
+from .branching import HypothesisViolationError, branching_table, coefficient_and_series, table_series
 from .partitions import parse_partition
 from .symfunc import series_to_json
-from .wreath import format_label, parse_label, wreath_class_labels
+from .wreath import format_label, parse_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--n", type=_int_at_least(1), required=True, help="number of boxes in the labels")
     table.add_argument("--max-deg", type=_int_at_least(0), required=True, help="largest |lambda|")
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    table.add_argument("--jobs", type=_int_at_least(1), default=None, help="worker processes (default: all cores)")
+    table.add_argument("--jobs", type=_int_at_least(1), default=None, help="accepted for compatibility; has no effect")
     table.set_defaults(handler=_cmd_table)
 
     verify = sub.add_parser("verify", help="triple agreement and dimension sums")
@@ -114,8 +108,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    table = branching_table(args.m, args.n, args.max_deg, jobs=jobs)
+    table = branching_table(args.m, args.n, args.max_deg)
     if args.format == "json":
         print(json.dumps(table.to_json_obj()))
     elif args.format == "csv":
@@ -153,9 +146,9 @@ def _cmd_verify(args) -> int:
                 {
                     "rho": format_label(rho),
                     "max_degree": args.max_deg,
-                    "series": series_to_json(branching_series(rho, args.max_deg)),
+                    "series": series_to_json(series),
                 }
-                for rho in wreath_class_labels(args.n, args.m)
+                for rho, series in table_series(args.m, args.n, args.max_deg)
             ]
             dump.write(json.dumps(payload, indent=2) + "\n")
     return _print_report(report, args.format)

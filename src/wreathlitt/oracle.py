@@ -435,8 +435,9 @@ def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckR
     restriction characteristic, for every size and every fitting lam."""
     started = time.perf_counter()
     cells = 0
+    # Truncating the label size drops only larger labels, so one kernel serves every n.
+    kernel = _omega_composite_xy(order, n_cap, degree_cap)
     for n in range(n_cap + 1):
-        kernel = _omega_composite_xy(order, n, degree_cap)
         for k in range(degree_cap + 1):
             for lam in partitions.partitions_of(k):
                 if len(lam) > n:

@@ -37,6 +37,7 @@ __all__ = [
     "omega_at_root",
     "p_basis",
     "plethysm",
+    "plethysms",
     "s_basis",
     "series_to_json",
     "stretch",
@@ -276,12 +277,17 @@ def stretch(f: SymSeries, n: int) -> SymSeries:
 
 
 def plethysm(f: SymSeries, g: SymSeries, max_degree: int | None = None) -> SymSeries:
-    """The substitution f[g], computed on power sums up to max_degree.
+    """The substitution f[g]: ``plethysms`` for the one series f."""
+    return plethysms([f], g, max_degree)[0]
 
-    Expands f in power sums and maps each p_lam to the product of the
-    stretched copies of g.  When max_degree is omitted, the truncation of g
-    is used; an exact g gives an exact result for polynomial f.
-    """
+
+def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries]:
+    """The substitutions f[g] for every f in fs, on power sums up to max_degree.
+
+    Each p_mu in f maps to the product of stretched copies of g, built once per
+    call and shared by all of fs and by all mu with a common prefix.  When
+    max_degree is omitted, the truncation of g is used; an exact g gives an
+    exact result for polynomial f."""
     if max_degree is None:
         degree = g.truncation
     else:
@@ -290,35 +296,37 @@ def plethysm(f: SymSeries, g: SymSeries, max_degree: int | None = None) -> SymSe
             raise TruncationTooShortError(
                 f"argument known to degree {g.truncation}, need {max_degree}"
             )
-    # f = sum over mu of (W_mu / z_mu) p_mu; over den = lcm(z_mu) the weights
-    # W_mu * den / z_mu are integers when f is (a multiple of) a Schur function.
-    weights = _scaled(f)
-    den = lcm(*map(_z, weights))
     g_scaled = _scaled(g)
     stretched: dict[int, dict] = {}
-    # Products over the parts of mu, shared between all mu with the same prefix.
     prefixes: dict[Partition, dict] = {(): {(): 1}}
-    total: dict[Partition, object] = {}
-    for mu, weight in weights.items():
-        k = len(mu)
-        while mu[:k] not in prefixes:
-            k -= 1
-        product = prefixes[mu[:k]]
-        for i in range(k, len(mu)):
-            r = mu[i]
-            if r not in stretched:
-                # p_r[g]: z_(r nu) = r^len(nu) z_nu, so F_(r nu) = r^len(nu) G_nu.
-                stretched[r] = {
-                    tuple(r * part for part in nu): r ** len(nu) * c
-                    for nu, c in g_scaled.items()
-                    if degree is None or r * sum(nu) <= degree
-                }
-            product = stretched[r] if i == 0 else _graded_product(product, stretched[r], degree)
-            prefixes[mu[: i + 1]] = product
-        weight = weight * (den // _z(mu))
-        for nu, c in product.items():
-            total[nu] = total.get(nu, 0) + weight * c
-    return SymSeries(POWER_SUM, _unscaled(total, den), degree)
+    out = []
+    for f in fs:
+        # f = sum over mu of (W_mu / z_mu) p_mu; over den = lcm(z_mu) the weights
+        # W_mu * den / z_mu are integers when f is (a multiple of) a Schur function.
+        weights = _scaled(f)
+        den = lcm(*map(_z, weights))
+        total: dict[Partition, object] = {}
+        for mu, weight in weights.items():
+            k = len(mu)
+            while mu[:k] not in prefixes:
+                k -= 1
+            product = prefixes[mu[:k]]
+            for i in range(k, len(mu)):
+                r = mu[i]
+                if r not in stretched:
+                    # p_r[g]: z_(r nu) = r^len(nu) z_nu, so F_(r nu) = r^len(nu) G_nu.
+                    stretched[r] = {
+                        tuple(r * part for part in nu): r ** len(nu) * c
+                        for nu, c in g_scaled.items()
+                        if degree is None or r * sum(nu) <= degree
+                    }
+                product = stretched[r] if i == 0 else _graded_product(product, stretched[r], degree)
+                prefixes[mu[: i + 1]] = product
+            weight = weight * (den // _z(mu))
+            for nu, c in product.items():
+                total[nu] = total.get(nu, 0) + weight * c
+        out.append(SymSeries(POWER_SUM, _unscaled(total, den), degree))
+    return out
 
 
 def omega_at_root(exponent: int, order: int, max_degree: int) -> SymSeries:

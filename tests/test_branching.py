@@ -4,10 +4,12 @@ import pytest
 
 from wreathlitt.branching import (
     HypothesisViolationError,
+    _coefficients_from_series,
     branching_coefficient,
     branching_series,
     branching_table,
     littlewood_coefficient,
+    table_series,
 )
 from wreathlitt.oracle import branching_by_pairing
 from wreathlitt.partitions import partitions_of
@@ -119,6 +121,34 @@ def test_table_parallel_matches_serial():
     assert serial.cells == parallel.cells
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_json_obj() == parallel.to_json_obj()
+
+
+@pytest.mark.parametrize("order, size, max_degree", [(1, 6, 9), (2, 4, 7), (3, 3, 6), (4, 3, 5)])
+def test_table_matches_the_per_label_path(order, size, max_degree):
+    # The table builds each slot factor once; every cell must equal the one
+    # read off the label's own series, including labels with empty slots.
+    table = branching_table(order, size, max_degree)
+    assert table.labels == wreath_class_labels(size, order)
+    for rho in table.labels:
+        row = _coefficients_from_series(branching_series(rho, max_degree), table.lambdas)
+        assert [table.value(rho, lam) for lam in table.lambdas] == row
+
+
+def test_table_series_equals_branching_series():
+    for rho, series in table_series(3, 3, 5):
+        direct = branching_series(rho, 5)
+        assert series.terms == direct.terms
+        assert (series.basis, series.truncation) == (direct.basis, direct.truncation)
+
+
+def test_table_starts_no_process(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("branching_table started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    assert branching_table(2, 2, 3, jobs=8).cells == branching_table(2, 2, 3).cells
 
 
 def test_read_off_remainder_raises_non_integral(monkeypatch):

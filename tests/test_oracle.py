@@ -129,6 +129,21 @@ def test_identity_checks_pass():
     assert evaluation_kernel_agreement_check(2, 2, 4).passed
 
 
+def test_restriction_formula_builds_the_kernel_once(monkeypatch):
+    # The kernel at the largest label size holds every smaller size unchanged.
+    import wreathlitt.oracle as oracle_module
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _omega_composite_xy(*args)
+
+    monkeypatch.setattr(oracle_module, "_omega_composite_xy", counted)
+    assert restriction_formula_check(2, 3, 3).passed
+    assert calls == [(2, 3, 3)]
+
+
 def test_substitution_trivia():
     rho = lab(2, {1: (2,)})
     kernel = evaluation_kernel(rho, 3)

@@ -18,12 +18,14 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import partitions
 
 # hall_inner_product and to_rational are not called here but stay bound:
 # perfbench/layertrace.py patches both by name in this module.
-from .exactnum import common_denominator, to_rational  # noqa: F401
+from .exactnum import to_rational  # noqa: F401
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, hall_inner_product, plethysm, plethysms, s_basis  # noqa: F401
 from .wreath import NonIntegralError, WreathLabel, format_label, wreath_class_labels
@@ -74,17 +76,28 @@ def _product(factors, max_degree: int) -> SymSeries:
     return constant(Fraction(1), truncation=max_degree) if result is None else result
 
 
-def _coefficients_from_series(series: SymSeries, lambdas) -> list[int]:
-    """<f, s_lam> = sum over nu of [p_nu] f * chi^lam(nu) for a row of lambdas:
-    one exact integer division each, over the coefficients' common denominator."""
-    numerators, den = common_denominator(series.terms)
-    by_degree: dict[int, list] = {}
-    for nu, a in numerators.items():
-        by_degree.setdefault(sum(nu), []).append((nu, a))
-    row = []
+def _character_rows(lambdas) -> list[list[int]]:
+    # chi^lam(nu) in partitions_of(|lam|) order, read from the tables on each call.
+    rows = []
     for lam in lambdas:
         chi = partitions.character_table(sum(lam))
-        total = sum(a * chi[(lam, nu)] for nu, a in by_degree.get(sum(lam), ()))
+        rows.append([chi[lam, nu] for nu in partitions.partitions_of(sum(lam))])
+    return rows
+
+
+def _coefficients_from_series(series: SymSeries, lambdas, rows=None) -> list[int]:
+    """<f, s_lam> = sum over nu of [p_nu] f * chi^lam(nu) for a row of lambdas, with
+    chi from rows (a table shares one _character_rows(lambdas) between its rows):
+    one exact integer division each, over the common denominator of its degree."""
+    terms, vectors, row = series.terms, {}, []
+    for lam, chi in zip(lambdas, rows or _character_rows(lambdas)):
+        k = sum(lam)
+        if k not in vectors:
+            vector = [terms.get(nu, 0) for nu in partitions.partitions_of(k)]
+            den = lcm(*[a.denominator for a in vector])
+            vectors[k] = [a.numerator * (den // a.denominator) for a in vector], den
+        vector, den = vectors[k]
+        total = sum(map(mul, chi, vector))
         value, rem = divmod(total, den)
         if rem or value < 0:
             exact = Fraction(total, den)
@@ -198,9 +211,9 @@ def table_series(order: int, size: int, max_degree: int):
         yield rho, _product((factors[j, part] for j, part in enumerate(rho.parts) if part), max_degree)
 
 
-def _table_row(series: SymSeries, lambdas) -> list[int]:
+def _table_row(series: SymSeries, lambdas, rows) -> list[int]:
     """One row of a table, under its own name so that a tracer can time each row."""
-    return _coefficients_from_series(series, lambdas)
+    return _coefficients_from_series(series, lambdas, rows)
 
 
 def branching_table(
@@ -218,6 +231,7 @@ def branching_table(
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     lambdas = _lambda_grid(size, max_degree)
-    rows = {rho: _table_row(series, lambdas) for rho, series in table_series(order, size, max_degree)}
+    chi = _character_rows(lambdas)
+    rows = {rho: _table_row(series, lambdas, chi) for rho, series in table_series(order, size, max_degree)}
     cells = {(rho, lam): d for rho, row in rows.items() for lam, d in zip(lambdas, row)}
     return BranchingTable(order, size, max_degree, list(rows), lambdas, cells)

@@ -1,11 +1,12 @@
 """Exact scalars: arbitrary-precision rationals and the cyclotomic fields Q(zeta_m).
 
-Rationals are plain ``fractions.Fraction``.  Elements of Q(zeta_m) are stored
-in the power basis of Q[x]/(Phi_m(x)), with Phi_m the m-th cyclotomic
-polynomial.  Quotienting by Phi_m rather than x^m - 1 makes the quotient
-Q(zeta_m) itself, so each number has one representative and equality and
-rationality tests are unambiguous.  No computation divides in Q(zeta_m), so
-elements only add, multiply and conjugate.
+Rationals are plain ``fractions.Fraction``.  An element of Q(zeta_m) is a
+tuple of integer numerators in the power basis of Q[x]/(Phi_m(x)) over one
+positive denominator, in lowest terms.  Phi_m, the m-th cyclotomic
+polynomial, is monic and integral, so reduction stays in the integers, and
+quotienting by it rather than x^m - 1 gives Q(zeta_m) itself: each number has
+one representation.  No computation divides in Q(zeta_m), so elements only
+add, multiply and conjugate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 __all__ = [
     "Cyclotomic",
@@ -25,9 +27,6 @@ __all__ = [
     "to_rational",
     "zeta",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotRationalError(ArithmeticError):
@@ -73,66 +72,75 @@ def euler_phi(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
-def reduce_mod_cyclotomic(coeffs, order: int) -> "Cyclotomic":
-    """Remainder of sum(coeffs[i] * x^i) modulo Phi_order(x)."""
+def _reduce(work: list[int], order: int) -> tuple[int, ...]:
+    # Integer remainder of sum(work[i] * x^i) modulo the monic Phi_order(x).
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    work = [Fraction(c) for c in coeffs]
     for i in range(len(work) - 1, d - 1, -1):
         c = work[i]
         if c:
             for k in range(d):
                 work[i - d + k] -= c * phi[k]
-            work[i] = _ZERO
-    work = work[:d]
-    work.extend([_ZERO] * (d - len(work)))
-    return Cyclotomic(order, tuple(work))
+    return tuple(work[:d]) + (0,) * (d - len(work))
+
+
+def reduce_mod_cyclotomic(coeffs, order: int) -> "Cyclotomic":
+    """Remainder of sum(coeffs[i] * x^i) modulo Phi_order(x)."""
+    return Cyclotomic(order, coeffs)
 
 
 class Cyclotomic:
-    """An element of Q(zeta_order) as coefficients of 1, zeta, ..., zeta^(phi-1).
+    """An element of Q(zeta_order): integer numerators ``nums`` of 1, zeta, ...,
+    zeta^(phi-1) over one positive denominator ``den``, in lowest terms.
 
     Supports mixed arithmetic with ``int`` and ``Fraction``; two elements of
     different orders only interact when at least one of them is rational.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        self.order = order
-        self.coeffs = coeffs
+    def __init__(self, order: int, coeffs, den: int = 0):
+        """coeffs: rational coordinates of 1, zeta, zeta^2, ..., reduced mod
+        Phi_order here; or, given den >= 1, a tuple of reduced numerators."""
+        if not den:
+            fracs = [Fraction(c) for c in coeffs]
+            den = lcm(*(c.denominator for c in fracs))
+            coeffs = _reduce([c.numerator * (den // c.denominator) for c in fracs], order)
+        g = gcd(den, *coeffs) if den != 1 else 1
+        self.order, self.den = order, den // g
+        self.nums = coeffs if g == 1 else tuple(a // g for a in coeffs)
 
     @classmethod
     def from_rational(cls, value, order: int) -> "Cyclotomic":
-        head = (Fraction(value),)
-        return cls(order, head + (_ZERO,) * (euler_phi(order) - 1))
+        value = Fraction(value)
+        return cls(order, (value.numerator,) + (0,) * (euler_phi(order) - 1), value.denominator)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError(f"{self!r} has a nonzero zeta-component")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def to_complex(self) -> complex:
         root = cmath.exp(2j * cmath.pi / self.order)
-        return sum((complex(c) * root**i for i, c in enumerate(self.coeffs)), 0j)
+        return sum((c * root**i for i, c in enumerate(self.nums)), 0j) / self.den
 
     def conjugate(self) -> "Cyclotomic":
         """Image under zeta -> zeta^(-1); fixes rationals, is an involution."""
         m = self.order
-        work = [_ZERO] * m
-        for i, c in enumerate(self.coeffs):
+        work = [0] * m
+        for i, c in enumerate(self.nums):
             work[(m - i) % m] += c
-        return reduce_mod_cyclotomic(work, m)
+        return Cyclotomic(m, _reduce(work, m), self.den)
 
     def _coerced(self, other):
         if isinstance(other, Cyclotomic):
             if other.order == self.order:
                 return other
             if other.is_rational():
-                return Cyclotomic.from_rational(other.coeffs[0], self.order)
+                return Cyclotomic.from_rational(other.to_rational(), self.order)
             if self.is_rational():
                 return None  # caller retries from other's side
             raise ValueError(
@@ -146,73 +154,71 @@ class Cyclotomic:
         o = self._coerced(other)
         if o is None:
             if isinstance(other, Cyclotomic):
-                return other + self.coeffs[0]
+                return other + self.to_rational()
             return NotImplemented
-        return Cyclotomic(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        da, db = self.den, o.den
+        if da == db:
+            return Cyclotomic(self.order, tuple(map(add, self.nums, o.nums)), da)
+        return Cyclotomic(self.order, tuple(a * db + b * da for a, b in zip(self.nums, o.nums)), da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
+        return Cyclotomic(self.order, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            if isinstance(other, Cyclotomic):
-                return -(other - self.coeffs[0])
-            return NotImplemented
-        return Cyclotomic(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        if isinstance(other, (Cyclotomic, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            p, q = other.numerator, other.denominator
+            return Cyclotomic(self.order, tuple(a * p for a in self.nums), self.den * q)
         o = self._coerced(other)
         if o is None:
             if isinstance(other, Cyclotomic):
-                return other * self.coeffs[0]
+                return other * self.to_rational()
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [_ZERO] * (len(a) + len(b) - 1)
+        a, b = self.nums, o.nums
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return reduce_mod_cyclotomic(prod, self.order)
+                    prod[i + j] += x * y
+        return Cyclotomic(self.order, _reduce(prod, self.order), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclotomic):
             if other.order == self.order:
-                return self.coeffs == other.coeffs
+                return self.nums == other.nums and self.den == other.den
             return (
                 self.is_rational()
                 and other.is_rational()
-                and self.coeffs[0] == other.coeffs[0]
+                and (self.nums[0], self.den) == (other.nums[0], other.den)
             )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and (self.nums[0], self.den) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(self.to_rational())
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self) -> str:
         if not self:
             return "Cyclotomic(0)"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(Fraction(n, self.den) for n in self.nums):
             if not c:
                 continue
             if i == 0:
@@ -231,9 +237,9 @@ def zeta(order: int, power: int = 1) -> Cyclotomic:
 
 @lru_cache(maxsize=None)
 def _zeta_cached(order: int, power: int) -> Cyclotomic:
-    mono = [_ZERO] * (power + 1)
-    mono[power] = _ONE
-    return reduce_mod_cyclotomic(mono, order)
+    mono = [0] * (power + 1)
+    mono[power] = 1
+    return Cyclotomic(order, _reduce(mono, order), 1)
 
 
 def to_rational(value) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import young_permutation_character
-from wreathlitt import partitions
+from wreathlitt import branching, partitions
 from wreathlitt.branching import littlewood_coefficient
 from wreathlitt.oracle import (
     alphabet_transform_check,
@@ -41,12 +41,17 @@ from wreathlitt.wreath import (
     wreath_class_labels,
 )
 
-MAIN_SCOPE = [(1, n) for n in range(1, 6)] + [(2, n) for n in range(1, 4)] + [
+MAIN_SCOPE = [(1, n) for n in range(1, 6)] + [(2, n) for n in range(1, 5)] + [
     (3, 1),
     (3, 2),
+    (3, 3),
     (4, 1),
     (4, 2),
+    (4, 3),
 ]
+
+# Wider scopes, run with `pytest -m slow`: (m, n, max_degree).
+SLOW_SCOPE = [(4, 4, 4), (3, 4, 6)]
 
 
 def _report(label: str, ok: bool, detail=None):
@@ -70,6 +75,22 @@ def test_criterion_1_triple_agreement(verification_reports):
         f"criterion 1: triple agreement on every cell ({total} cells)",
         not bad,
         bad,
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order, n, degree_cap", SLOW_SCOPE)
+def test_triple_agreement_and_dimension_sums_wide(order, n, degree_cap):
+    report = run_verification(order, n, degree_cap)
+    agreement = report.checks[0]
+    _report(
+        f"wide scope {(order, n, degree_cap)}: triple agreement ({agreement.cells} cells)"
+        " and dimension sums",
+        report.passed,
+        [check.counterexample for check in report.checks],
+    )
+    assert agreement.cells == len(wreath_class_labels(n, order)) * len(
+        branching._lambda_grid(n, degree_cap)
     )
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -108,3 +109,80 @@ def test_complex_embedding():
         import cmath
 
         assert abs(value - cmath.exp(2j * cmath.pi / m)) < 1e-12
+
+
+# Properties of the representation: integer numerators over one denominator.
+
+@st.composite
+def _elements(draw, order=None):
+    order = draw(st.integers(1, 12)) if order is None else order
+    den = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=euler_phi(order), max_size=euler_phi(order)))
+    return Cyclotomic(order, tuple(Fraction(a, den) for a in nums))
+
+
+@st.composite
+def _pairs(draw):
+    order = draw(st.integers(1, 12))
+    return draw(_elements(order)), draw(_elements(order))
+
+
+def _is_canonical(x):
+    return len(x.nums) == euler_phi(x.order) and x.den >= 1 and gcd(x.den, *x.nums) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_pairs(), k=st.integers(-4, 4), q=st.fractions(max_denominator=7))
+def test_results_are_canonical(pair, k, q):
+    a, b = pair
+    for x in (a, b, a + b, a - b, a * b, -a, a.conjugate(), k * a, a * q, a + q, q - a):
+        assert _is_canonical(x), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_elements(), extra=st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+def test_equal_values_have_equal_representations(a, extra):
+    # a + Phi * extra reduces to a: the same value reached by another route
+    phi = cyclotomic_polynomial(a.order)
+    coeffs = [Fraction(n, a.den) for n in a.nums] + [Fraction(0)] * (len(extra) + len(phi))
+    for i, e in enumerate(extra):
+        for k, c in enumerate(phi):
+            coeffs[i + k] += e * c
+    for b in (reduce_mod_cyclotomic(coeffs, a.order), (a * 3) * Fraction(1, 3), a + a - a):
+        assert a == b and a.nums == b.nums and a.den == b.den and hash(a) == hash(b)
+    # same numerators over another denominator is another number
+    assert (a * 2 == a) == (a * Fraction(1, 2) == a) == (not a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 12), q=st.fractions(max_denominator=9), k=st.integers(-9, 9))
+def test_rational_hash_matches_int_and_fraction(m, q, k):
+    for value in (q, k, Fraction(k)):
+        x = Cyclotomic.from_rational(value, m)
+        # a rational reached through non-rational intermediates
+        y = (x * zeta(m)) * zeta(m).conjugate()
+        for c in (x, y):
+            assert c == value and hash(c) == hash(value) and _is_canonical(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_pairs())
+def test_arithmetic_agrees_with_complex_embedding(pair):
+    a, b = pair
+    za, zb = a.to_complex(), b.to_complex()
+    assert abs((a + b).to_complex() - (za + zb)) < 1e-9
+    assert abs((a * b).to_complex() - za * zb) < 1e-9
+    assert abs(a.conjugate().to_complex() - za.conjugate()) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_elements(3), b=_elements(4))
+def test_mixing_non_rational_orders_raises(a, b):
+    if a.is_rational() or b.is_rational():
+        assert a + b == b + a  # a rational side is coerced into the other field
+        return
+    for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x - y):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)

@@ -7,6 +7,10 @@ polynomial, is monic and integral, so reduction stays in the integers, and
 quotienting by it rather than x^m - 1 gives Q(zeta_m) itself: each number has
 one representation.  No computation divides in Q(zeta_m), so elements only
 add, multiply and conjugate.
+
+Each operation reduces and normalises its result, and so does the wreath
+ring's series arithmetic; ``sum_of_products`` instead accumulates unreduced
+integer numerators over a common denominator and reduces once per sum.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "reduce_mod_cyclotomic",
+    "sum_of_products",
     "to_rational",
     "zeta",
 ]
@@ -103,7 +108,7 @@ class Cyclotomic:
         """coeffs: rational coordinates of 1, zeta, zeta^2, ..., reduced mod
         Phi_order here; or, given den >= 1, a tuple of reduced numerators."""
         if not den:
-            fracs = [Fraction(c) for c in coeffs]
+            fracs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
             den = lcm(*(c.denominator for c in fracs))
             coeffs = _reduce([c.numerator * (den // c.denominator) for c in fracs], order)
         g = gcd(den, *coeffs) if den != 1 else 1
@@ -240,6 +245,41 @@ def _zeta_cached(order: int, power: int) -> Cyclotomic:
     mono = [0] * (power + 1)
     mono[power] = 1
     return Cyclotomic(order, _reduce(mono, order), 1)
+
+
+def _numerators(value, order: int) -> tuple[tuple[int, ...], int]:
+    # (nums, den) of an int, Fraction or Cyclotomic, as a Q(zeta_order) element.
+    if not isinstance(value, Cyclotomic):
+        return (value.numerator,), value.denominator
+    if value.order != order and not value.is_rational():
+        raise ValueError(f"cannot mix Q(zeta_{order}) and Q(zeta_{value.order})")
+    return (value.nums if value.order == order else value.nums[:1]), value.den
+
+
+def sum_of_products(order: int, terms) -> Cyclotomic:
+    """Exact sum of weight * x * y over (weight, x, y) triples in Q(zeta_order).
+
+    weight is an int or Fraction; x and y are int, Fraction or Cyclotomic.
+    The integer products accumulate unreduced over a running common
+    denominator, and the sum is reduced mod Phi_order once, at the end.
+    """
+    work = [0] * (2 * euler_phi(order) - 1)
+    den = 1
+    for weight, x, y in terms:
+        a, da = _numerators(x, order)
+        b, db = _numerators(y, order)
+        d = weight.denominator * da * db
+        if den % d:
+            grow = d // gcd(den, d)
+            work = [c * grow for c in work]
+            den *= grow
+        scale = weight.numerator * (den // d)
+        for i, u in enumerate(a):
+            if u:
+                u *= scale
+                for j, v in enumerate(b):
+                    work[i + j] += u * v
+    return Cyclotomic(order, _reduce(work, order), den)
 
 
 def to_rational(value) -> Fraction:

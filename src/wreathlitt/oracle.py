@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
-from .exactnum import Cyclotomic, NotRationalError, to_rational, zeta
+from .exactnum import Cyclotomic, NotRationalError, sum_of_products, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, convert, hall_inner_product, omega_at_root, s_basis, stretch
 from .wreath import (
@@ -194,9 +194,8 @@ def _character_average_path():
     schur = _per_lambda(schur_at_eigenvalues)
 
     def average(rho: WreathLabel, lam: Partition) -> int:
-        total = Fraction(0)
-        for sigma, conj in conjugated(rho).items():
-            total = total + conj * schur(lam, sigma)
+        terms = ((1, conj, schur(lam, sigma)) for sigma, conj in conjugated(rho).items())
+        total = sum_of_products(rho.order, terms)
         return _as_multiplicity(
             total, f"character average at ({format_label(rho)}, {format_partition(lam)})"
         )

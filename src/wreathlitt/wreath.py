@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 from . import partitions
-from .exactnum import Cyclotomic, zeta
+from .exactnum import Cyclotomic, reduce_mod_cyclotomic, sum_of_products, zeta
 from .partitions import Partition, format_partition, parse_partition
 from .symfunc import SymSeries, omega_at_root, stretch
 
@@ -136,6 +137,7 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
     return out
 
 
+@lru_cache(maxsize=None)
 def centralizer_order(rho: WreathLabel) -> int:
     """Centralizer order of the class labelled rho inside the wreath product."""
     out = 1
@@ -180,36 +182,33 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     if r < 1:
         raise ValueError("power index must be >= 1")
     m = rho.order
-    total = Cyclotomic.from_rational(0, m)
+    work = [0] * m  # coefficients mod x^m - 1
     for j, part in enumerate(rho.parts):
-        for ell, mult in partitions.multiplicities(part).items():
+        for ell in part:
             if r % ell == 0:
-                total = total + (ell * mult) * zeta(m, j * (r // ell))
-    return total
+                work[j * (r // ell) % m] += ell
+    return reduce_mod_cyclotomic(work, m)
 
 
 def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
     """Exact value of the Schur polynomial s_lam at the eigenvalues of rho.
 
-    Expands s_lam in power sums; returns 0 when lam has more rows than there
-    are eigenvalues (the zero specialization, not an error).
+    Expands s_lam in power sums, summed with one reduction mod Phi_m;
+    returns 0 when lam has more rows than there are eigenvalues (the zero
+    specialization, not an error).
     """
     m = rho.order
     if len(lam) > rho.size:
         return Cyclotomic.from_rational(0, m)
-    traces: dict[int, Cyclotomic] = {}
-    total = Cyclotomic.from_rational(0, m)
+    traces = [None] + [power_trace(rho, r) for r in range(1, sum(lam) + 1)]
+    terms = []
     for mu in partitions.partitions_of(sum(lam)):
         chi = partitions.symmetric_group_character(lam, mu)
-        if not chi:
-            continue
-        term = Cyclotomic.from_rational(1, m)
-        for part in mu:
-            if part not in traces:
-                traces[part] = power_trace(rho, part)
-            term = term * traces[part]
-        total = total + Fraction(chi, partitions.centralizer_order(mu)) * term
-    return total
+        if chi:
+            # p_mu at the eigenvalues: the trace of mu's first part times those of the rest.
+            rest = prod(traces[part] for part in mu[1:])
+            terms.append((Fraction(chi, partitions.centralizer_order(mu)), rest, traces[mu[0]] if mu else 1))
+    return sum_of_products(m, terms)
 
 
 def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:
@@ -343,17 +342,18 @@ class WreathSeries:
 
 
 def wreath_inner_product(f: WreathSeries, g: WreathSeries):
-    """Bilinear pairing, diagonal on the P-basis with norm the centralizer order."""
+    """Bilinear pairing, diagonal on the P-basis with norm the centralizer
+    order; an element of Q(zeta_m), summed with one reduction mod Phi_m."""
     if f.order != g.order:
         raise OrderMismatchError("pairing requires equal orders")
     if len(g.terms) < len(f.terms):
         f, g = g, f
-    total = Fraction(0)
-    for label, cf in f.terms.items():
-        cg = g.terms.get(label)
-        if cg is not None:
-            total = total + centralizer_order(label) * cf * cg
-    return total
+    shared = (
+        (centralizer_order(label), cf, cg)
+        for label, cf in f.terms.items()
+        if (cg := g.terms.get(label)) is not None
+    )
+    return sum_of_products(f.order, shared)
 
 
 def _isotypic_power_sum(order: int, j: int, n: int) -> WreathSeries:

@@ -233,6 +233,19 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
     assert dump.read_bytes() == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["verify", "--m", "3", "--n", "3", "--max-deg", "5"], "verify_m3_n3_d5.json"),
+        (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
+    ],
+    ids=["verify", "identities"],
+)
+def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
+    assert main([*args, "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
 BAD_DUMP_PATHS = {
     "missing parent": lambda tmp: str(tmp / "missing" / "x.json"),
     "directory": str,

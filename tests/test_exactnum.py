@@ -12,6 +12,7 @@ from wreathlitt.exactnum import (
     cyclotomic_polynomial,
     euler_phi,
     reduce_mod_cyclotomic,
+    sum_of_products,
     to_rational,
     zeta,
 )
@@ -186,3 +187,49 @@ def test_mixing_non_rational_orders_raises(a, b):
             op(a, b)
         with pytest.raises(ValueError):
             op(b, a)
+
+
+# sum_of_products: integer accumulation, one reduction per sum.
+
+def _scalars(order):
+    return st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        _elements(order),
+    )
+
+
+@st.composite
+def _product_terms(draw):
+    order = draw(st.integers(1, 12))
+    weights = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=30))
+    triples = st.tuples(weights, _scalars(order), _scalars(order))
+    return order, draw(st.lists(triples, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_product_terms())
+def test_sum_of_products_equals_naive_sum(case):
+    order, terms = case
+    naive = Cyclotomic.from_rational(0, order)
+    for weight, x, y in terms:
+        naive = naive + weight * x * y
+    total = sum_of_products(order, terms)
+    assert total.order == order and total == naive and _is_canonical(total)
+    # the same value reached by other routes has the same representation
+    cancelling = [(-w, x, y) for w, x, y in terms]
+    for other in (naive, sum_of_products(order, terms[::-1]), sum_of_products(order, cancelling + terms + terms)):
+        assert (other.nums, other.den, hash(other)) == (total.nums, total.den, hash(total))
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_sum_of_products_of_nothing_is_zero(order):
+    total = sum_of_products(order, [])
+    assert total.order == order and total.nums == (0,) * euler_phi(order) and total.den == 1
+    assert total == 0 and hash(total) == hash(0)
+
+
+def test_sum_of_products_coerces_only_rational_values_of_other_orders():
+    assert sum_of_products(3, [(2, zeta(3), Cyclotomic.from_rational(Fraction(1, 2), 12))]) == zeta(3)
+    with pytest.raises(ValueError):
+        sum_of_products(3, [(1, zeta(4), zeta(3))])

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import random
 from fractions import Fraction
@@ -133,6 +134,23 @@ def test_power_trace_examples():
         for r in (1, 2, 3):
             assert power_trace(identity_label(n, 1), r) == n
     assert power_trace(lab(3, {1: (1,)}), 3) == 1
+
+
+def test_power_trace_against_explicit_eigenvalues():
+    # an l-cycle with cycle product zeta^j has the l-th roots of zeta^j as eigenvalues
+    rng = random.Random(11)
+    for order in range(1, 7):
+        labels = [rho for n in range(6) for rho in wreath_class_labels(n, order)]
+        for rho in rng.sample(labels, min(len(labels), 12)):
+            eigenvalues = [
+                cmath.exp(2j * cmath.pi * (j / order + t) / ell)
+                for j, part in enumerate(rho.parts)
+                for ell in part
+                for t in range(ell)
+            ]
+            for r in range(1, 9):
+                expected = sum(value**r for value in eigenvalues)
+                assert abs(power_trace(rho, r).to_complex() - expected) < 1e-9, (rho, r)
 
 
 def test_schur_at_eigenvalues():

@@ -71,7 +71,7 @@ def _product(factors, max_degree: int) -> SymSeries:
     result = None
     for factor in factors:
         result = factor if result is None else result * factor
-        if result.is_zero():
+        if not result:
             break
     return constant(Fraction(1), truncation=max_degree) if result is None else result
 

@@ -39,6 +39,12 @@ class _Parser(argparse.ArgumentParser):
 # cap; a coeff query at the cap still answers in under a second.
 MAX_ORDER = 10**6
 
+# Sizes and degrees have a cap too, as memory grows about threefold per two
+# degrees: coeff --m 1 --rho 0:D --lambda D peaks at 120 MB at D = 16 and
+# 357 MB at D = 18 (CPython 3.11), so D = 20 needs about a gigabyte, and
+# larger inputs end in MemoryError.
+MAX_DEGREE = 20
+
 
 def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
@@ -69,24 +75,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="all coefficients for one group")
     table.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True)
-    table.add_argument("--n", type=_int_at_least(1), required=True, help="number of boxes in the labels")
-    table.add_argument("--max-deg", type=_int_at_least(0), required=True, help="largest |lambda|")
+    table.add_argument("--n", type=_int_at_least(1, MAX_DEGREE), required=True, help=f"number of boxes in the labels, 1..{MAX_DEGREE}")
+    table.add_argument("--max-deg", type=_int_at_least(0, MAX_DEGREE), required=True, help=f"largest |lambda|, 0..{MAX_DEGREE}")
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     table.add_argument("--jobs", type=_int_at_least(1), default=None, help="accepted for compatibility; has no effect")
     table.set_defaults(handler=_cmd_table)
 
     verify = sub.add_parser("verify", help="triple agreement and dimension sums")
     verify.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True)
-    verify.add_argument("--n", type=_int_at_least(1), required=True)
-    verify.add_argument("--max-deg", type=_int_at_least(0), required=True)
+    verify.add_argument("--n", type=_int_at_least(1, MAX_DEGREE), required=True)
+    verify.add_argument("--max-deg", type=_int_at_least(0, MAX_DEGREE), required=True)
     verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
     verify.add_argument("--dump", type=Path, help="write every generating series as JSON")
     verify.set_defaults(handler=_cmd_verify)
 
     identities = sub.add_parser("identities", help="truncated checks of every intermediate identity")
     identities.add_argument("--m", type=_int_at_least(1, MAX_ORDER), required=True)
-    identities.add_argument("--dx", type=_int_at_least(0), required=True, help="label-size cap on the wreath side")
-    identities.add_argument("--dy", type=_int_at_least(0), required=True, help="degree cap on the symmetric side")
+    identities.add_argument("--dx", type=_int_at_least(0, MAX_DEGREE), required=True, help="label-size cap on the wreath side")
+    identities.add_argument("--dy", type=_int_at_least(0, MAX_DEGREE), required=True, help="degree cap on the symmetric side")
     identities.add_argument("--format", choices=("json", "pretty"), default="pretty")
     identities.set_defaults(handler=_cmd_identities)
     return parser
@@ -95,6 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_coeff(args) -> int:
     rho = parse_label(args.rho, args.m)
     lam = parse_partition(args.lam)
+    for flag, boxes in (("--rho", rho.size), ("--lambda", sum(lam))):
+        if boxes > MAX_DEGREE:
+            raise ValueError(f"argument {flag}: must be >= 0 and <= {MAX_DEGREE} boxes, got {boxes}")
     value, series = coefficient_and_series(rho, lam)
     if args.dump:
         payload = {

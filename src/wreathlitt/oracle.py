@@ -27,7 +27,7 @@ from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
 from .exactnum import Cyclotomic, NotRationalError, sum_of_products, to_rational, zeta
 from .partitions import Partition, format_partition
-from .symfunc import SymSeries, convert, hall_inner_product, omega_at_root, s_basis, stretch
+from .symfunc import SymSeries, constant, hall_inner_product, omega_at_root, s_basis, stretch
 from .wreath import (
     WreathLabel,
     WreathSeries,
@@ -38,7 +38,6 @@ from .wreath import (
     frobenius_characteristic,
     identity_label,
     irreducible_dimension,
-    merge_labels,
     schur_at_eigenvalues,
     wreath_class_labels,
     wreath_inner_product,
@@ -336,66 +335,48 @@ def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Two-sided series: wreath P-basis in X against a second index (a plain
-# partition for a Y symmetric-series side, or another label for a Y wreath
-# side).  Represented as dicts keyed by (label, index).
+# Two-sided series: a WreathSeries in X whose coefficients are series on the
+# second alphabets, a SymSeries in Y for the XY kernel or a WreathSeries in
+# X' for the reproducing kernel, so the ring classes do all the arithmetic.
 # ----------------------------------------------------------------------
-
-def _two_sided_product(a: dict, b: dict, size_cap: int, degree_cap: int, y_size) -> dict:
-    out: dict = {}
-    for (la, ya), ca in a.items():
-        for (lb, yb), cb in b.items():
-            if la.size + lb.size > size_cap:
-                continue
-            if y_size(ya) + y_size(yb) > degree_cap:
-                continue
-            if isinstance(ya, WreathLabel):
-                key = (merge_labels(la, lb), merge_labels(ya, yb))
-            else:
-                key = (merge_labels(la, lb), tuple(sorted(ya + yb, reverse=True)))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _accumulate(target: dict, source: dict, scale) -> None:
-    for key, value in source.items():
-        updated = target.get(key, 0) + scale * value
-        if updated:
-            target[key] = updated
-        else:
-            target.pop(key, None)
-
 
 def _empty_label(order: int) -> WreathLabel:
     return WreathLabel(order, ((),) * order)
 
 
-def _composite_power_xy(order: int, r: int, degree_cap: int) -> dict:
-    """p_r of the composite alphabet (1/m) sum_t X_t * Omega(Y; zeta^t):
-    the geometric Y-series is stretched by r with its coefficients fixed."""
-    out: dict = {}
-    for t in range(order):
-        label = WreathLabel.from_mapping(order, {t: (r,)})
-        ys = stretch(omega_at_root(t, order, degree_cap // r), r)
-        for nu, coeff in ys.terms.items():
-            out[(label, nu)] = coeff * Fraction(1, order)
-    return out
+def _cycle_labels(order: int, r: int) -> list[WreathLabel]:
+    # the labels of p_r(X_t), one r-cycle in slot t, for t = 0..m-1
+    return [WreathLabel.from_mapping(order, {t: (r,)}) for t in range(order)]
 
 
-def _omega_composite_xy(order: int, size_cap: int, degree_cap: int) -> dict:
-    """Expansion of the plethystic exponential of the composite alphabet,
-    truncated to label size <= size_cap and Y-degree <= degree_cap."""
-    powers = {
-        r: _composite_power_xy(order, r, degree_cap) for r in range(1, size_cap + 1)
-    }
-    total: dict = {(_empty_label(order), ()): Fraction(1)}
-    for k in range(1, size_cap + 1):
+def _plethystic_exponential(powers: dict, one: WreathSeries) -> WreathSeries:
+    """The sum over partitions nu of p_nu / z_nu, for an alphabet whose power
+    sums p_r are powers[r].  one carries the truncations: its own bounds the
+    label size in X, and its coefficient's, if any, the second alphabets."""
+    total = one
+    for k in range(1, one.truncation + 1):
         for nu in partitions.partitions_of(k):
-            term = {(_empty_label(order), ()): Fraction(1)}
+            term = one
             for part in nu:
-                term = _two_sided_product(term, powers[part], size_cap, degree_cap, sum)
-            _accumulate(total, term, Fraction(1, partitions.centralizer_order(nu)))
+                term = term * powers[part]
+            total = total + term * Fraction(1, partitions.centralizer_order(nu))
     return total
+
+
+def _omega_composite_xy(order: int, size_cap: int, degree_cap: int) -> WreathSeries:
+    """Plethystic exponential of the composite alphabet (1/m) sum_t X_t *
+    Omega(Y; zeta^t), truncated to label size <= size_cap and Y-degree <=
+    degree_cap.  In its p_r the geometric Y-series is stretched by r with its
+    coefficients fixed."""
+    powers = {
+        r: WreathSeries(order, {
+            label: stretch(omega_at_root(t, order, degree_cap // r), r) * Fraction(1, order)
+            for t, label in enumerate(_cycle_labels(order, r))
+        })
+        for r in range(1, size_cap + 1)
+    }
+    one = WreathSeries(order, {_empty_label(order): constant(Fraction(1), truncation=degree_cap)}, size_cap)
+    return _plethystic_exponential(powers, one)
 
 
 def kernel_identity_check(order: int, size_cap: int, degree_cap: int) -> CheckResult:
@@ -403,29 +384,29 @@ def kernel_identity_check(order: int, size_cap: int, degree_cap: int) -> CheckRe
     equals the plethystic exponential of the composite alphabet."""
     started = time.perf_counter()
     rhs = _omega_composite_xy(order, size_cap, degree_cap)
-    lhs: dict = {}
-    for k in range(size_cap + 1):
-        for rho in wreath_class_labels(k, order):
-            series = evaluation_kernel(rho, degree_cap)
-            inv = Fraction(1, centralizer_order(rho))
-            for nu, coeff in series.terms.items():
-                lhs[(rho, nu)] = coeff * inv
+    lhs = WreathSeries(order, {
+        rho: evaluation_kernel(rho, degree_cap) * Fraction(1, centralizer_order(rho))
+        for k in range(size_cap + 1)
+        for rho in wreath_class_labels(k, order)
+    })
     counterexample = _first_two_sided_mismatch(lhs, rhs)
-    return _timed("kernel_identity", max(len(lhs), len(rhs)), counterexample, started)
+    cells = max(sum(len(ys.terms) for ys in side.terms.values()) for side in (lhs, rhs))
+    return _timed("kernel_identity", cells, counterexample, started)
 
 
-def _first_two_sided_mismatch(lhs: dict, rhs: dict) -> dict | None:
-    keys = set(lhs) | set(rhs)
-    for label, nu in sorted(keys, key=lambda k: (k[0].sort_key(), k[1])):
-        a = lhs.get((label, nu), 0)
-        b = rhs.get((label, nu), 0)
-        if a != b:
-            return {
-                "rho": format_label(label),
-                "y_index": list(nu) if isinstance(nu, tuple) else format_label(nu),
-                "lhs": repr(a),
-                "rhs": repr(b),
-            }
+def _first_two_sided_mismatch(lhs: WreathSeries, rhs: WreathSeries) -> dict | None:
+    no_terms = SymSeries("p", {})
+    for label in sorted(lhs.terms.keys() | rhs.terms.keys(), key=WreathLabel.sort_key):
+        a = lhs.terms.get(label, no_terms).terms
+        b = rhs.terms.get(label, no_terms).terms
+        for nu in sorted(a.keys() | b.keys()):
+            if a.get(nu, 0) != b.get(nu, 0):
+                return {
+                    "rho": format_label(label),
+                    "y_index": list(nu),
+                    "lhs": repr(a.get(nu, 0)),
+                    "rhs": repr(b.get(nu, 0)),
+                }
     return None
 
 
@@ -437,29 +418,17 @@ def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckR
     # Truncating the label size drops only larger labels, so one kernel serves every n.
     kernel = _omega_composite_xy(order, n_cap, degree_cap)
     for n in range(n_cap + 1):
+        labels = sorted(wreath_class_labels(n, order), key=WreathLabel.sort_key)
         for k in range(degree_cap + 1):
             for lam in partitions.partitions_of(k):
                 if len(lam) > n:
                     continue
                 cells += 1
-                slam = convert(s_basis(lam))
-                extracted: dict = {}
-                for (label, nu), coeff in kernel.items():
-                    if label.size != n:
-                        continue
-                    c2 = slam.terms.get(nu)
-                    if c2 is None:
-                        continue
-                    key = label
-                    updated = extracted.get(key, 0) + coeff * c2 * partitions.centralizer_order(nu)
-                    if updated:
-                        extracted[key] = updated
-                    else:
-                        extracted.pop(key, None)
                 direct = restriction_characteristic(lam, n, order).terms
-                keys = set(extracted) | set(direct)
-                for label in sorted(keys, key=lambda l: l.sort_key()):
-                    if extracted.get(label, 0) != direct.get(label, 0):
+                for label in labels:
+                    # a zero pairing reads as 0, as an absent direct term does
+                    extracted = hall_inner_product(kernel.terms[label], s_basis(lam)) or 0
+                    if extracted != direct.get(label, 0):
                         return _timed(
                             "restriction_formula",
                             cells,
@@ -467,7 +436,7 @@ def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckR
                                 "n": n,
                                 "lambda": format_partition(lam),
                                 "rho": format_label(label),
-                                "kernel": repr(extracted.get(label, 0)),
+                                "kernel": repr(extracted),
                                 "direct": repr(direct.get(label, 0)),
                             },
                             started,
@@ -503,46 +472,27 @@ def alphabet_transform_check(order: int, degree_cap: int) -> CheckResult:
     return _timed("alphabet_transform", cells, None, started)
 
 
-def _composite_power_xx(order: int, r: int) -> dict:
-    out = {}
-    for t in range(order):
-        label = WreathLabel.from_mapping(order, {t: (r,)})
-        out[(label, label)] = Fraction(1, order)
-    return out
-
-
 def reproducing_kernel_check(order: int, size_cap: int) -> CheckResult:
     """Pairing the diagonal kernel against any P-basis element returns that
     element on the second set of alphabets."""
     started = time.perf_counter()
-    powers = {r: _composite_power_xx(order, r) for r in range(1, size_cap + 1)}
-    kernel: dict = {(_empty_label(order), _empty_label(order)): Fraction(1)}
-    for k in range(1, size_cap + 1):
-        for nu in partitions.partitions_of(k):
-            term = {(_empty_label(order), _empty_label(order)): Fraction(1)}
-            for part in nu:
-                term = _two_sided_product(
-                    term, powers[part], size_cap, size_cap, lambda lab: lab.size
-                )
-            _accumulate(kernel, term, Fraction(1, partitions.centralizer_order(nu)))
+    powers = {
+        r: WreathSeries(order, {x: WreathSeries(order, {x: Fraction(1, order)}) for x in _cycle_labels(order, r)})
+        for r in range(1, size_cap + 1)
+    }
+    one = WreathSeries(order, {_empty_label(order): WreathSeries.one(order)}, size_cap)
+    kernel = _plethystic_exponential(powers, one)
     cells = 0
     for k in range(size_cap + 1):
         for rho in wreath_class_labels(k, order):
             cells += 1
-            z = centralizer_order(rho)
-            paired: dict = {}
-            for (lx, ly), coeff in kernel.items():
-                if lx != rho:
-                    continue
-                value = coeff * z
-                if value:
-                    paired[ly] = value
-            if paired != {rho: Fraction(1)}:
+            paired = kernel.terms[rho] * centralizer_order(rho)
+            if paired != WreathSeries(order, {rho: Fraction(1)}):
                 return _timed(
                     "reproducing_kernel",
                     cells,
                     {"rho": format_label(rho), "paired": repr(sorted(
-                        (format_label(l), repr(c)) for l, c in paired.items()
+                        (format_label(l), repr(c)) for l, c in paired.terms.items()
                     ))},
                     started,
                 )

@@ -89,8 +89,8 @@ class SymSeries:
         """Coefficient of the basis element indexed by lam (no conversion)."""
         return self.terms.get(lam, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def restricted(self, max_degree: int) -> "SymSeries":
         return SymSeries(self.basis, self.terms, _min_trunc(self.truncation, max_degree))
@@ -105,6 +105,10 @@ class SymSeries:
         for lam, coeff in b.terms.items():
             out[lam] = out.get(lam, 0) + coeff
         return SymSeries(a.basis, out, _min_trunc(a.truncation, b.truncation))
+
+    def __radd__(self, other):
+        # 0 + f, as in sum() or a dict.get(key, 0) accumulator
+        return self if other == 0 else NotImplemented
 
     def __sub__(self, other: "SymSeries") -> "SymSeries":
         return self + (-other)

@@ -249,6 +249,7 @@ class WreathSeries:
 
     The same conventions as SymSeries: truncation None is exact, zero
     coefficients are never stored, equality ignores the truncation tag.
+    A coefficient may itself be a series on further alphabets.
     """
 
     __slots__ = ("order", "truncation", "terms")
@@ -285,6 +286,13 @@ class WreathSeries:
         if trunc is None or (other.truncation is not None and other.truncation < trunc):
             trunc = other.truncation
         return WreathSeries(self.order, out, trunc)
+
+    def __radd__(self, other):
+        # 0 + f, as in sum() or a dict.get(key, 0) accumulator
+        return self if other == 0 else NotImplemented
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __mul__(self, other):
         if isinstance(other, WreathSeries):

@@ -172,6 +172,14 @@ DATA = Path(__file__).with_name("data")
         (["identities", "--m", "2", "--dx", "-1", "--dy", "2"], "--dx"),
         (["coeff", "--m", "99999999999999999999", "--rho", "0:1", "--lambda", "1"], "--m"),
         (["verify", "--m", "1000001", "--n", "1", "--max-deg", "0"], "--m"),
+        (["table", "--m", "1", "--n", "1", "--max-deg", "100000000000"], "--max-deg"),
+        (["table", "--m", "1", "--n", "21", "--max-deg", "2"], "--n"),
+        (["verify", "--m", "1", "--n", "21", "--max-deg", "0"], "--n"),
+        (["verify", "--m", "1", "--n", "1", "--max-deg", "21"], "--max-deg"),
+        (["identities", "--m", "1", "--dx", "21", "--dy", "0"], "--dx"),
+        (["identities", "--m", "1", "--dx", "0", "--dy", "21"], "--dy"),
+        (["coeff", "--m", "2", "--rho", "0:1", "--lambda", "99999999999999999999"], "--lambda"),
+        (["coeff", "--m", "2", "--rho", "0:21", "--lambda", "1"], "--rho"),
     ],
 )
 def test_out_of_range_flags_exit_1_with_one_line(args, flag, capsys):
@@ -238,8 +246,9 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
     [
         (["verify", "--m", "3", "--n", "3", "--max-deg", "5"], "verify_m3_n3_d5.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
+        (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
     ],
-    ids=["verify", "identities"],
+    ids=["verify", "identities", "identities-dx-above-dy"],
 )
 def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
     assert main([*args, "--format", "json"]) == 0
@@ -289,25 +298,29 @@ def test_verify_opens_dump_before_verifying(where, tmp_path, capsys, monkeypatch
 # verify and identities grow fast with their sizes, so theirs stay small and
 # the whole run takes seconds.  Huge --m values are all rejected at parse
 # time, except the largest accepted one on coeff, which stays fast there.
+# Sizes and degrees above the cap are rejected at parse time as well.
 _SMALL = st.integers(-2, 2).map(str)
 _INT = st.integers(-2, 4).map(str)
 _HUGE = st.sampled_from(["1000001", "99999999999999999999", "-99999999999999999999"])
 _M = st.one_of(_INT, _HUGE)
+_ABOVE_CAP = st.sampled_from(["21", "100000000000"])
+_SMALL_OR_ABOVE = st.one_of(_SMALL, _ABOVE_CAP)
+_INT_OR_ABOVE = st.one_of(_INT, _ABOVE_CAP)
 _FLAGS = {
     "coeff": {
         "--m": st.one_of(_M, st.just("1000000")),
-        "--rho": st.sampled_from(["0:1", "0:2,1", "0:1;1:1", "1:2", "3:1", "", "0:", ":1", "0:1;0:1", "x:1", "0:1,2", "0:-1", "2"]),
-        "--lambda": st.sampled_from(["1", "2,1", "3", "1,1,1", "", "[]", "1,2", "0", "-1", "a", "2,,1"]),
+        "--rho": st.sampled_from(["0:1", "0:2,1", "0:1;1:1", "1:2", "3:1", "", "0:", ":1", "0:1;0:1", "x:1", "0:1,2", "0:-1", "2", "0:21"]),
+        "--lambda": st.sampled_from(["1", "2,1", "3", "1,1,1", "", "[]", "1,2", "0", "-1", "a", "2,,1", "99999999999999999999"]),
     },
     "table": {
         "--m": _M,
-        "--n": _INT,
-        "--max-deg": _INT,
+        "--n": _INT_OR_ABOVE,
+        "--max-deg": _INT_OR_ABOVE,
         "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
         "--jobs": st.sampled_from(["1", "0", "-1", "x"]),  # never a pool of workers
     },
-    "verify": {"--m": _M, "--n": _SMALL, "--max-deg": _SMALL, "--format": st.sampled_from(["json", "pretty"])},
-    "identities": {"--m": _M, "--dx": _SMALL, "--dy": _SMALL},
+    "verify": {"--m": _M, "--n": _SMALL_OR_ABOVE, "--max-deg": _SMALL_OR_ABOVE, "--format": st.sampled_from(["json", "pretty"])},
+    "identities": {"--m": _M, "--dx": _SMALL_OR_ABOVE, "--dy": _SMALL_OR_ABOVE},
 }
 
 

@@ -113,11 +113,11 @@ def test_numeric_mismatch_reports_cell(monkeypatch):
 def test_kernel_identity_trivia():
     kernel = _omega_composite_xy(1, 2, 3)
     empty = WreathLabel(1, ((),))
-    assert kernel[(empty, ())] == 1
+    assert kernel.terms[empty].terms[()] == 1
     # the single-box label carries the full plethystic exponential in Y
     box = lab(1, {0: (1,)})
     for nu, coeff in convert(omega_at_root(0, 1, 3)).terms.items():
-        assert kernel[(box, nu)] == coeff
+        assert kernel.terms[box].terms[nu] == coeff
 
 
 def test_identity_checks_pass():
@@ -322,3 +322,59 @@ def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
     check = run_verification(2, 3, 4).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == PATH_B_FAULT
+
+
+def _kernel_plus_box(true, rho, degree):
+    # +1 at p_(1) in the kernel of every size-2 label whose slot 0 is (2)
+    series = true(rho, degree)
+    return series + p_basis((1,)) if rho.size == 2 and rho.parts[0] == (2,) else series
+
+
+def _restriction_doubled_at_21(true, lam, n, order):
+    series = true(lam, n, order)
+    return series * 2 if lam == (2, 1) else series
+
+
+def _centralizer_doubled_at_size_2(true, rho):
+    return true(rho) * (2 if rho.size == 2 else 1)
+
+
+# For each identity check: the oracle input corrupted, how, the check's scope,
+# and the first failing cell and cell count it reported while two-sided series
+# were still dicts keyed by (label, index) pairs.
+IDENTITY_FAULTS = {
+    "kernel_identity": (
+        "evaluation_kernel",
+        _kernel_plus_box,
+        lambda: kernel_identity_check(3, 3, 4),
+        ({"rho": "0:2", "y_index": [1], "lhs": "Fraction(1, 6)", "rhs": "0"}, 346),
+    ),
+    "restriction_formula": (
+        "restriction_characteristic",
+        _restriction_doubled_at_21,
+        lambda: restriction_formula_check(3, 3, 3),
+        (
+            {"n": 2, "lambda": "2,1", "rho": "2:1,1", "kernel": "Cyclotomic(1/9)", "direct": "Cyclotomic(2/9)"},
+            11,
+        ),
+    ),
+    "reproducing_kernel": (
+        "centralizer_order",
+        _centralizer_doubled_at_size_2,
+        lambda: reproducing_kernel_check(3, 3),
+        ({"rho": "0:2", "paired": "[('0:2', 'Fraction(2, 1)')]"}, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FAULTS))
+def test_corrupted_input_fails_identity_check(name, monkeypatch):
+    import functools
+
+    import wreathlitt.oracle as oracle_module
+
+    target, corrupt, run, expected = IDENTITY_FAULTS[name]
+    monkeypatch.setattr(oracle_module, target, functools.partial(corrupt, getattr(oracle_module, target)))
+    check = run()
+    assert check.name == name and not check.passed
+    assert (check.counterexample, check.cells) == expected

@@ -27,7 +27,7 @@ from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
 from .exactnum import Cyclotomic, NotRationalError, sum_of_products, to_rational, zeta
 from .partitions import Partition, format_partition
-from .symfunc import SymSeries, constant, hall_inner_product, omega_at_root, s_basis, stretch
+from .symfunc import SymSeries, constant, convert, hall_inner_product, omega_at_root, s_basis, stretch
 from .wreath import (
     WreathLabel,
     WreathSeries,
@@ -85,12 +85,10 @@ class CheckResult:
     counterexample: dict | None = None
     seconds: float = 0.0
 
-    def to_json_obj(self, with_timing: bool = False) -> dict:
+    def to_json_obj(self) -> dict:
         obj = {"name": self.name, "passed": self.passed, "cells": self.cells}
         if self.counterexample is not None:
             obj["counterexample"] = self.counterexample
-        if with_timing:
-            obj["seconds"] = round(self.seconds, 6)
         return obj
 
 
@@ -109,16 +107,26 @@ class VerificationReport:
                 return check
         return None
 
-    def to_json_obj(self, with_timing: bool = False) -> dict:
+    def to_json_obj(self) -> dict:
         return {
             "scope": self.scope,
             "passed": self.passed,
-            "checks": [c.to_json_obj(with_timing) for c in self.checks],
+            "checks": [c.to_json_obj() for c in self.checks],
         }
 
 
-def _timed(name: str, cells: int, counterexample: dict | None, started: float) -> CheckResult:
-    return CheckResult(name, counterexample is None, cells, counterexample, time.perf_counter() - started)
+def _check(name: str, cells) -> CheckResult:
+    """Run one check over its cells, which yield None for a passing cell and
+    a counterexample dict for a failing one.  The check stops at its first
+    counterexample, and counts cells up to and including it.  The clock also
+    covers what a generator builds before its first cell."""
+    started = time.perf_counter()
+    count, counterexample = 0, None
+    for counterexample in cells:
+        count += 1
+        if counterexample is not None:
+            break
+    return CheckResult(name, counterexample is None, count, counterexample, time.perf_counter() - started)
 
 
 # ----------------------------------------------------------------------
@@ -390,8 +398,12 @@ def kernel_identity_check(order: int, size_cap: int, degree_cap: int) -> CheckRe
         for rho in wreath_class_labels(k, order)
     })
     counterexample = _first_two_sided_mismatch(lhs, rhs)
-    cells = max(sum(len(ys.terms) for ys in side.terms.values()) for side in (lhs, rhs))
-    return _timed("kernel_identity", cells, counterexample, started)
+    # Not run by _check: its cells are the terms of the larger side, all
+    # compared at once, not a count up to the first failure.
+    terms = max(sum(len(ys.terms) for ys in side.terms.values()) for side in (lhs, rhs))
+    return CheckResult(
+        "kernel_identity", counterexample is None, terms, counterexample, time.perf_counter() - started
+    )
 
 
 def _first_two_sided_mismatch(lhs: WreathSeries, rhs: WreathSeries) -> dict | None:
@@ -410,145 +422,120 @@ def _first_two_sided_mismatch(lhs: WreathSeries, rhs: WreathSeries) -> dict | No
     return None
 
 
+def _schur_in_power_sums(degree_cap: int) -> dict[Partition, SymSeries]:
+    """s_lam in power sums for every |lam| <= degree_cap, converted once
+    for pairing against many series."""
+    return {
+        lam: convert(s_basis(lam))
+        for k in range(degree_cap + 1)
+        for lam in partitions.partitions_of(k)
+    }
+
+
 def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckResult:
     """Extracting s_lam from the two-variable kernel reproduces the
     restriction characteristic, for every size and every fitting lam."""
-    started = time.perf_counter()
-    cells = 0
-    # Truncating the label size drops only larger labels, so one kernel serves every n.
-    kernel = _omega_composite_xy(order, n_cap, degree_cap)
-    for n in range(n_cap + 1):
-        labels = sorted(wreath_class_labels(n, order), key=WreathLabel.sort_key)
-        for k in range(degree_cap + 1):
-            for lam in partitions.partitions_of(k):
-                if len(lam) > n:
-                    continue
-                cells += 1
+    def cells():
+        # Truncating the label size drops only larger labels, so one kernel serves every n.
+        kernel = _omega_composite_xy(order, n_cap, degree_cap)
+        schur = _schur_in_power_sums(degree_cap)
+        for n in range(n_cap + 1):
+            labels = sorted(wreath_class_labels(n, order), key=WreathLabel.sort_key)
+            for lam in branching._lambda_grid(n, degree_cap):
                 direct = restriction_characteristic(lam, n, order).terms
                 for label in labels:
                     # a zero pairing reads as 0, as an absent direct term does
-                    extracted = hall_inner_product(kernel.terms[label], s_basis(lam)) or 0
+                    extracted = hall_inner_product(kernel.terms[label], schur[lam]) or 0
                     if extracted != direct.get(label, 0):
-                        return _timed(
-                            "restriction_formula",
-                            cells,
-                            {
-                                "n": n,
-                                "lambda": format_partition(lam),
-                                "rho": format_label(label),
-                                "kernel": repr(extracted),
-                                "direct": repr(direct.get(label, 0)),
-                            },
-                            started,
-                        )
-    return _timed("restriction_formula", cells, None, started)
+                        yield {
+                            "n": n,
+                            "lambda": format_partition(lam),
+                            "rho": format_label(label),
+                            "kernel": repr(extracted),
+                            "direct": repr(direct.get(label, 0)),
+                        }
+                        break
+                else:
+                    yield None
+
+    return _check("restriction_formula", cells())
 
 
 def alphabet_transform_check(order: int, degree_cap: int) -> CheckResult:
     """The isotypic average of the geometric kernels is the arithmetic
     progression of complete homogeneous terms, for every residue."""
-    started = time.perf_counter()
-    cells = 0
-    for j in range(1, order + 1):
-        acc = SymSeries("h", {}, degree_cap)
-        for t in range(order):
-            weight = zeta(order, j * t) * Fraction(1, order)
-            acc = acc + omega_at_root(t, order, degree_cap) * weight
-        expected_terms = {}
-        k = 1
-        while k * order - j <= degree_cap:
-            deg = k * order - j
-            expected_terms[(deg,) if deg else ()] = Fraction(1)
-            k += 1
-        expected = SymSeries("h", expected_terms, degree_cap)
-        cells += 1
-        if acc != expected:
-            return _timed(
-                "alphabet_transform",
-                cells,
-                {"j": j, "got": repr(acc), "expected": repr(expected)},
-                started,
-            )
-    return _timed("alphabet_transform", cells, None, started)
+    def cells():
+        for j in range(1, order + 1):
+            acc = SymSeries("h", {}, degree_cap)
+            for t in range(order):
+                weight = zeta(order, j * t) * Fraction(1, order)
+                acc = acc + omega_at_root(t, order, degree_cap) * weight
+            expected = SymSeries("h", {
+                (deg,) if deg else (): Fraction(1)
+                for deg in range(order - j, degree_cap + 1, order)
+            }, degree_cap)
+            yield None if acc == expected else {"j": j, "got": repr(acc), "expected": repr(expected)}
+
+    return _check("alphabet_transform", cells())
 
 
 def reproducing_kernel_check(order: int, size_cap: int) -> CheckResult:
     """Pairing the diagonal kernel against any P-basis element returns that
     element on the second set of alphabets."""
-    started = time.perf_counter()
-    powers = {
-        r: WreathSeries(order, {x: WreathSeries(order, {x: Fraction(1, order)}) for x in _cycle_labels(order, r)})
-        for r in range(1, size_cap + 1)
-    }
-    one = WreathSeries(order, {_empty_label(order): WreathSeries.one(order)}, size_cap)
-    kernel = _plethystic_exponential(powers, one)
-    cells = 0
-    for k in range(size_cap + 1):
-        for rho in wreath_class_labels(k, order):
-            cells += 1
-            paired = kernel.terms[rho] * centralizer_order(rho)
-            if paired != WreathSeries(order, {rho: Fraction(1)}):
-                return _timed(
-                    "reproducing_kernel",
-                    cells,
-                    {"rho": format_label(rho), "paired": repr(sorted(
-                        (format_label(l), repr(c)) for l, c in paired.terms.items()
-                    ))},
-                    started,
-                )
-    return _timed("reproducing_kernel", cells, None, started)
+    def cells():
+        powers = {
+            r: WreathSeries(order, {x: WreathSeries(order, {x: Fraction(1, order)}) for x in _cycle_labels(order, r)})
+            for r in range(1, size_cap + 1)
+        }
+        one = WreathSeries(order, {_empty_label(order): WreathSeries.one(order)}, size_cap)
+        kernel = _plethystic_exponential(powers, one)
+        for k in range(size_cap + 1):
+            for rho in wreath_class_labels(k, order):
+                paired = kernel.terms[rho] * centralizer_order(rho)
+                yield None if paired == WreathSeries(order, {rho: Fraction(1)}) else {
+                    "rho": format_label(rho),
+                    "paired": repr(sorted((format_label(l), repr(c)) for l, c in paired.terms.items())),
+                }
+
+    return _check("reproducing_kernel", cells())
 
 
 def eigenvalue_substitution_check(order: int, n_cap: int, degree_cap: int) -> CheckResult:
     """Hall-pairing the evaluation kernel against s_lam agrees with the
     direct eigenvalue evaluation, including the vanishing cases."""
-    started = time.perf_counter()
-    cells = 0
-    for n in range(n_cap + 1):
-        for rho in wreath_class_labels(n, order):
-            kernel = evaluation_kernel(rho, degree_cap)
-            for k in range(degree_cap + 1):
-                for lam in partitions.partitions_of(k):
-                    cells += 1
-                    paired = hall_inner_product(kernel, s_basis(lam))
+    def cells():
+        schur = _schur_in_power_sums(degree_cap)
+        for n in range(n_cap + 1):
+            for rho in wreath_class_labels(n, order):
+                kernel = evaluation_kernel(rho, degree_cap)
+                for lam, schur_p in schur.items():
+                    paired = hall_inner_product(kernel, schur_p)
                     direct = schur_at_eigenvalues(lam, rho)
-                    if paired != direct:
-                        return _timed(
-                            "eigenvalue_substitution",
-                            cells,
-                            {
-                                "rho": format_label(rho),
-                                "lambda": format_partition(lam),
-                                "paired": repr(paired),
-                                "direct": repr(direct),
-                            },
-                            started,
-                        )
-    return _timed("eigenvalue_substitution", cells, None, started)
+                    yield None if paired == direct else {
+                        "rho": format_label(rho),
+                        "lambda": format_partition(lam),
+                        "paired": repr(paired),
+                        "direct": repr(direct),
+                    }
+
+    return _check("eigenvalue_substitution", cells())
 
 
 def evaluation_kernel_agreement_check(order: int, n_cap: int, degree_cap: int) -> CheckResult:
     """The power-sum definition of the evaluation kernel matches its
     geometric product formula."""
-    started = time.perf_counter()
-    cells = 0
-    for n in range(n_cap + 1):
-        for rho in wreath_class_labels(n, order):
-            cells += 1
-            direct = evaluation_kernel(rho, degree_cap)
-            product = evaluation_kernel_product_form(rho, degree_cap)
-            if direct != product:
-                return _timed(
-                    "evaluation_kernel_agreement",
-                    cells,
-                    {
-                        "rho": format_label(rho),
-                        "power_sum_form": repr(direct),
-                        "product_form": repr(product),
-                    },
-                    started,
-                )
-    return _timed("evaluation_kernel_agreement", cells, None, started)
+    def cells():
+        for n in range(n_cap + 1):
+            for rho in wreath_class_labels(n, order):
+                direct = evaluation_kernel(rho, degree_cap)
+                product = evaluation_kernel_product_form(rho, degree_cap)
+                yield None if direct == product else {
+                    "rho": format_label(rho),
+                    "power_sum_form": repr(direct),
+                    "product_form": repr(product),
+                }
+
+    return _check("evaluation_kernel_agreement", cells())
 
 
 # ----------------------------------------------------------------------
@@ -558,102 +545,75 @@ def evaluation_kernel_agreement_check(order: int, n_cap: int, degree_cap: int) -
 def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Triple agreement of the three branching paths on every cell, plus the
     weighted dimension sums; any disagreement is reported with its cell."""
-    report = VerificationReport({"m": order, "n": n, "max_degree": degree_cap})
     labels = wreath_class_labels(n, order)
     lambdas = branching._lambda_grid(n, degree_cap)
 
     main_path = _main_path(degree_cap)
     pairing_path = _pairing_path(order, n)
     average_path = _character_average_path()
-
-    started = time.perf_counter()
-    cells = 0
-    counterexample = None
     table: dict[tuple[WreathLabel, Partition], int] = {}
-    for rho in labels:
-        for lam in lambdas:
-            cells += 1
-            try:
-                main = main_path(rho, lam)
-                pairing = pairing_path(rho, lam)
-                average = average_path(rho, lam)
-            except (NotRationalError, ArithmeticError) as exc:
-                counterexample = {
-                    "rho": format_label(rho),
-                    "lambda": format_partition(lam),
-                    "error": str(exc),
-                }
-                break
-            table[(rho, lam)] = main
-            if not (main == pairing == average):
-                counterexample = {
+
+    def agreement():
+        for rho in labels:
+            for lam in lambdas:
+                try:
+                    main, pairing, average = main_path(rho, lam), pairing_path(rho, lam), average_path(rho, lam)
+                except ArithmeticError as exc:
+                    yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
+                    return
+                table[(rho, lam)] = main
+                yield None if main == pairing == average else {
                     "rho": format_label(rho),
                     "lambda": format_partition(lam),
                     "main": main,
                     "pairing": pairing,
                     "character_average": average,
                 }
-                break
-        if counterexample:
-            break
-    report.checks.append(_timed("triple_agreement", cells, counterexample, started))
 
-    started = time.perf_counter()
-    counterexample = None
-    cells = 0
-    if report.checks[-1].passed:
+    def dimension_sums():
         ident = identity_label(n, order)
         for lam in lambdas:
-            cells += 1
-            weighted = sum(
-                table[(rho, lam)] * irreducible_dimension(rho) for rho in labels
-            )
+            weighted = sum(table[(rho, lam)] * irreducible_dimension(rho) for rho in labels)
             expected = to_rational(schur_at_eigenvalues(lam, ident))
-            if weighted != expected:
-                counterexample = {
-                    "lambda": format_partition(lam),
-                    "weighted_sum": weighted,
-                    "schur_at_identity": str(expected),
-                }
-                break
-    report.checks.append(_timed("dimension_sums", cells, counterexample, started))
-    return report
+            yield None if weighted == expected else {
+                "lambda": format_partition(lam),
+                "weighted_sum": weighted,
+                "schur_at_identity": str(expected),
+            }
+
+    agreed = _check("triple_agreement", agreement())
+    # the dimension sums read the agreed table, so without it they pass vacuously
+    dimensions = _check("dimension_sums", dimension_sums() if agreed.passed else ())
+    return VerificationReport({"m": order, "n": n, "max_degree": degree_cap}, [agreed, dimensions])
 
 
 def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Numeric brute force over all monomial matrices against the exact path."""
-    report = VerificationReport({"m": order, "n": n, "max_degree": degree_cap})
     main_path = _main_path(degree_cap)
     numeric_path = _numeric_path(order, n, max(1, degree_cap))
-    started = time.perf_counter()
-    cells = 0
-    counterexample = None
-    for rho in wreath_class_labels(n, order):
-        for lam in branching._lambda_grid(n, degree_cap):
-            cells += 1
-            try:
-                _numeric_detail(rho, lam, main_path(rho, lam), numeric_path(rho, lam))
-            except ToleranceExceededError as exc:
-                counterexample = exc.detail
-                break
-        if counterexample:
-            break
-    report.checks.append(_timed("numeric_matrix", cells, counterexample, started))
-    return report
+
+    def cells():
+        for rho in wreath_class_labels(n, order):
+            for lam in branching._lambda_grid(n, degree_cap):
+                try:
+                    _numeric_detail(rho, lam, main_path(rho, lam), numeric_path(rho, lam))
+                except ToleranceExceededError as exc:
+                    yield exc.detail
+                else:
+                    yield None
+
+    scope = {"m": order, "n": n, "max_degree": degree_cap}
+    return VerificationReport(scope, [_check("numeric_matrix", cells())])
 
 
 def run_identity_suite(order: int, size_cap: int, degree_cap: int) -> VerificationReport:
     """All truncated identity checks at one scope: the X-side label size is
     capped by size_cap and the Y-side degree by degree_cap."""
-    report = VerificationReport({"m": order, "dx": size_cap, "dy": degree_cap})
-    report.checks.append(kernel_identity_check(order, size_cap, degree_cap))
-    report.checks.append(
-        restriction_formula_check(order, size_cap, min(size_cap, degree_cap))
-    )
-    report.checks.append(alphabet_transform_check(order, degree_cap))
-    report.checks.append(reproducing_kernel_check(order, size_cap))
-    report.checks.append(eigenvalue_substitution_check(order, size_cap, degree_cap))
-    report.checks.append(
-        evaluation_kernel_agreement_check(order, size_cap, degree_cap)
-    )
-    return report
+    return VerificationReport({"m": order, "dx": size_cap, "dy": degree_cap}, [
+        kernel_identity_check(order, size_cap, degree_cap),
+        restriction_formula_check(order, size_cap, min(size_cap, degree_cap)),
+        alphabet_transform_check(order, degree_cap),
+        reproducing_kernel_check(order, size_cap),
+        eigenvalue_substitution_check(order, size_cap, degree_cap),
+        evaluation_kernel_agreement_check(order, size_cap, degree_cap),
+    ])

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +254,37 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
 def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
     assert main([*args, "--format", "json"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+TIMING_LINE = re.compile(r"timing (\w+): (\d+\.\d+)s")
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["verify", "--m", "2", "--n", "2", "--max-deg", "2"], ["triple_agreement", "dimension_sums"]),
+        (
+            ["identities", "--m", "2", "--dx", "2", "--dy", "2"],
+            [
+                "kernel_identity",
+                "restriction_formula",
+                "alphabet_transform",
+                "reproducing_kernel",
+                "eigenvalue_substitution",
+                "evaluation_kernel_agreement",
+            ],
+        ),
+    ],
+    ids=["verify", "identities"],
+)
+def test_timings_go_to_stderr_one_line_per_check(args, names, fmt, capsys):
+    assert main([*args, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    timings = [TIMING_LINE.fullmatch(line) for line in captured.err.splitlines()]
+    assert all(timings), captured.err
+    assert [match.group(1) for match in timings] == names
+    assert "timing" not in captured.out and "seconds" not in captured.out
 
 
 BAD_DUMP_PATHS = {

@@ -159,8 +159,6 @@ def test_run_verification_report_shape():
     obj = report.to_json_obj()
     assert obj["passed"] is True
     assert all("seconds" not in c for c in obj["checks"])
-    timed = report.to_json_obj(with_timing=True)
-    assert all("seconds" in c for c in timed["checks"])
 
 
 def test_identity_suite_empty_scope_is_vacuous_pass():
@@ -339,6 +337,23 @@ def _centralizer_doubled_at_size_2(true, rho):
     return true(rho) * (2 if rho.size == 2 else 1)
 
 
+def _omega_doubled_at_first_root(true, exponent, order, degree):
+    series = true(exponent, order, degree)
+    return series * 2 if exponent == 1 else series
+
+
+def _schur_plus_one_at_21(true, lam, rho):
+    # +1 on s_(2,1) at every size-2 label
+    value = true(lam, rho)
+    return value + 1 if lam == (2, 1) and rho.size == 2 else value
+
+
+def _product_form_plus_box(true, rho, degree):
+    # +1 at p_(1) in the product form of every size-2 label with a non-empty slot 1
+    series = true(rho, degree)
+    return series + p_basis((1,)) if rho.size == 2 and rho.parts[1] else series
+
+
 # For each identity check: the oracle input corrupted, how, the check's scope,
 # and the first failing cell and cell count it reported while two-sided series
 # were still dicts keyed by (label, index) pairs.
@@ -364,6 +379,47 @@ IDENTITY_FAULTS = {
         lambda: reproducing_kernel_check(3, 3),
         ({"rho": "0:2", "paired": "[('0:2', 'Fraction(2, 1)')]"}, 5),
     ),
+    "alphabet_transform": (
+        "omega_at_root",
+        _omega_doubled_at_first_root,
+        lambda: alphabet_transform_check(3, 4),
+        (
+            {
+                "j": 1,
+                "got": "SymSeries[h; D=4]((Cyclotomic(1/3*z3))*h[] + (Cyclotomic(-1/3 + -1/3*z3))*h[1]"
+                " + (Cyclotomic(4/3))*h[2] + (Cyclotomic(1/3*z3))*h[3] + (Cyclotomic(-1/3 + -1/3*z3))*h[4])",
+                "expected": "SymSeries[h; D=4]((1)*h[2])",
+            },
+            1,
+        ),
+    ),
+    "eigenvalue_substitution": (
+        "schur_at_eigenvalues",
+        _schur_plus_one_at_21,
+        lambda: eigenvalue_substitution_check(3, 3, 4),
+        ({"rho": "0:2", "lambda": "2,1", "paired": "Fraction(0, 1)", "direct": "Cyclotomic(1)"}, 54),
+    ),
+    "evaluation_kernel_agreement": (
+        "evaluation_kernel_product_form",
+        _product_form_plus_box,
+        lambda: evaluation_kernel_agreement_check(3, 3, 4),
+        (
+            {
+                "rho": "0:1;1:1",
+                "power_sum_form": "SymSeries[p; D=4]((1)*p[] + (Cyclotomic(1 + 1*z3))*p[1]"
+                " + (Cyclotomic(-1/2*z3))*p[2] + (Cyclotomic(1/2*z3))*p[1, 1] + (Cyclotomic(2/3))*p[3]"
+                " + (Cyclotomic(1/2))*p[2, 1] + (Cyclotomic(-1/6))*p[1, 1, 1] + (Cyclotomic(1/4 + 1/4*z3))*p[4]"
+                " + (Cyclotomic(2/3 + 2/3*z3))*p[3, 1] + (Cyclotomic(-1/8 + -1/8*z3))*p[2, 2]"
+                " + (Cyclotomic(1/4 + 1/4*z3))*p[2, 1, 1] + (Cyclotomic(-1/24 + -1/24*z3))*p[1, 1, 1, 1])",
+                "product_form": "SymSeries[p; D=4]((Cyclotomic(1))*p[] + (Cyclotomic(2 + 1*z3))*p[1]"
+                " + (Cyclotomic(-1/2*z3))*p[2] + (Cyclotomic(1/2*z3))*p[1, 1] + (Cyclotomic(2/3))*p[3]"
+                " + (Cyclotomic(1/2))*p[2, 1] + (Cyclotomic(-1/6))*p[1, 1, 1] + (Cyclotomic(1/4 + 1/4*z3))*p[4]"
+                " + (Cyclotomic(2/3 + 2/3*z3))*p[3, 1] + (Cyclotomic(-1/8 + -1/8*z3))*p[2, 2]"
+                " + (Cyclotomic(1/4 + 1/4*z3))*p[2, 1, 1] + (Cyclotomic(-1/24 + -1/24*z3))*p[1, 1, 1, 1])",
+            },
+            7,
+        ),
+    ),
 }
 
 
@@ -378,3 +434,57 @@ def test_corrupted_input_fails_identity_check(name, monkeypatch):
     check = run()
     assert check.name == name and not check.passed
     assert (check.counterexample, check.cells) == expected
+
+
+def _dimension_plus_one_at_21(monkeypatch):
+    # +1 on the dimension of every label whose slot 0 is (2, 1); the three
+    # paths never read dimensions, so only the dimension sums can see it
+    import wreathlitt.oracle as oracle_module
+
+    true = oracle_module.irreducible_dimension
+    monkeypatch.setattr(oracle_module, "irreducible_dimension", lambda rho: true(rho) + (rho.parts[0] == (2, 1)))
+
+
+def _character_plus_one_at_21_3(monkeypatch):
+    # +1 on chi^(2,1) at a 3-cycle in the shared character table
+    table = partitions.character_table(3)
+    monkeypatch.setitem(table, ((2, 1), (3,)), table[((2, 1), (3,))] + 1)
+
+
+# For each corruption: its scope, and each check's first failing cell and
+# cell count as the suite reported them while every check kept its own loop.
+VERIFICATION_FAULTS = {
+    "dimension_only": (
+        _dimension_plus_one_at_21,
+        (2, 3, 4),
+        [
+            {"name": "triple_agreement", "passed": True, "cells": 110},
+            {
+                "name": "dimension_sums",
+                "passed": False,
+                "cells": 3,
+                "counterexample": {"lambda": "2", "weighted_sum": 7, "schur_at_identity": "6"},
+            },
+        ],
+    ),
+    "character_table": (
+        _character_plus_one_at_21_3,
+        (2, 3, 3),
+        [
+            {
+                "name": "triple_agreement",
+                "passed": False,
+                "cells": 8,
+                "counterexample": {"rho": "0:2,1", "lambda": "[]", "error": "multiplicity at [] came out 1/3"},
+            },
+            {"name": "dimension_sums", "passed": True, "cells": 0},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFICATION_FAULTS))
+def test_corrupted_input_fails_verification_check(name, monkeypatch):
+    corrupt, scope, expected = VERIFICATION_FAULTS[name]
+    corrupt(monkeypatch)
+    assert run_verification(*scope).to_json_obj()["checks"] == expected

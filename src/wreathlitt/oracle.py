@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
@@ -280,10 +281,12 @@ def _schur_from_traces(lam: Partition, traces) -> complex:
 
 
 def _numeric_path(order: int, n: int, max_power: int):
-    """Path C: conjugated complex character values once per label, and the
-    numeric Schur value at every group element once per lambda.  The group
-    is enumerated once, with the traces of powers up to max_power, which
-    must be at least 1 and at least every |lambda| asked for."""
+    """Path C: conjugated complex character values once per label, and per
+    lambda the numeric Schur values at the group elements, summed per class.
+    The group is enumerated once, with the traces of powers up to max_power,
+    which must be at least 1 and at least every |lambda| asked for."""
+    group_order = order**n * factorial(n)
+
     @_per_label
     def characters(rho):
         chi = frobenius_characteristic(rho)
@@ -294,15 +297,18 @@ def _numeric_path(order: int, n: int, max_power: int):
 
     @_per_lambda
     def elements(lam):
-        data = _group_trace_data(order, n, max_power)
-        return [(label, _schur_from_traces(lam, traces)) for label, traces in data]
+        # Each element's value comes from its own matrix traces.
+        class_sums: dict[WreathLabel, complex] = {}
+        for label, traces in _group_trace_data(order, n, max_power):
+            class_sums[label] = class_sums.get(label, 0j) + _schur_from_traces(lam, traces)
+        return class_sums
 
     def estimate(rho: WreathLabel, lam: Partition) -> complex:
-        conj, group = characters(rho), elements(lam)
+        conj = characters(rho)
         total = 0j
-        for label, value in group:
+        for label, value in elements(lam).items():
             total += conj[label] * value
-        return total / len(group)
+        return total / group_order
 
     return estimate
 

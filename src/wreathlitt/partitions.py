@@ -67,6 +67,7 @@ def multiplicities(lam: Partition) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def centralizer_order(lam: Partition) -> int:
     """Order of the centralizer of a permutation of cycle type lam."""
     out = 1

@@ -15,7 +15,6 @@ coefficients, F_mu = z_mu [p_mu] f = <f, p_mu> (Macdonald, ch. I 2 and 8).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from . import partitions
@@ -178,9 +177,7 @@ def constant(value, basis: str = POWER_SUM, truncation: int | None = None) -> Sy
     return SymSeries(basis, {(): value}, truncation)
 
 
-@lru_cache(maxsize=None)
-def _z(lam: Partition) -> int:
-    return partitions.centralizer_order(lam)
+_z = partitions.centralizer_order
 
 
 def _graded_product(f: dict, g: dict, max_degree: int | None) -> dict:

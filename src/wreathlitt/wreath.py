@@ -8,7 +8,10 @@ orthogonal for the wreath pairing with norm the centralizer order.
 
 Eigenvalue data is never materialized: an l-cycle with cycle product z
 contributes the l-th roots of z, so all power sums of eigenvalues lie in
-Z[zeta_m] and come from a divisor sum.
+Z[zeta_m] and come from a divisor sum; Schur values at them stay integer
+polynomials mod x^m - 1 until one reduction mod Phi_m.  Labels hash once, at
+construction, and a series product reduces each cyclotomic coefficient once;
+merging labels is memoised, as it reads label structure alone.
 
 Convention note: the isotypic alphabet map phi_j = (1/m) sum_t zeta^(jt) X_t
 is a linear change of alphabets; its root-of-unity weights are coefficients,
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, prod
+from functools import lru_cache, reduce
+from math import factorial, lcm
 
 from . import partitions
 from .exactnum import Cyclotomic, reduce_mod_cyclotomic, sum_of_products, zeta
@@ -75,6 +78,17 @@ class WreathLabel:
             raise ValueError(
                 f"expected {self.order} slots, got {len(self.parts)}"
             )
+        object.__setattr__(self, "_hash", hash((self.order, self.parts)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not WreathLabel:
+            return NotImplemented
+        return self._hash == other._hash and self.order == other.order and self.parts == other.parts
 
     @property
     def size(self) -> int:
@@ -102,6 +116,8 @@ def identity_label(n: int, order: int) -> WreathLabel:
     return WreathLabel(order, ((1,) * n,) + ((),) * (order - 1))
 
 
+# Pure label structure, shared by every caller; bounded, as labels vary per scope.
+@lru_cache(maxsize=1 << 12)
 def merge_labels(a: WreathLabel, b: WreathLabel) -> WreathLabel:
     if a.order != b.order:
         raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
@@ -172,6 +188,28 @@ def characteristic_polynomial(rho: WreathLabel) -> tuple[Cyclotomic, ...]:
     return tuple(poly)
 
 
+def _cyclic_trace(rho: WreathLabel, r: int) -> list[int]:
+    # Integer coefficients of p_r at rho's eigenvalues, mod x^m - 1.
+    m = rho.order
+    work = [0] * m
+    for j, part in enumerate(rho.parts):
+        for ell in part:
+            if r % ell == 0:
+                work[j * (r // ell) % m] += ell
+    return work
+
+
+def _cyclic_product(a: list[int], b: list[int]) -> list[int]:
+    # Product of two integer polynomials mod x^m - 1, m = len(a) = len(b).
+    m = len(a)
+    out = [0] * m
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % m] += x * y
+    return out
+
+
 def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     """Power sum p_r of the eigenvalue multiset of the class rho.
 
@@ -181,34 +219,35 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     """
     if r < 1:
         raise ValueError("power index must be >= 1")
-    m = rho.order
-    work = [0] * m  # coefficients mod x^m - 1
-    for j, part in enumerate(rho.parts):
-        for ell in part:
-            if r % ell == 0:
-                work[j * (r // ell) % m] += ell
-    return reduce_mod_cyclotomic(work, m)
+    return reduce_mod_cyclotomic(_cyclic_trace(rho, r), rho.order)
 
 
 def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
     """Exact value of the Schur polynomial s_lam at the eigenvalues of rho.
 
-    Expands s_lam in power sums, summed with one reduction mod Phi_m;
-    returns 0 when lam has more rows than there are eigenvalues (the zero
-    specialization, not an error).
+    Expands s_lam in power sums: each p_mu is an integer product mod
+    x^m - 1, and the chi/z_mu-weighted sum is kept in integers over
+    lcm(z_mu) and reduced mod Phi_m once.  Returns 0 when lam has more rows
+    than there are eigenvalues (the zero specialization, not an error).
     """
     m = rho.order
     if len(lam) > rho.size:
         return Cyclotomic.from_rational(0, m)
-    traces = [None] + [power_trace(rho, r) for r in range(1, sum(lam) + 1)]
-    terms = []
-    for mu in partitions.partitions_of(sum(lam)):
-        chi = partitions.symmetric_group_character(lam, mu)
-        if chi:
-            # p_mu at the eigenvalues: the trace of mu's first part times those of the rest.
-            rest = prod(traces[part] for part in mu[1:])
-            terms.append((Fraction(chi, partitions.centralizer_order(mu)), rest, traces[mu[0]] if mu else 1))
-    return sum_of_products(m, terms)
+    k = sum(lam)
+    traces = [None] + [_cyclic_trace(rho, r) for r in range(1, k + 1)]
+    unit = [1] + [0] * (m - 1)
+    terms = [
+        (mu, chi, partitions.centralizer_order(mu))
+        for mu in partitions.partitions_of(k)
+        if (chi := partitions.symmetric_group_character(lam, mu))
+    ]
+    den = lcm(*(z for _, _, z in terms))
+    work = [0] * m
+    for mu, chi, z in terms:
+        scale = chi * (den // z)
+        for i, c in enumerate(reduce(_cyclic_product, (traces[part] for part in mu), unit)):
+            work[i] += scale * c
+    return reduce_mod_cyclotomic(work, m) * Fraction(1, den)
 
 
 def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:
@@ -303,13 +342,12 @@ class WreathSeries:
                 other.truncation is not None and other.truncation < trunc
             ):
                 trunc = other.truncation
-            out: dict[WreathLabel, object] = {}
+            pairs: dict[WreathLabel, list] = {}
             for la, ca in self.terms.items():
                 for lb, cb in other.terms.items():
-                    if trunc is not None and la.size + lb.size > trunc:
-                        continue
-                    key = merge_labels(la, lb)
-                    out[key] = out.get(key, 0) + ca * cb
+                    if trunc is None or la.size + lb.size <= trunc:
+                        pairs.setdefault(merge_labels(la, lb), []).append((ca, cb))
+            out = {key: _sum_of_pair_products(self.order, pair) for key, pair in pairs.items()}
             return WreathSeries(self.order, out, trunc)
         return WreathSeries(
             self.order,
@@ -347,6 +385,13 @@ class WreathSeries:
             )
         )
         return f"WreathSeries[m={self.order}; D={self.truncation}]({body or '0'})"
+
+
+def _sum_of_pair_products(order: int, pairs: list):
+    # One reduction mod Phi_m if a factor is cyclotomic; else each type's own sum.
+    if any(isinstance(a, Cyclotomic) or isinstance(b, Cyclotomic) for a, b in pairs):
+        return sum_of_products(order, ((1, a, b) for a, b in pairs))
+    return sum(a * b for a, b in pairs)
 
 
 def wreath_inner_product(f: WreathSeries, g: WreathSeries):

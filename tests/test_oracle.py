@@ -322,6 +322,45 @@ def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
     assert (check.counterexample, check.cells) == PATH_B_FAULT
 
 
+def _trace_with_conjugate_exponent(rho, r):
+    # p_r with zeta^(-j*r/l) for zeta^(j*r/l): a sign slip in the exponent
+    m = rho.order
+    work = [0] * m
+    for j, part in enumerate(rho.parts):
+        for ell in part:
+            if r % ell == 0:
+                work[-j * (r // ell) % m] += ell
+    return work
+
+
+def _cyclic_product_with_difference_exponent(a, b):
+    # x^(i-j) for x^i * x^j
+    m = len(a)
+    out = [0] * m
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i - j) % m] += x * y
+    return out
+
+
+# A wrong exponent in either integer helper of schur_at_eigenvalues reaches
+# paths A and B alike, never the main path.
+SCHUR_KERNEL_FAULT = ({"rho": "0:2;1:1", "lambda": "1", "main": 1, "pairing": 0, "character_average": 0}, 50)
+
+
+@pytest.mark.parametrize("helper, corrupted", [
+    ("_cyclic_trace", _trace_with_conjugate_exponent),
+    ("_cyclic_product", _cyclic_product_with_difference_exponent),
+])
+def test_corrupted_schur_kernel_fails_main_against_both_oracles(helper, corrupted, monkeypatch):
+    import wreathlitt.wreath as wreath_module
+
+    monkeypatch.setattr(wreath_module, helper, corrupted)
+    check = run_verification(3, 3, 5).checks[0]
+    assert check.name == "triple_agreement"
+    assert (check.counterexample, check.cells) == SCHUR_KERNEL_FAULT
+
+
 def _kernel_plus_box(true, rho, degree):
     # +1 at p_(1) in the kernel of every size-2 label whose slot 0 is (2)
     series = true(rho, degree)

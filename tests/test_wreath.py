@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ from math import factorial
 import pytest
 
 from bruteforce import newton_power_sums_from_poly
-from wreathlitt.exactnum import Cyclotomic, zeta
+from wreathlitt import partitions
+from wreathlitt.exactnum import Cyclotomic, reduce_mod_cyclotomic, zeta
+from wreathlitt.oracle import _class_label
 from wreathlitt.symfunc import SymSeries, convert, omega_at_root, s_basis
 from wreathlitt.wreath import (
     OrderMismatchError,
@@ -23,6 +26,7 @@ from wreathlitt.wreath import (
     identity_label,
     irreducible_character,
     irreducible_dimension,
+    merge_labels,
     parse_label,
     power_trace,
     schur_at_eigenvalues,
@@ -276,3 +280,142 @@ def test_label_parse_format():
         parse_label("0:1;2:1", 2)  # slot 0 assigned twice after reduction
     with pytest.raises(ValueError):
         parse_label("nonsense", 2)
+
+
+# ----------------------------------------------------------------------
+# Labels hash once and compare by their parts, whoever built them.
+# ----------------------------------------------------------------------
+
+def _built_labels(order, n):
+    """(constructor, expected parts, label) for every label of size n, built
+    by each constructor that makes labels."""
+    for rho in wreath_class_labels(n, order):
+        yield "wreath_class_labels", rho.parts, rho
+        yield "parse_label", rho.parts, parse_label(format_label(rho), order)
+        yield "from_mapping", rho.parts, WreathLabel.from_mapping(order, dict(enumerate(rho.parts)))
+    for k in range(n + 1):
+        for a in wreath_class_labels(k, order):
+            for b in wreath_class_labels(n - k, order):
+                merged = tuple(tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(a.parts, b.parts))
+                yield "merge_labels", merged, merge_labels(a, b)
+    for exponents in itertools.product(range(order), repeat=n):
+        for perm in itertools.permutations(range(n)):
+            label = _class_label(order, exponents, perm)
+            yield "_class_label", label.parts, label
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_labels_are_equal_and_hash_equal_exactly_when_parts_match(order):
+    for n in range(5):
+        reps = {rho.parts: rho for rho in wreath_class_labels(n, order)}
+        compared = set()
+        for kind, parts, label in _built_labels(order, n):
+            assert label.parts == parts, (kind, label)
+            assert label == reps[parts] and hash(label) == hash(reps[parts]), (kind, label)
+            # every constructor's label against every other label of its size
+            if (kind, parts) not in compared:
+                compared.add((kind, parts))
+                for other in reps.values():
+                    assert (label == other) == (other.parts == parts), (kind, label, other)
+                    assert (other == label) == (other.parts == parts), (kind, label, other)
+
+
+def test_label_is_not_a_tuple_and_stays_frozen():
+    rho = lab(3, {0: (2, 1), 2: (1,)})
+    for plain in [(rho.order, rho.parts), rho.parts, ((2, 1), (), (1,))]:
+        assert rho != plain and plain != rho
+        assert rho.__eq__(plain) is NotImplemented
+    for field, value in [("order", 2), ("parts", ((), (), ()))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rho, field, value)
+    assert rho == lab(3, {0: (2, 1), 2: (1,)})
+    assert repr(rho) == "WreathLabel(m=3, 0:2,1;2:1)"
+    with pytest.raises(ValueError):
+        WreathLabel(2, ((1,),))
+    assert merge_labels.cache_info().maxsize is not None
+
+
+# ----------------------------------------------------------------------
+# schur_at_eigenvalues against its power-sum expansion in plain Cyclotomic
+# arithmetic.
+# ----------------------------------------------------------------------
+
+def _schur_reference(lam, rho):
+    """Sum over mu of chi^lam(mu) / z_mu times the product of the power traces."""
+    total = Cyclotomic.from_rational(0, rho.order)
+    for mu in partitions.partitions_of(sum(lam)):
+        weight = Fraction(partitions.symmetric_group_character(lam, mu), partitions.centralizer_order(mu))
+        term = Cyclotomic.from_rational(weight, rho.order)
+        for part in mu:
+            term = term * power_trace(rho, part)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_schur_at_eigenvalues_matches_power_sum_reference(order):
+    lambdas = [lam for k in range(6) for lam in partitions.partitions_of(k)]
+    for n in range(5):
+        for rho in wreath_class_labels(n, order):
+            for lam in lambdas:
+                value = schur_at_eigenvalues(lam, rho)
+                assert isinstance(value, Cyclotomic) and value.order == order
+                assert value == _schur_reference(lam, rho), (lam, rho)
+
+
+# ----------------------------------------------------------------------
+# WreathSeries products against the pairwise loop, one sum per term.
+# ----------------------------------------------------------------------
+
+def _pairwise_product(f, g):
+    trunc = f.truncation
+    if trunc is None or (g.truncation is not None and g.truncation < trunc):
+        trunc = g.truncation
+    out = {}
+    for la, ca in f.terms.items():
+        for lb, cb in g.terms.items():
+            if trunc is not None and la.size + lb.size > trunc:
+                continue
+            key = WreathLabel(f.order, tuple(tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(la.parts, lb.parts)))
+            out[key] = out.get(key, 0) + ca * cb
+    return WreathSeries(f.order, out, trunc)
+
+
+def _random_series(rng, order, rational, truncation=None):
+    # few labels and small coefficients, so that products often cancel
+    labels = [rho for n in range(3) for rho in wreath_class_labels(n, order)]
+    terms = {}
+    for rho in rng.sample(labels, min(len(labels), rng.randint(1, 6))):
+        if rational or rng.random() < 0.3:
+            terms[rho] = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+        else:
+            nums = [rng.randint(-1, 1) for _ in range(order)]
+            terms[rho] = reduce_mod_cyclotomic(nums, order) * Fraction(1, rng.choice([1, 2, 6]))
+    return WreathSeries(order, terms, truncation)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+def test_series_product_matches_pairwise_loop(order):
+    rng = random.Random(order)
+    for trial in range(60):
+        rational = trial % 3 == 0
+        trunc = rng.choice([None, 2, 3])
+        f = _random_series(rng, order, rational, trunc)
+        g = _random_series(rng, order, rational)
+        product, expected = f * g, _pairwise_product(f, g)
+        assert product == expected and product.truncation == expected.truncation
+        for label, coeff in product.terms.items():
+            assert coeff and type(coeff) is type(expected.terms[label]), (label, coeff)
+            assert not rational or isinstance(coeff, Fraction)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+def test_series_product_stores_no_cancelled_term(order):
+    x, y = lab(order, {0: (1,)}), lab(order, {order - 1: (2,)})
+    for c in [Fraction(1, 3), zeta(order) * Fraction(1, 2)]:
+        f = WreathSeries(order, {x: c, y: c})
+        g = WreathSeries(order, {x: -c, y: c})
+        # the cross terms x*y cancel
+        product = f * g
+        assert set(product.terms) == {merge_labels(x, x), merge_labels(y, y)}
+        assert product == _pairwise_product(f, g)

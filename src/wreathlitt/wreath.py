@@ -15,9 +15,12 @@ merging labels is memoised, as it reads label structure alone.
 
 Convention note: the isotypic alphabet map phi_j = (1/m) sum_t zeta^(jt) X_t
 is a linear change of alphabets; its root-of-unity weights are coefficients,
-fixed under p_n substitution (they are never raised to the n-th power).
-This is the unique reading that makes the hyperoctahedral character tables
-and the independent verification paths agree.
+fixed under p_n substitution (they are never raised to the n-th power).  So
+s_lam[phi_j] weighs each cycle of slot t by one zeta^(jt)/m, never one per
+box: at sigma it is chi^lam(cycle type of sigma) zeta^(j sum_t t len(sigma_t))
+over the centralizer order of sigma.  This is the unique reading that makes
+the hyperoctahedral character tables and the independent verification
+paths agree.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain, combinations, product
 from math import factorial, lcm
 
 from . import partitions
@@ -130,12 +134,14 @@ def merge_labels(a: WreathLabel, b: WreathLabel) -> WreathLabel:
 
 
 def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+    # Stars and bars: star positions among total + slots - 1 places, taken in
+    # lexicographic order, give the first slot's load descending-first; a
+    # star's slot is the number of bars before it.
+    for stars in combinations(range(total + slots - 1), total):
+        comp = [0] * slots
+        for i, position in enumerate(stars):
+            comp[position - i] += 1
+        yield tuple(comp)
 
 
 def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
@@ -143,14 +149,12 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
     then partitions slotwise in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = []
-    for comp in _compositions(n, order):
-        choices = [partitions.partitions_of(c) for c in comp]
-        stack = [()]
-        for options in choices:
-            stack = [prefix + (part,) for prefix in stack for part in options]
-        out.extend(WreathLabel(order, parts) for parts in stack)
-    return out
+    by_load = [partitions.partitions_of(c) for c in range(n + 1)]
+    return [
+        WreathLabel(order, parts)
+        for comp in _compositions(n, order)
+        for parts in product(*map(by_load.__getitem__, comp))
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -409,40 +413,31 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
     return sum_of_products(f.order, shared)
 
 
-def _isotypic_power_sum(order: int, j: int, n: int) -> WreathSeries:
-    # p_n on the j-th isotypic alphabet (1/m) sum_t zeta^(jt) X_t; the
-    # root-of-unity weights are coefficients and do not depend on n.
+def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> WreathSeries:
+    # s_lam[phi_j] in closed form (see the convention note), one pass over the labels.
     terms = {}
-    for t in range(order):
-        label = WreathLabel.from_mapping(order, {t: (n,)})
-        terms[label] = zeta(order, j * t) * Fraction(1, order)
+    for sigma in wreath_class_labels(sum(lam), order):
+        cycle_type = tuple(sorted(chain.from_iterable(filter(None, sigma.parts)), reverse=True))
+        chi = partitions.symmetric_group_character(lam, cycle_type)
+        if chi:
+            twist = j * sum(t * len(part) for t, part in enumerate(sigma.parts) if part)
+            terms[sigma] = zeta(order, twist) * Fraction(chi, centralizer_order(sigma))
     return WreathSeries(order, terms)
 
 
-def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> WreathSeries:
-    total = WreathSeries(order, {})
-    for mu in partitions.partitions_of(sum(lam)):
-        chi = partitions.symmetric_group_character(lam, mu)
-        if not chi:
-            continue
-        term = WreathSeries.one(order)
-        for part in mu:
-            term = term * _isotypic_power_sum(order, j, part)
-        total = total + term * Fraction(chi, partitions.centralizer_order(mu))
-    return total
-
-
 def frobenius_characteristic(rho: WreathLabel) -> WreathSeries:
-    """P-basis expansion of the characteristic of the irreducible labelled rho.
+    """P-basis expansion of the characteristic of the irreducible labelled rho:
+    the ring product of its closed-form slot factors s_{rho_j}[phi_j].
 
     The coefficient at a class label sigma, multiplied by sigma's centralizer
     order, is the irreducible character value on that class.
     """
-    result = WreathSeries.one(rho.order)
-    for j, part in enumerate(rho.parts):
-        if part:
-            result = result * _schur_isotypic_factor(rho.order, j, part)
-    return result
+    factors = [
+        _schur_isotypic_factor(rho.order, j, part)
+        for j, part in enumerate(rho.parts)
+        if part
+    ]
+    return reduce(WreathSeries.__mul__, factors) if factors else WreathSeries.one(rho.order)
 
 
 def irreducible_character(rho: WreathLabel, sigma: WreathLabel) -> Cyclotomic:

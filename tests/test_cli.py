@@ -246,14 +246,22 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
     "args, golden",
     [
         (["verify", "--m", "3", "--n", "3", "--max-deg", "5"], "verify_m3_n3_d5.json"),
+        (["verify", "--m", "4", "--n", "3", "--max-deg", "4"], "verify_m4_n3_d4.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
     ],
-    ids=["verify", "identities", "identities-dx-above-dy"],
+    ids=["verify", "verify-non-prime-order", "identities", "identities-dx-above-dy"],
 )
 def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
     assert main([*args, "--format", "json"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def test_table_at_a_large_order_exits_0():
+    # label enumeration must not recurse once per slot
+    code, out, err = run_cli(["table", "--m", "1100", "--n", "1", "--max-deg", "0"])
+    assert code == 0 and b"Traceback" not in err
+    assert [line.split() for line in out.splitlines()[1:]] == [[f"{j}:1".encode(), b"%d" % (j == 0)] for j in range(1100)]
 
 
 TIMING_LINE = re.compile(r"timing (\w+): (\d+\.\d+)s")

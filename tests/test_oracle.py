@@ -22,7 +22,7 @@ from wreathlitt.oracle import (
     eigenvalue_substitution_check,
     _omega_composite_xy,
 )
-from wreathlitt.exactnum import to_rational
+from wreathlitt.exactnum import to_rational, zeta
 from wreathlitt.symfunc import convert, hall_inner_product, omega_at_root, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
@@ -343,14 +343,35 @@ def _cyclic_product_with_difference_exponent(a, b):
     return out
 
 
-# A wrong exponent in either integer helper of schur_at_eigenvalues reaches
-# paths A and B alike, never the main path.
+def _isotypic_factor_with_twist(twist):
+    # the closed-form slot factor s_lam[phi_j], with zeta^twist(j, sigma) at sigma
+    def factor(order, j, lam):
+        terms = {}
+        for sigma in wreath_class_labels(sum(lam), order):
+            cycle_type = tuple(sorted((c for part in sigma.parts for c in part), reverse=True))
+            chi = partitions.symmetric_group_character(lam, cycle_type)
+            if chi:
+                terms[sigma] = zeta(order, twist(j, sigma)) * Fraction(chi, centralizer_order(sigma))
+        return WreathSeries(order, terms)
+
+    return factor
+
+
+# zeta^(-jt) for zeta^(jt) on each cycle of slot t: the conjugate convention
+_factor_with_conjugate_twist = _isotypic_factor_with_twist(
+    lambda j, sigma: -j * sum(t * len(part) for t, part in enumerate(sigma.parts))
+)
+
+# A wrong exponent in either integer helper of schur_at_eigenvalues, or the
+# conjugate twist in the wreath characters, reaches paths A and B alike,
+# never the main path.  At m = 2 the conjugate twist is the true one.
 SCHUR_KERNEL_FAULT = ({"rho": "0:2;1:1", "lambda": "1", "main": 1, "pairing": 0, "character_average": 0}, 50)
 
 
 @pytest.mark.parametrize("helper, corrupted", [
     ("_cyclic_trace", _trace_with_conjugate_exponent),
     ("_cyclic_product", _cyclic_product_with_difference_exponent),
+    ("_schur_isotypic_factor", _factor_with_conjugate_twist),
 ])
 def test_corrupted_schur_kernel_fails_main_against_both_oracles(helper, corrupted, monkeypatch):
     import wreathlitt.wreath as wreath_module
@@ -359,6 +380,24 @@ def test_corrupted_schur_kernel_fails_main_against_both_oracles(helper, corrupte
     check = run_verification(3, 3, 5).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == SCHUR_KERNEL_FAULT
+
+
+PER_BOX_FAULT = {
+    "rho": "0:1;1:2",
+    "lambda": "2",
+    "error": "pairing at (0:1;1:2, 2): expected a non-negative integer, got 1/2",
+}
+
+
+def test_isotypic_twist_per_box_fails_pairing_integrality(monkeypatch):
+    # zeta^(jt) once per box of slot t, not once per cycle
+    import wreathlitt.wreath as wreath_module
+
+    per_box = _isotypic_factor_with_twist(lambda j, sigma: j * sum(t * sum(part) for t, part in enumerate(sigma.parts)))
+    monkeypatch.setattr(wreath_module, "_schur_isotypic_factor", per_box)
+    check = run_verification(3, 3, 5).checks[0]
+    assert check.name == "triple_agreement" and not check.passed
+    assert (check.counterexample, check.cells) == (PER_BOX_FAULT, 115)
 
 
 def _kernel_plus_box(true, rho, degree):

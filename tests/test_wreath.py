@@ -419,3 +419,62 @@ def test_series_product_stores_no_cancelled_term(order):
         product = f * g
         assert set(product.terms) == {merge_labels(x, x), merge_labels(y, y)}
         assert product == _pairwise_product(f, g)
+
+
+# ----------------------------------------------------------------------
+# Closed-form slot factors against the expand-and-multiply construction.
+# ----------------------------------------------------------------------
+
+def _isotypic_power_sum_reference(order, j, r):
+    # p_r on the j-th isotypic alphabet (1/m) sum_t zeta^(jt) X_t
+    return WreathSeries(order, {lab(order, {t: (r,)}): zeta(order, j * t) * Fraction(1, order) for t in range(order)})
+
+
+def _isotypic_factor_reference(order, j, lam):
+    """s_lam[phi_j] as sum over mu of chi^lam(mu) / z_mu times the ring
+    product of the isotypic power sums p_{mu_i}[phi_j]."""
+    total = WreathSeries(order, {})
+    for mu in partitions.partitions_of(sum(lam)):
+        chi = partitions.symmetric_group_character(lam, mu)
+        if chi:
+            term = WreathSeries.one(order)
+            for part in mu:
+                term = term * _isotypic_power_sum_reference(order, j, part)
+            total = total + term * Fraction(chi, partitions.centralizer_order(mu))
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_isotypic_factor_matches_power_sum_products(order):
+    from wreathlitt.wreath import _schur_isotypic_factor
+
+    lambdas = [lam for k in range(1, 7 if order <= 2 else 5) for lam in partitions.partitions_of(k)]
+    for lam in lambdas:
+        for j in range(order):
+            factor = _schur_isotypic_factor(order, j, lam)
+            assert factor == _isotypic_factor_reference(order, j, lam), (j, lam)
+            assert all(isinstance(c, Cyclotomic) for c in factor.terms.values()), (j, lam)
+
+
+def _compositions_reference(total, slots):
+    # first slot's load descending, the rest recursively
+    if slots == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total, -1, -1) for rest in _compositions_reference(total - first, slots - 1)]
+
+
+def test_label_order_matches_slotwise_recursion():
+    for order in range(1, 6):
+        for n in range(7):
+            expected = [
+                WreathLabel(order, parts)
+                for comp in _compositions_reference(n, order)
+                for parts in itertools.product(*(partitions.partitions_of(c) for c in comp))
+            ]
+            assert wreath_class_labels(n, order) == expected, (n, order)
+
+
+def test_labels_at_a_large_order_need_no_recursion():
+    labels = wreath_class_labels(1, 1100)
+    assert len(labels) == 1100
+    assert labels[0] == lab(1100, {0: (1,)}) and labels[-1] == lab(1100, {1099: (1,)})

@@ -10,7 +10,8 @@ add, multiply and conjugate.
 
 Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic; ``sum_of_products`` instead accumulates unreduced
-integer numerators over a common denominator and reduces once per sum.
+integer numerators over a common denominator and reduces once per sum, and
+``packed_dot`` does the same for two vectors that ``pack`` converted once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 __all__ = [
     "Cyclotomic",
@@ -27,6 +28,8 @@ __all__ = [
     "common_denominator",
     "cyclotomic_polynomial",
     "euler_phi",
+    "pack",
+    "packed_dot",
     "reduce_mod_cyclotomic",
     "sum_of_products",
     "to_rational",
@@ -280,6 +283,33 @@ def sum_of_products(order: int, terms) -> Cyclotomic:
                 for j, v in enumerate(b):
                     work[i + j] += u * v
     return Cyclotomic(order, _reduce(work, order), den)
+
+
+def pack(order: int, values) -> tuple[list[list[int]], int]:
+    """(columns, den): int, Fraction or Cyclotomic values in Q(zeta_order) as
+    integer columns, column i holding each value's numerator of zeta^i, over
+    one common denominator.  Trailing zero columns are dropped, so a rational
+    vector packs to one column."""
+    entries = [_numerators(value, order) for value in values]
+    den = lcm(*(d for _, d in entries))
+    columns = [[0] * len(entries) for _ in range(euler_phi(order))]
+    for k, (nums, d) in enumerate(entries):
+        for column, a in zip(columns, nums):
+            column[k] = a * (den // d)
+    while len(columns) > 1 and not any(columns[-1]):
+        columns.pop()
+    return columns, den
+
+
+def packed_dot(order: int, x, y) -> Cyclotomic:
+    """Exact sum of x_k * y_k over two packed vectors of one length: one
+    integer dot per pair of columns, and one reduction mod Phi_order."""
+    (xs, dx), (ys, dy) = x, y
+    work = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            work[i + j] += sum(map(mul, a, b))
+    return Cyclotomic(order, _reduce(work, order), dx * dy)
 
 
 def to_rational(value) -> Fraction:

@@ -26,10 +26,12 @@ from math import factorial
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
-from .exactnum import Cyclotomic, NotRationalError, sum_of_products, to_rational, zeta
+from .exactnum import Cyclotomic, NotRationalError, pack, packed_dot, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, convert, hall_inner_product, omega_at_root, s_basis, stretch
-from .wreath import (
+# wreath_inner_product is not called here but stays bound:
+# perfbench/layertrace.py patches it by name in this module.
+from .wreath import (  # noqa: F401
     WreathLabel,
     WreathSeries,
     centralizer_order,
@@ -40,6 +42,7 @@ from .wreath import (
     identity_label,
     irreducible_dimension,
     schur_at_eigenvalues,
+    schur_values_at_class,
     wreath_class_labels,
     wreath_inner_product,
 )
@@ -58,6 +61,7 @@ __all__ = [
     "numeric_matrix_check",
     "reproducing_kernel_check",
     "restriction_characteristic",
+    "restriction_characteristics",
     "restriction_formula_check",
     "run_identity_suite",
     "run_numeric_suite",
@@ -134,34 +138,45 @@ def _check(name: str, cells) -> CheckResult:
 # Path A: pairing inside the wreath ring
 # ----------------------------------------------------------------------
 
-def restriction_characteristic(lam: Partition, n: int, order: int) -> WreathSeries:
-    """Characteristic of the restricted highest-weight representation:
-    the class-basis series whose coefficient at rho is s_lam at rho's
-    eigenvalues divided by rho's centralizer order."""
-    if len(lam) > n:
-        raise HypothesisViolationError(
-            f"need len(lambda) <= n, got {len(lam)} > {n}"
-        )
-    terms = {}
+def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, WreathSeries]:
+    """Characteristic of each restricted highest-weight representation: the
+    class-basis series whose coefficient at rho is s_lam at rho's eigenvalues,
+    built class by class for every lambda, over rho's centralizer order."""
+    if (rows := max(map(len, lambdas), default=0)) > n:
+        raise HypothesisViolationError(f"need len(lambda) <= n, got {rows} > {n}")
+    terms = {lam: {} for lam in lambdas}
     for rho in wreath_class_labels(n, order):
-        value = schur_at_eigenvalues(lam, rho)
-        if value:
-            terms[rho] = value * Fraction(1, centralizer_order(rho))
-    return WreathSeries(order, terms)
+        weight = Fraction(1, centralizer_order(rho))
+        for lam, value in zip(lambdas, schur_values_at_class(lambdas, rho)):
+            if value:
+                terms[lam][rho] = value * weight
+    return {lam: WreathSeries(order, series) for lam, series in terms.items()}
 
 
-def _as_multiplicity(value, context: str) -> int:
+def restriction_characteristic(lam: Partition, n: int, order: int) -> WreathSeries:
+    """The restriction characteristic of one lambda."""
+    return restriction_characteristics([lam], n, order)[lam]
+
+
+def _as_multiplicity(value, path: str, rho: WreathLabel, lam: Partition) -> int:
     rational = to_rational(value)
     if rational.denominator != 1 or rational < 0:
-        raise NotRationalError(f"{context}: expected a non-negative integer, got {rational}")
+        where = f"{path} at ({format_label(rho)}, {format_partition(lam)})"
+        raise NotRationalError(f"{where}: expected a non-negative integer, got {rational}")
     return int(rational)
 
 
-# Each path is built for one group and computes what it needs once per label
-# or per lambda, on first use; no path reads a value another path computed.
+# Each path is built for one group.  Paths A and B build their per-lambda
+# values when they are built, path C on first use, and every path its
+# per-label values on first use; no path reads a value another path computed.
 # Cells are visited row by row, so a label's values are kept for its row only.
 _per_label = lru_cache(maxsize=1)
 _per_lambda = lru_cache(maxsize=None)
+
+
+def _packed_conjugate(order: int, classes: list[WreathLabel]):
+    """Per label, on first use: its conjugated characteristic packed over classes."""
+    return _per_label(lambda rho: pack(order, map(frobenius_characteristic(rho).conjugate().coefficient, classes)))
 
 
 def _main_path(degree_cap: int):
@@ -172,17 +187,19 @@ def _main_path(degree_cap: int):
     return lambda rho, lam: branching._coefficients_from_series(series(rho), [lam])[0]
 
 
-def _pairing_path(order: int, n: int):
-    """Path A: one restriction characteristic per lambda and one conjugated
-    irreducible characteristic per label, paired once per cell."""
-    restricted = _per_lambda(lambda lam: restriction_characteristic(lam, n, order))
-    conjugated = _per_label(lambda rho: frobenius_characteristic(rho).conjugate())
-
-    def pairing(rho: WreathLabel, lam: Partition) -> int:
-        value = wreath_inner_product(restricted(lam), conjugated(rho))
-        return _as_multiplicity(value, f"pairing at ({format_label(rho)}, {format_partition(lam)})")
-
-    return pairing
+def _pairing_path(order: int, n: int, lambdas):
+    """Path A: each lambda's restriction characteristic, its coefficients
+    times the pairing norm z_sigma packed over the classes, paired with each
+    label's conjugated irreducible characteristic by one packed dot per cell."""
+    classes = wreath_class_labels(n, order)
+    norms = [centralizer_order(sigma) for sigma in classes]
+    restricted = {
+        lam: pack(order, [series.coefficient(sigma) * z for sigma, z in zip(classes, norms)])
+        for lam, series in restriction_characteristics(lambdas, n, order).items()
+    }
+    conjugated = _packed_conjugate(order, classes)
+    return lambda rho, lam: _as_multiplicity(
+        packed_dot(order, restricted[lam], conjugated(rho)), "pairing", rho, lam)
 
 
 def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
@@ -192,23 +209,19 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
         raise HypothesisViolationError(
             f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
         )
-    return _pairing_path(rho.order, rho.size)(rho, lam)
+    return _pairing_path(rho.order, rho.size, [lam])(rho, lam)
 
 
-def _character_average_path():
-    """Path B: its own conjugated characteristic per label and its own Schur
-    value per (lambda, class)."""
-    conjugated = _per_label(lambda rho: frobenius_characteristic(rho).conjugate().terms)
-    schur = _per_lambda(schur_at_eigenvalues)
-
-    def average(rho: WreathLabel, lam: Partition) -> int:
-        terms = ((1, conj, schur(lam, sigma)) for sigma, conj in conjugated(rho).items())
-        total = sum_of_products(rho.order, terms)
-        return _as_multiplicity(
-            total, f"character average at ({format_label(rho)}, {format_partition(lam)})"
-        )
-
-    return average
+def _character_average_path(order: int, n: int, lambdas):
+    """Path B: its own Schur values, class by class, packed per lambda over
+    the classes, and its own conjugated characteristic per label; one packed
+    dot per cell."""
+    classes = wreath_class_labels(n, order)
+    by_class = [schur_values_at_class(lambdas, sigma) for sigma in classes]
+    schur = {lam: pack(order, values) for lam, values in zip(lambdas, zip(*by_class))}
+    conjugated = _packed_conjugate(order, classes)
+    return lambda rho, lam: _as_multiplicity(
+        packed_dot(order, schur[lam], conjugated(rho)), "character average", rho, lam)
 
 
 def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
@@ -219,7 +232,7 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
         raise HypothesisViolationError(
             f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
         )
-    return _character_average_path()(rho, lam)
+    return _character_average_path(rho.order, rho.size, [lam])(rho, lam)
 
 
 # ----------------------------------------------------------------------
@@ -555,11 +568,11 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     lambdas = branching._lambda_grid(n, degree_cap)
 
     main_path = _main_path(degree_cap)
-    pairing_path = _pairing_path(order, n)
-    average_path = _character_average_path()
     table: dict[tuple[WreathLabel, Partition], int] = {}
 
     def agreement():
+        pairing_path = _pairing_path(order, n, lambdas)
+        average_path = _character_average_path(order, n, lambdas)
         for rho in labels:
             for lam in lambdas:
                 try:
@@ -578,8 +591,9 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
 
     def dimension_sums():
         ident = identity_label(n, order)
+        dims = [irreducible_dimension(rho) for rho in labels]
         for lam in lambdas:
-            weighted = sum(table[(rho, lam)] * irreducible_dimension(rho) for rho in labels)
+            weighted = sum(table[(rho, lam)] * dim for rho, dim in zip(labels, dims))
             expected = to_rational(schur_at_eigenvalues(lam, ident))
             yield None if weighted == expected else {
                 "lambda": format_partition(lam),

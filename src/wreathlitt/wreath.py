@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
 from math import factorial, lcm
+from operator import mul
 
 from . import partitions
 from .exactnum import Cyclotomic, reduce_mod_cyclotomic, sum_of_products, zeta
@@ -55,6 +56,7 @@ __all__ = [
     "parse_label",
     "power_trace",
     "schur_at_eigenvalues",
+    "schur_values_at_class",
     "wreath_class_labels",
     "wreath_inner_product",
 ]
@@ -226,32 +228,44 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     return reduce_mod_cyclotomic(_cyclic_trace(rho, r), rho.order)
 
 
-def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
-    """Exact value of the Schur polynomial s_lam at the eigenvalues of rho.
+def schur_values_at_class(lambdas, rho: WreathLabel) -> list[Cyclotomic]:
+    """Exact values of the Schur polynomials s_lam, lam in lambdas, at the
+    eigenvalues of rho, from the power-sum expansion of s_lam.
 
-    Expands s_lam in power sums: each p_mu is an integer product mod
-    x^m - 1, and the chi/z_mu-weighted sum is kept in integers over
-    lcm(z_mu) and reduced mod Phi_m once.  Returns 0 when lam has more rows
-    than there are eigenvalues (the zero specialization, not an error).
+    rho's traces p_r and each p_mu are built once, as integer polynomials mod
+    x^m - 1, p_mu as p_mu without its last part times that part's trace.
+    Scaled to lcm(z_mu), each value is one integer dot of lam's character row
+    per power of x and one reduction mod Phi_m.  A lam with more rows than
+    there are eigenvalues gives 0 (the zero specialization, not an error).
     """
     m = rho.order
-    if len(lam) > rho.size:
-        return Cyclotomic.from_rational(0, m)
-    k = sum(lam)
-    traces = [None] + [_cyclic_trace(rho, r) for r in range(1, k + 1)]
-    unit = [1] + [0] * (m - 1)
-    terms = [
-        (mu, chi, partitions.centralizer_order(mu))
-        for mu in partitions.partitions_of(k)
-        if (chi := partitions.symmetric_group_character(lam, mu))
-    ]
-    den = lcm(*(z for _, _, z in terms))
-    work = [0] * m
-    for mu, chi, z in terms:
-        scale = chi * (den // z)
-        for i, c in enumerate(reduce(_cyclic_product, (traces[part] for part in mu), unit)):
-            work[i] += scale * c
-    return reduce_mod_cyclotomic(work, m) * Fraction(1, den)
+    top = max(map(sum, lambdas), default=0)
+    traces = [None] + [_cyclic_trace(rho, r) for r in range(1, top + 1)]
+    products = {(): [1] + [0] * (m - 1)}
+    for k in range(1, top + 1):
+        for mu in partitions.partitions_of(k):
+            products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]])
+    columns = {}  # |lam| -> (lcm(z_mu), the scaled p_mu as m integer columns over mu)
+    values = []
+    for lam in lambdas:
+        if len(lam) > rho.size:
+            values.append(Cyclotomic.from_rational(0, m))
+            continue
+        k = sum(lam)
+        shapes = partitions.partitions_of(k)
+        if k not in columns:
+            den = lcm(*map(partitions.centralizer_order, shapes))
+            scaled = ([c * (den // partitions.centralizer_order(mu)) for c in products[mu]] for mu in shapes)
+            columns[k] = den, list(zip(*scaled))
+        den, cols = columns[k]
+        row = [partitions.symmetric_group_character(lam, mu) for mu in shapes]
+        values.append(reduce_mod_cyclotomic([sum(map(mul, row, col)) for col in cols], m) * Fraction(1, den))
+    return values
+
+
+def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
+    """s_lam at the eigenvalues of rho: the one-lambda case of schur_values_at_class."""
+    return schur_values_at_class([lam], rho)[0]
 
 
 def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:

@@ -247,10 +247,19 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
     [
         (["verify", "--m", "3", "--n", "3", "--max-deg", "5"], "verify_m3_n3_d5.json"),
         (["verify", "--m", "4", "--n", "3", "--max-deg", "4"], "verify_m4_n3_d4.json"),
+        (["verify", "--m", "6", "--n", "3", "--max-deg", "3"], "verify_m6_n3_d3.json"),
+        (["verify", "--m", "1", "--n", "5", "--max-deg", "6"], "verify_m1_n5_d6.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
     ],
-    ids=["verify", "verify-non-prime-order", "identities", "identities-dx-above-dy"],
+    ids=[
+        "verify",
+        "verify-non-prime-order",
+        "verify-non-prime-power-order",
+        "verify-order-1",
+        "identities",
+        "identities-dx-above-dy",
+    ],
 )
 def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
     assert main([*args, "--format", "json"]) == 0

@@ -11,6 +11,8 @@ from wreathlitt.exactnum import (
     NotRationalError,
     cyclotomic_polynomial,
     euler_phi,
+    pack,
+    packed_dot,
     reduce_mod_cyclotomic,
     sum_of_products,
     to_rational,
@@ -233,3 +235,53 @@ def test_sum_of_products_coerces_only_rational_values_of_other_orders():
     assert sum_of_products(3, [(2, zeta(3), Cyclotomic.from_rational(Fraction(1, 2), 12))]) == zeta(3)
     with pytest.raises(ValueError):
         sum_of_products(3, [(1, zeta(4), zeta(3))])
+
+
+# pack and packed_dot: two vectors packed once, dotted with one reduction.
+
+PACKED_ORDERS = [1, 2, 3, 4, 5, 6, 12]
+
+
+@st.composite
+def _packed_pairs(draw):
+    order = draw(st.sampled_from(PACKED_ORDERS))
+    other = draw(st.sampled_from(PACKED_ORDERS))
+    fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    scalars = st.one_of(
+        st.integers(-9, 9),
+        fractions,
+        _elements(order),
+        # a rational held at another order
+        fractions.map(lambda q: Cyclotomic.from_rational(q, other)),
+    )
+    return order, draw(st.lists(st.tuples(scalars, scalars), max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_packed_pairs())
+def test_packed_dot_equals_sum_of_products(case):
+    order, pairs = case
+    x, y = pack(order, [a for a, _ in pairs]), pack(order, [b for _, b in pairs])
+    assert 1 <= len(x[0]) <= euler_phi(order) and all(len(column) == len(pairs) for column in x[0])
+    dot = packed_dot(order, x, y)
+    expected = sum_of_products(order, [(1, a, b) for a, b in pairs])
+    assert dot.order == order and (dot.nums, dot.den) == (expected.nums, expected.den)
+
+
+@pytest.mark.parametrize("order", PACKED_ORDERS)
+def test_packed_dot_of_empty_vectors_is_zero(order):
+    dot = packed_dot(order, pack(order, []), pack(order, []))
+    assert dot.order == order and dot.nums == (0,) * euler_phi(order) and dot.den == 1
+
+
+def test_pack_drops_trailing_zero_columns():
+    assert pack(12, [1, Fraction(1, 2), Cyclotomic.from_rational(3, 5)]) == ([[2, 1, 6]], 2)
+    assert pack(12, [zeta(12), 0]) == ([[0, 0], [1, 0]], 1)
+    assert pack(12, []) == ([[]], 1)
+
+
+def test_pack_coerces_only_rational_values_of_other_orders():
+    x = pack(3, [2, Cyclotomic.from_rational(Fraction(1, 2), 12)])
+    assert packed_dot(3, x, pack(3, [zeta(3), 1])) == 2 * zeta(3) + Fraction(1, 2)
+    with pytest.raises(ValueError):
+        pack(3, [1, zeta(4)])

@@ -29,7 +29,6 @@ from wreathlitt.wreath import (
     WreathSeries,
     centralizer_order,
     evaluation_kernel,
-    frobenius_characteristic,
     identity_label,
     irreducible_dimension,
     power_trace,
@@ -279,44 +278,48 @@ PATH_B_FAULT = ({"rho": "0:3", "lambda": "2,1", "main": 0, "pairing": 0, "charac
 
 
 def test_corrupted_pairing_fails_only_path_a(monkeypatch):
+    # One more than the true pairing in path A's cell at one (label, lambda).
     import wreathlitt.oracle as oracle_module
 
-    true_pairing = oracle_module.wreath_inner_product
-    target_lam = restriction_characteristic((2, 1), 3, 2)
-    target_rho = frobenius_characteristic(lab(2, {0: (1,), 1: (2,)})).conjugate()
+    true_path = oracle_module._pairing_path
+    target = (lab(2, {0: (1,), 1: (2,)}), (2, 1))
 
-    def corrupted(f, g):
-        value = true_pairing(f, g)
-        return value + 1 if f == target_lam and g == target_rho else value
+    def corrupted(order, n, lambdas):
+        cell = true_path(order, n, lambdas)
+        return lambda rho, lam: cell(rho, lam) + ((rho, lam) == target)
 
-    monkeypatch.setattr(oracle_module, "wreath_inner_product", corrupted)
+    monkeypatch.setattr(oracle_module, "_pairing_path", corrupted)
     check = run_verification(2, 3, 4).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == PATH_A_FAULT
 
 
 def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
-    # Path A's restriction characteristic is rebuilt from the true values, so
-    # only the character average sees the corrupted Schur evaluation.
+    # Path A's restriction characteristics are rebuilt from the true values,
+    # so only the character average sees the corrupted Schur evaluation.
     import wreathlitt.oracle as oracle_module
 
-    true_schur = oracle_module.schur_at_eigenvalues
+    true_schur = oracle_module.schur_values_at_class
     target_sigma = lab(2, {0: (1,), 1: (2,)})
 
-    def corrupted(lam, sigma):
-        value = true_schur(lam, sigma)
+    def corrupted(lambdas, sigma):
         # shifts a character average by the conjugated character value at sigma
-        return value + centralizer_order(sigma) if lam == (2, 1) and sigma == target_sigma else value
+        return [
+            value + centralizer_order(sigma) if lam == (2, 1) and sigma == target_sigma else value
+            for lam, value in zip(lambdas, true_schur(lambdas, sigma))
+        ]
 
-    def restriction_from_true_values(lam, n, order):
-        terms = {
-            sigma: true_schur(lam, sigma) * Fraction(1, centralizer_order(sigma))
-            for sigma in wreath_class_labels(n, order)
+    def restriction_from_true_values(lambdas, n, order):
+        return {
+            lam: WreathSeries(order, {
+                sigma: true_schur([lam], sigma)[0] * Fraction(1, centralizer_order(sigma))
+                for sigma in wreath_class_labels(n, order)
+            })
+            for lam in lambdas
         }
-        return WreathSeries(order, terms)
 
-    monkeypatch.setattr(oracle_module, "schur_at_eigenvalues", corrupted)
-    monkeypatch.setattr(oracle_module, "restriction_characteristic", restriction_from_true_values)
+    monkeypatch.setattr(oracle_module, "schur_values_at_class", corrupted)
+    monkeypatch.setattr(oracle_module, "restriction_characteristics", restriction_from_true_values)
     check = run_verification(2, 3, 4).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == PATH_B_FAULT

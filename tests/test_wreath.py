@@ -30,6 +30,7 @@ from wreathlitt.wreath import (
     parse_label,
     power_trace,
     schur_at_eigenvalues,
+    schur_values_at_class,
     wreath_class_labels,
     wreath_inner_product,
 )
@@ -361,6 +362,24 @@ def test_schur_at_eigenvalues_matches_power_sum_reference(order):
                 value = schur_at_eigenvalues(lam, rho)
                 assert isinstance(value, Cyclotomic) and value.order == order
                 assert value == _schur_reference(lam, rho), (lam, rho)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_schur_values_at_class_match_power_sum_reference(order):
+    # One call per class, the lambdas shuffled across sizes; those with more
+    # rows than the class has eigenvalues give 0.
+    lambdas = [lam for k in range(6) for lam in partitions.partitions_of(k)]
+    random.Random(order).shuffle(lambdas)
+    for n in range(5):
+        for rho in wreath_class_labels(n, order):
+            values = schur_values_at_class(lambdas, rho)
+            assert len(values) == len(lambdas)
+            for lam, value in zip(lambdas, values):
+                assert isinstance(value, Cyclotomic) and value.order == order
+                reference = _schur_reference(lam, rho)
+                assert (value.nums, value.den) == (reference.nums, reference.den), (lam, rho)
+                assert value == 0 or len(lam) <= n, (lam, rho)
+    assert schur_values_at_class([], wreath_class_labels(2, order)[0]) == []
 
 
 # ----------------------------------------------------------------------

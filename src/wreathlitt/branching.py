@@ -85,12 +85,14 @@ def _character_rows(lambdas) -> list[list[int]]:
     return rows
 
 
-def _coefficients_from_series(series: SymSeries, lambdas, rows=None) -> list[int]:
-    """<f, s_lam> = sum over nu of [p_nu] f * chi^lam(nu) for a row of lambdas, with
-    chi from rows (a table shares one _character_rows(lambdas) between its rows):
-    one exact integer division each, over the common denominator of its degree."""
-    terms, vectors, row = series.terms, {}, []
-    for lam, chi in zip(lambdas, rows or _character_rows(lambdas)):
+def _reader(series: SymSeries):
+    """The read-off of one series: (lam, chi) -> <f, s_lam> = sum over nu of
+    [p_nu] f * chi^lam(nu), with chi lam's character row.  The coefficient
+    vector is built once per degree, as integers over that degree's common
+    denominator, and each cell is one dot and one exact integer division."""
+    terms, vectors = series.terms, {}
+
+    def read(lam: Partition, chi) -> int:
         k = sum(lam)
         if k not in vectors:
             vector = [terms.get(nu, 0) for nu in partitions.partitions_of(k)]
@@ -102,8 +104,15 @@ def _coefficients_from_series(series: SymSeries, lambdas, rows=None) -> list[int
         if rem or value < 0:
             exact = Fraction(total, den)
             raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {exact}")
-        row.append(value)
-    return row
+        return value
+
+    return read
+
+
+def _coefficients_from_series(series: SymSeries, lambdas, rows=None) -> list[int]:
+    """The read-off of a row of lambdas, with chi from rows (a table shares
+    one _character_rows(lambdas) between its rows)."""
+    return list(map(_reader(series), lambdas, rows or _character_rows(lambdas)))
 
 
 def coefficient_and_series(rho: WreathLabel, lam: Partition) -> tuple[int, SymSeries]:

@@ -136,12 +136,13 @@ class Cyclotomic:
         return sum((c * root**i for i, c in enumerate(self.nums)), 0j) / self.den
 
     def conjugate(self) -> "Cyclotomic":
-        """Image under zeta -> zeta^(-1); fixes rationals, is an involution."""
-        m = self.order
-        work = [0] * m
-        for i, c in enumerate(self.nums):
-            work[(m - i) % m] += c
-        return Cyclotomic(m, _reduce(work, m), self.den)
+        """Image under zeta -> zeta^(-1); fixes rationals, is an involution.
+        The sum of c times the reduced zeta^(-i) over the nonzero numerators."""
+        work = [0] * len(self.nums)
+        for c, row in zip(self.nums, _conjugation_table(self.order)):
+            if c:
+                work = [w + c * r for w, r in zip(work, row)]
+        return Cyclotomic(self.order, tuple(work), self.den)
 
     def _coerced(self, other):
         if isinstance(other, Cyclotomic):
@@ -248,6 +249,12 @@ def _zeta_cached(order: int, power: int) -> Cyclotomic:
     mono = [0] * (power + 1)
     mono[power] = 1
     return Cyclotomic(order, _reduce(mono, order), 1)
+
+
+@lru_cache(maxsize=None)
+def _conjugation_table(order: int) -> tuple[tuple[int, ...], ...]:
+    # Row i: the numerators of zeta^(-i) reduced mod Phi_order, for i < phi(order).
+    return tuple(zeta(order, -i).nums for i in range(euler_phi(order)))
 
 
 def _numerators(value, order: int) -> tuple[tuple[int, ...], int]:

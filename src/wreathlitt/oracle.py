@@ -26,7 +26,7 @@ from math import factorial
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
-from .exactnum import Cyclotomic, NotRationalError, pack, packed_dot, to_rational, zeta
+from .exactnum import NotRationalError, euler_phi, pack, packed_dot, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, convert, hall_inner_product, omega_at_root, s_basis, stretch
 # wreath_inner_product is not called here but stays bound:
@@ -179,12 +179,14 @@ def _packed_conjugate(order: int, classes: list[WreathLabel]):
     return _per_label(lambda rho: pack(order, map(frobenius_characteristic(rho).conjugate().coefficient, classes)))
 
 
-def _main_path(degree_cap: int):
-    """The main path: one branching series per label, read off per cell."""
+def _main_path(degree_cap: int, lambdas):
+    """The main path: one branching series per label, read off per cell with
+    lambda's character row, which is read from the tables once per run."""
+    rows = dict(zip(lambdas, branching._character_rows(lambdas)))
     # Through the module, so a tracer that wraps branching.branching_series
     # (perfbench/layertrace.py) sees these calls.
-    series = _per_label(lambda rho: branching.branching_series(rho, degree_cap))
-    return lambda rho, lam: branching._coefficients_from_series(series(rho), [lam])[0]
+    reader = _per_label(lambda rho: branching._reader(branching.branching_series(rho, degree_cap)))
+    return lambda rho, lam: reader(rho)(lam, rows[lam])
 
 
 def _pairing_path(order: int, n: int, lambdas):
@@ -241,25 +243,27 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _group_trace_data(order: int, n: int, max_power: int):
-    """Per group element: its class label and the numeric traces of its
-    first powers, from an explicit enumeration of all monomial matrices."""
+    """The class label of every group element, and an elements x max_power
+    array of the numeric traces of its first powers, from an explicit
+    enumeration of all monomial matrices."""
     import numpy as np  # only the brute force needs numpy; importing it costs ~14 MB RSS
 
     root = np.exp(2j * np.pi / order)
-    elements = []
+    labels, traces = [], []
     for exponents in itertools.product(range(order), repeat=n):
         for perm in itertools.permutations(range(n)):
             matrix = np.zeros((n, n), dtype=complex)
             for col in range(n):
                 matrix[perm[col], col] = root ** exponents[col]
-            label = _class_label(order, exponents, perm)
-            traces = []
-            power = np.eye(n, dtype=complex)
+            labels.append(_class_label(order, exponents, perm))
+            power, row = np.eye(n, dtype=complex), []
             for _ in range(max_power):
                 power = power @ matrix
-                traces.append(complex(np.trace(power)))
-            elements.append((label, tuple(traces)))
-    return tuple(elements)
+                row.append(np.trace(power))
+            traces.append(row)
+    traces = np.array(traces, dtype=complex)
+    traces.flags.writeable = False  # the cache hands this array to every caller
+    return tuple(labels), traces
 
 
 def _class_label(order: int, exponents, perm) -> WreathLabel:
@@ -280,62 +284,60 @@ def _class_label(order: int, exponents, perm) -> WreathLabel:
     )
 
 
-def _schur_from_traces(lam: Partition, traces) -> complex:
-    value = 0j
-    for mu in partitions.partitions_of(sum(lam)):
-        chi = partitions.symmetric_group_character(lam, mu)
-        if not chi:
-            continue
-        term = complex(chi) / partitions.centralizer_order(mu)
-        for part in mu:
-            term *= traces[part - 1]
-        value += term
-    return value
+def _numeric_class_sums(order: int, n: int, max_power: int):
+    """Per lambda, on first use: path C's numeric Schur values at every group
+    element, summed per class in wreath_class_labels order.  They are the
+    matrix of p_mu / z_mu at every element, built once per |lambda| from each
+    element's own traces, times lambda's character row."""
+    import numpy as np
+
+    labels, traces = _group_trace_data(order, n, max_power)
+    index = {sigma: i for i, sigma in enumerate(wreath_class_labels(n, order))}
+    class_of = np.array([index[label] for label in labels])
+
+    @_per_lambda
+    def power_sums(k: int):
+        return np.stack([
+            traces[:, [part - 1 for part in mu]].prod(axis=1) / partitions.centralizer_order(mu)
+            for mu in partitions.partitions_of(k)
+        ], axis=1)
+
+    @_per_lambda
+    def sums(lam: Partition):
+        k = sum(lam)
+        chi = [partitions.symmetric_group_character(lam, mu) for mu in partitions.partitions_of(k)]
+        values = power_sums(k) @ np.array(chi, dtype=float)
+        real, imag = (np.bincount(class_of, weights=part, minlength=len(index)) for part in (values.real, values.imag))
+        return real + 1j * imag
+
+    return sums
 
 
 def _numeric_path(order: int, n: int, max_power: int):
-    """Path C: conjugated complex character values once per label, and per
-    lambda the numeric Schur values at the group elements, summed per class.
-    The group is enumerated once, with the traces of powers up to max_power,
-    which must be at least 1 and at least every |lambda| asked for."""
+    """Path C: once per label, its conjugated complex characters (its packed
+    coefficients times z_sigma, dotted with the powers of zeta), once per
+    lambda its numeric class sums, and per cell one dot over the classes.
+    max_power, the highest traced power, must be >= 1 and >= every |lambda|."""
+    import numpy as np
+
+    classes = wreath_class_labels(n, order)
+    norms = np.array([centralizer_order(sigma) for sigma in classes], dtype=float)
+    roots = np.exp(2j * np.pi * np.arange(euler_phi(order)) / order)
+    sums = _numeric_class_sums(order, n, max_power)
     group_order = order**n * factorial(n)
 
     @_per_label
     def characters(rho):
-        chi = frobenius_characteristic(rho)
-        return {
-            sigma: (complex(centralizer_order(sigma)) * _to_complex(chi.coefficient(sigma))).conjugate()
-            for sigma in wreath_class_labels(n, order)
-        }
+        columns, den = pack(order, map(frobenius_characteristic(rho).coefficient, classes))
+        return (roots[:len(columns)] @ (np.array(columns, dtype=float) * norms)).conj() / den
 
-    @_per_lambda
-    def elements(lam):
-        # Each element's value comes from its own matrix traces.
-        class_sums: dict[WreathLabel, complex] = {}
-        for label, traces in _group_trace_data(order, n, max_power):
-            class_sums[label] = class_sums.get(label, 0j) + _schur_from_traces(lam, traces)
-        return class_sums
-
-    def estimate(rho: WreathLabel, lam: Partition) -> complex:
-        conj = characters(rho)
-        total = 0j
-        for label, value in elements(lam).items():
-            total += conj[label] * value
-        return total / group_order
-
-    return estimate
+    return lambda rho, lam: complex(characters(rho) @ sums(lam)) / group_order
 
 
 def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:
     """Floating-point multiplicity: average conj(character) * s_lam(eigenvalues)
     over every element of the group, all computed numerically."""
     return _numeric_path(rho.order, rho.size, max(1, sum(lam)))(rho, lam)
-
-
-def _to_complex(value) -> complex:
-    if isinstance(value, Cyclotomic):
-        return value.to_complex()
-    return complex(value)
 
 
 def _numeric_detail(rho: WreathLabel, lam: Partition, exact: int, numeric: complex) -> dict:
@@ -567,7 +569,7 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     labels = wreath_class_labels(n, order)
     lambdas = branching._lambda_grid(n, degree_cap)
 
-    main_path = _main_path(degree_cap)
+    main_path = _main_path(degree_cap, lambdas)
     table: dict[tuple[WreathLabel, Partition], int] = {}
 
     def agreement():
@@ -609,16 +611,19 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
 
 def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Numeric brute force over all monomial matrices against the exact path."""
-    main_path = _main_path(degree_cap)
+    lambdas = branching._lambda_grid(n, degree_cap)
+    main_path = _main_path(degree_cap, lambdas)
     numeric_path = _numeric_path(order, n, max(1, degree_cap))
 
     def cells():
         for rho in wreath_class_labels(n, order):
-            for lam in branching._lambda_grid(n, degree_cap):
+            for lam in lambdas:
                 try:
                     _numeric_detail(rho, lam, main_path(rho, lam), numeric_path(rho, lam))
                 except ToleranceExceededError as exc:
                     yield exc.detail
+                except ArithmeticError as exc:
+                    yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
                 else:
                     yield None
 

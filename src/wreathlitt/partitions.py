@@ -131,12 +131,15 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
     """The full character table of the symmetric group of degree n.
 
     Keyed by (shape, cycle type); building degree n fills in all lower
-    degrees as well.
+    degrees as well.  A built table is returned after one lookup.
     """
-    for k in range(1, n + 1):
-        if k not in _TABLES:
-            _TABLES[k] = _build_table(k)
-    return _TABLES[n]
+    table = _TABLES.get(n)
+    if table is None:
+        for k in range(1, n + 1):
+            if k not in _TABLES:
+                _TABLES[k] = _build_table(k)
+        table = _TABLES[n]
+    return table
 
 
 def symmetric_group_character(lam: Partition, mu: Partition) -> int:

@@ -178,6 +178,19 @@ def test_arithmetic_agrees_with_complex_embedding(pair):
     assert abs(a.conjugate().to_complex() - za.conjugate()) < 1e-9
 
 
+@pytest.mark.parametrize("order", [15, 30, 60, 150])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_conjugation_at_large_orders(order, data):
+    # phi(order) from 8 to 40, past the orders 1..12 drawn above
+    a = data.draw(_elements(order))
+    assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) < 1e-9
+    twice = a.conjugate().conjugate()
+    assert twice == a and twice.nums == a.nums and twice.den == a.den
+    for k in (1, 2, order // 3, order - 1):
+        assert zeta(order, k).conjugate() == zeta(order, -k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(a=_elements(3), b=_elements(4))
 def test_mixing_non_rational_orders_raises(a, b):

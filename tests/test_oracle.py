@@ -98,6 +98,82 @@ def test_numeric_suite_enumerates_the_group_once():
     _group_trace_data.cache_clear()
     assert run_numeric_suite(3, 3, 4).passed
     assert _group_trace_data.cache_info().misses == 1
+    # the cache hands one array to every caller, so no caller may write to it
+    assert not _group_trace_data(3, 3, 4)[1].flags.writeable
+
+
+def _character_plus_one_at_21_3_call(monkeypatch):
+    # +1 on chi^(2,1) at a 3-cycle, seen by callers of symmetric_group_character only
+    true_character = partitions.symmetric_group_character
+
+    def corrupted(lam, mu):
+        value = true_character(lam, mu)
+        return value + 1 if lam == (2, 1) and mu == (3,) else value
+
+    monkeypatch.setattr(partitions, "symmetric_group_character", corrupted)
+
+
+def test_numeric_suite_reports_arithmetic_errors(monkeypatch):
+    # The main path's read-off fails its integrality guard at the 8th cell;
+    # the suite reports it as that cell's counterexample instead of raising.
+    _character_plus_one_at_21_3_call(monkeypatch)
+    check = run_numeric_suite(2, 3, 3).checks[0]
+    assert check.name == "numeric_matrix" and not check.passed
+    assert (check.counterexample, check.cells) == (
+        {"rho": "0:2,1", "lambda": "[]", "error": "multiplicity at [] came out 1/3"},
+        8,
+    )
+
+
+def test_numeric_path_reads_the_patched_character(monkeypatch):
+    # At m = 1 the main path stays integral; path C reads chi^(2,1) through
+    # symmetric_group_character, so its estimate at (0:3, (2,1)) moves.
+    _character_plus_one_at_21_3_call(monkeypatch)
+    check = run_numeric_suite(1, 3, 3).checks[0]
+    assert not check.passed and check.cells == 6
+    detail = check.counterexample
+    assert (detail["rho"], detail["lambda"], detail["exact"]) == ("0:3", "2,1", 1)
+    assert abs(detail["numeric"][0] - 5 / 3) < 1e-9
+
+
+def _first_trace_shifted(monkeypatch, shift=1e-6):
+    # the first-power trace of the second enumerated element, a transposition, off by shift
+    import wreathlitt.oracle as oracle_module
+
+    true_data = oracle_module._group_trace_data
+
+    def shifted(order, n, max_power):
+        labels, traces = true_data(order, n, max_power)
+        traces = traces.copy()
+        traces[1, 0] += shift
+        return labels, traces
+
+    monkeypatch.setattr(oracle_module, "_group_trace_data", shifted)
+
+
+def test_corrupted_element_trace_fails_only_path_c(monkeypatch):
+    # Pinned as the suite reported it when path C summed element by element.
+    _first_trace_shifted(monkeypatch)
+    check = run_numeric_suite(2, 2, 3).checks[0]
+    assert not check.passed and check.cells == 2
+    detail = check.counterexample
+    assert (detail["rho"], detail["lambda"], detail["exact"]) == ("0:2", "1", 0)
+    assert abs(detail["numeric"][0] - 1.25e-7) < 1e-12
+    assert run_verification(2, 2, 3).passed
+
+
+@pytest.mark.parametrize("order, n", [(1, 3), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_numeric_class_sums_match_exact_schur_values(order, n):
+    # Each class sums its elements' values, so the sum is the class size
+    # times the exact value at the class, including lam with more rows than n.
+    from wreathlitt.oracle import _numeric_class_sums
+    from wreathlitt.wreath import conjugacy_class_size
+
+    sums = _numeric_class_sums(order, n, 4)
+    for lam in _grid(4, 4):
+        for sigma, total in zip(wreath_class_labels(n, order), sums(lam)):
+            exact = conjugacy_class_size(sigma) * schur_at_eigenvalues(lam, sigma).to_complex()
+            assert abs(total - exact) < 1e-9, (sigma, lam)
 
 
 def test_numeric_mismatch_reports_cell(monkeypatch):
@@ -569,3 +645,19 @@ def test_corrupted_input_fails_verification_check(name, monkeypatch):
     corrupt, scope, expected = VERIFICATION_FAULTS[name]
     corrupt(monkeypatch)
     assert run_verification(*scope).to_json_obj()["checks"] == expected
+
+
+def test_character_rows_are_read_per_run(monkeypatch):
+    # Clean runs first: a row kept from them would hide the corruption below.
+    assert run_verification(2, 3, 3).passed and run_verification(1, 2, 3).passed
+    assert partitions.character_table(3) is partitions.character_table(3)
+    corrupt, scope, expected = VERIFICATION_FAULTS["character_table"]
+    corrupt(monkeypatch)
+    assert run_verification(*scope).to_json_obj()["checks"] == expected
+    # The plethysm for 0:2 never reads the degree-3 table, so here only the
+    # main path's read-off row sees the edit (a stale row fails the pairing).
+    check = run_verification(1, 2, 3).checks[0]
+    assert (check.counterexample, check.cells) == (
+        {"rho": "0:2", "lambda": "2,1", "error": "multiplicity at 2,1 came out 4/3"},
+        6,
+    )

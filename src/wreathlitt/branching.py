@@ -109,18 +109,13 @@ def _reader(series: SymSeries):
     return read
 
 
-def _coefficients_from_series(series: SymSeries, lambdas, rows=None) -> list[int]:
-    """The read-off of a row of lambdas, with chi from rows (a table shares
-    one _character_rows(lambdas) between its rows)."""
-    return list(map(_reader(series), lambdas, rows or _character_rows(lambdas)))
-
-
 def coefficient_and_series(rho: WreathLabel, lam: Partition) -> tuple[int, SymSeries]:
     """The multiplicity d(rho, lam) and the generating series it was read from."""
     if len(lam) > rho.size:
         raise HypothesisViolationError(f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}")
     series = branching_series(rho, sum(lam))
-    return _coefficients_from_series(series, [lam])[0], series
+    (row,) = _character_rows([lam])
+    return _reader(series)(lam, row), series
 
 
 def branching_coefficient(rho: WreathLabel, lam: Partition) -> int:
@@ -221,8 +216,10 @@ def table_series(order: int, size: int, max_degree: int):
 
 
 def _table_row(series: SymSeries, lambdas, rows) -> list[int]:
-    """One row of a table, under its own name so that a tracer can time each row."""
-    return _coefficients_from_series(series, lambdas, rows)
+    """One row of a table, with chi from rows (a table shares one
+    _character_rows(lambdas) between its rows), under its own name so that a
+    tracer can time each row."""
+    return list(map(_reader(series), lambdas, rows))
 
 
 def branching_table(
@@ -233,7 +230,8 @@ def branching_table(
 
     The generating series come from ``table_series``, one per label, and
     each is read off for all columns at once.  Everything runs in this
-    process: `jobs` is accepted for compatibility and has no effect.
+    process: `jobs` has no effect, and stays only because the benchmark's
+    worker (perfbench/worker.py) passes it.
     """
     if size < 1:
         raise ValueError("size must be >= 1")

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--n", type=_int_at_least(1, MAX_DEGREE), required=True, help=f"number of boxes in the labels, 1..{MAX_DEGREE}")
     table.add_argument("--max-deg", type=_int_at_least(0, MAX_DEGREE), required=True, help=f"largest |lambda|, 0..{MAX_DEGREE}")
     table.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    table.add_argument("--jobs", type=_int_at_least(1), default=None, help="accepted for compatibility; has no effect")
     table.set_defaults(handler=_cmd_table)
 
     verify = sub.add_parser("verify", help="triple agreement and dimension sums")

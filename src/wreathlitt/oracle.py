@@ -17,12 +17,14 @@ the evaluation kernel.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
@@ -243,27 +245,24 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _group_trace_data(order: int, n: int, max_power: int):
-    """The class label of every group element, and an elements x max_power
-    array of the numeric traces of its first powers, from an explicit
-    enumeration of all monomial matrices."""
-    import numpy as np  # only the brute force needs numpy; importing it costs ~14 MB RSS
-
-    root = np.exp(2j * np.pi / order)
+    """The class label of every group element, and per element the tuple of
+    the numeric traces of its first max_power powers (max_power >= 1), from
+    an explicit enumeration of all monomial matrices."""
+    roots = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
     labels, traces = [], []
     for exponents in itertools.product(range(order), repeat=n):
         for perm in itertools.permutations(range(n)):
-            matrix = np.zeros((n, n), dtype=complex)
+            matrix = [[0j] * n for _ in range(n)]
             for col in range(n):
-                matrix[perm[col], col] = root ** exponents[col]
+                matrix[perm[col]][col] = roots[exponents[col]]
             labels.append(_class_label(order, exponents, perm))
-            power, row = np.eye(n, dtype=complex), []
-            for _ in range(max_power):
-                power = power @ matrix
-                row.append(np.trace(power))
-            traces.append(row)
-    traces = np.array(traces, dtype=complex)
-    traces.flags.writeable = False  # the cache hands this array to every caller
-    return tuple(labels), traces
+            columns = list(zip(*matrix))
+            power, row = matrix, [sum(matrix[i][i] for i in range(n))]
+            while len(row) < max_power:
+                power = [[sum(map(mul, line, column)) for column in columns] for line in power]
+                row.append(sum(power[i][i] for i in range(n)))
+            traces.append(tuple(row))
+    return tuple(labels), tuple(traces)
 
 
 def _class_label(order: int, exponents, perm) -> WreathLabel:
@@ -286,52 +285,56 @@ def _class_label(order: int, exponents, perm) -> WreathLabel:
 
 def _numeric_class_sums(order: int, n: int, max_power: int):
     """Per lambda, on first use: path C's numeric Schur values at every group
-    element, summed per class in wreath_class_labels order.  They are the
-    matrix of p_mu / z_mu at every element, built once per |lambda| from each
-    element's own traces, times lambda's character row."""
-    import numpy as np
-
+    element, summed per class in wreath_class_labels order.  p_mu is built
+    once per run at every element from that element's own traces, and summed
+    over each class into a class row of p_mu / z_mu; lambda's sums are those
+    class rows dotted with lambda's character row."""
     labels, traces = _group_trace_data(order, n, max_power)
     index = {sigma: i for i, sigma in enumerate(wreath_class_labels(n, order))}
-    class_of = np.array([index[label] for label in labels])
+    class_of = [index[label] for label in labels]
+    columns = list(zip(*traces))  # columns[t - 1]: every element's trace of its t-th power
 
     @_per_lambda
-    def power_sums(k: int):
-        return np.stack([
-            traces[:, [part - 1 for part in mu]].prod(axis=1) / partitions.centralizer_order(mu)
-            for mu in partitions.partitions_of(k)
-        ], axis=1)
+    def power_sums(mu: Partition):
+        # p_mu without its last part, times that part's trace column
+        if not mu:
+            return [1] * len(labels)
+        return list(map(mul, power_sums(mu[:-1]), columns[mu[-1] - 1]))
+
+    @_per_lambda
+    def class_row(mu: Partition):
+        row = [0] * len(index)
+        for c, value in zip(class_of, power_sums(mu)):
+            row[c] += value
+        z = partitions.centralizer_order(mu)
+        return [total / z for total in row]
 
     @_per_lambda
     def sums(lam: Partition):
-        k = sum(lam)
-        chi = [partitions.symmetric_group_character(lam, mu) for mu in partitions.partitions_of(k)]
-        values = power_sums(k) @ np.array(chi, dtype=float)
-        real, imag = (np.bincount(class_of, weights=part, minlength=len(index)) for part in (values.real, values.imag))
-        return real + 1j * imag
+        mus = partitions.partitions_of(sum(lam))
+        chi = [partitions.symmetric_group_character(lam, mu) for mu in mus]
+        return [sum(map(mul, chi, by_mu)) for by_mu in zip(*map(class_row, mus))]
 
     return sums
 
 
 def _numeric_path(order: int, n: int, max_power: int):
     """Path C: once per label, its conjugated complex characters (its packed
-    coefficients times z_sigma, dotted with the powers of zeta), once per
+    coefficients dotted with the powers of zeta, times z_sigma), once per
     lambda its numeric class sums, and per cell one dot over the classes.
     max_power, the highest traced power, must be >= 1 and >= every |lambda|."""
-    import numpy as np
-
     classes = wreath_class_labels(n, order)
-    norms = np.array([centralizer_order(sigma) for sigma in classes], dtype=float)
-    roots = np.exp(2j * np.pi * np.arange(euler_phi(order)) / order)
+    norms = [centralizer_order(sigma) for sigma in classes]
+    roots = [cmath.exp(2j * cmath.pi * k / order) for k in range(euler_phi(order))]
     sums = _numeric_class_sums(order, n, max_power)
     group_order = order**n * factorial(n)
 
     @_per_label
     def characters(rho):
         columns, den = pack(order, map(frobenius_characteristic(rho).coefficient, classes))
-        return (roots[:len(columns)] @ (np.array(columns, dtype=float) * norms)).conj() / den
+        return [(sum(map(mul, roots, nums)) * z).conjugate() / den for nums, z in zip(zip(*columns), norms)]
 
-    return lambda rho, lam: complex(characters(rho) @ sums(lam)) / group_order
+    return lambda rho, lam: sum(map(mul, characters(rho), sums(lam))) / group_order
 
 
 def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:

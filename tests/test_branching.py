@@ -4,7 +4,8 @@ import pytest
 
 from wreathlitt.branching import (
     HypothesisViolationError,
-    _coefficients_from_series,
+    _character_rows,
+    _reader,
     branching_coefficient,
     branching_series,
     branching_table,
@@ -130,7 +131,8 @@ def test_table_matches_the_per_label_path(order, size, max_degree):
     table = branching_table(order, size, max_degree)
     assert table.labels == wreath_class_labels(size, order)
     for rho in table.labels:
-        row = _coefficients_from_series(branching_series(rho, max_degree), table.lambdas)
+        read = _reader(branching_series(rho, max_degree))
+        row = list(map(read, table.lambdas, _character_rows(table.lambdas)))
         assert [table.value(rho, lam) for lam in table.lambdas] == row
 
 

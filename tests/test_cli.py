@@ -52,7 +52,7 @@ def test_usage_errors(capsys):
 
 
 def test_table_csv_shape(capsys):
-    assert main(["table", "--m", "2", "--n", "2", "--max-deg", "2", "--format", "csv", "--jobs", "1"]) == 0
+    assert main(["table", "--m", "2", "--n", "2", "--max-deg", "2", "--format", "csv"]) == 0
     out = capsys.readouterr().out
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["rho", "lambda", "d"]
@@ -60,7 +60,7 @@ def test_table_csv_shape(capsys):
 
 
 def test_table_json_round_trip(capsys):
-    assert main(["table", "--m", "2", "--n", "2", "--max-deg", "2", "--format", "json", "--jobs", "1"]) == 0
+    assert main(["table", "--m", "2", "--n", "2", "--max-deg", "2", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["m"] == 2 and obj["n"] == 2 and obj["max_degree"] == 2
     for cell in obj["cells"]:
@@ -72,7 +72,7 @@ def test_table_json_round_trip(capsys):
 def test_table_matches_oracle(capsys):
     from wreathlitt.oracle import branching_by_pairing
 
-    assert main(["table", "--m", "1", "--n", "3", "--max-deg", "4", "--format", "json", "--jobs", "1"]) == 0
+    assert main(["table", "--m", "1", "--n", "3", "--max-deg", "4", "--format", "json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     for cell in obj["cells"]:
         rho = parse_label(cell["rho"], 1)
@@ -128,28 +128,33 @@ def test_verify_dump_covers_all_labels(tmp_path, capsys):
     assert len(payload) == 5
 
 
-def test_byte_determinism_across_jobs():
-    base = ["table", "--m", "2", "--n", "2", "--max-deg", "3", "--format", "csv"]
-    code1, out1, _ = run_cli([*base, "--jobs", "1"])
-    code8, out8, _ = run_cli([*base, "--jobs", "8"])
-    assert code1 == code8 == 0
-    assert out1 == out8
-    code1b, out1b, _ = run_cli([*base, "--jobs", "1"])
-    assert out1 == out1b
+def test_byte_determinism_across_runs():
+    args = ["table", "--m", "2", "--n", "2", "--max-deg", "3", "--format", "csv"]
+    runs = [run_cli(args) for _ in range(3)]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0][1] == runs[1][1] == runs[2][1]
 
 
 def test_removed_cache_flag_is_a_usage_error(tmp_path, capsys):
     cache = str(tmp_path / "X")
-    assert main(["table", "--m", "1", "--n", "3", "--max-deg", "3", "--jobs", "1", "--cache-dir", cache]) == 1
+    assert main(["table", "--m", "1", "--n", "3", "--max-deg", "3", "--cache-dir", cache]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and f"unrecognized arguments: --cache-dir {cache}" in lines[0], captured.err
 
 
+def test_removed_jobs_flag_is_a_usage_error(capsys):
+    assert main(["table", "--m", "1", "--n", "3", "--max-deg", "3", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "unrecognized arguments: --jobs 1" in lines[0], captured.err
+
+
 def test_cache_environment_variable_is_ignored(tmp_path):
     variable = "WREATHLITT_CACHE_DIR"
-    args = ["table", "--m", "1", "--n", "3", "--max-deg", "3", "--format", "csv", "--jobs", "1"]
+    args = ["table", "--m", "1", "--n", "3", "--max-deg", "3", "--format", "csv"]
     unset = {k: v for k, v in os.environ.items() if k != variable}
     code, plain, _ = run_cli(args, env=unset)
     assert code == 0
@@ -167,7 +172,7 @@ DATA = Path(__file__).with_name("data")
         (["coeff", "--m", "0", "--rho", "0:1", "--lambda", "1"], "--m"),
         (["coeff", "--m", "-1", "--rho", "0:1", "--lambda", "1"], "--m"),
         (["table", "--m", "2", "--n", "0", "--max-deg", "2"], "--n"),
-        (["table", "--m", "2", "--n", "2", "--max-deg", "2", "--jobs", "0"], "--jobs"),
+        (["table", "--m", "1000001", "--n", "1", "--max-deg", "0"], "--m"),
         (["table", "--m", "2", "--n", "2", "--max-deg", "-1"], "--max-deg"),
         (["verify", "--m", "2", "--n", "2", "--max-deg", "-1"], "--max-deg"),
         (["identities", "--m", "2", "--dx", "-1", "--dy", "2"], "--dx"),
@@ -212,7 +217,7 @@ def test_arithmetic_errors_exit_2_with_json_line(error, capsys, monkeypatch):
         raise exc
 
     monkeypatch.setattr(cli, "branching_table", failing)
-    assert main(["table", "--m", "1", "--n", "1", "--max-deg", "1", "--jobs", "1"]) == 2
+    assert main(["table", "--m", "1", "--n", "1", "--max-deg", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -264,6 +269,28 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
 def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
     assert main([*args, "--format", "json"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+_ALL_PATHS_SCRIPT = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from wreathlitt import cli, oracle
+assert oracle.run_verification(3, 3, 5).passed
+assert oracle.run_numeric_suite(3, 3, 4).passed
+assert oracle.run_identity_suite(3, 3, 4).passed
+assert cli.main(["verify", "--m", "3", "--n", "3", "--max-deg", "5", "--format", "json"]) == 0
+assert sys.modules.get("numpy") is None, "numpy was imported"
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "plain"])
+def test_library_runs_without_numpy(mode):
+    # numpy is a test dependency only: every path, path C included, runs on
+    # the standard library, and a plain run never imports numpy.
+    proc = subprocess.run([sys.executable, "-c", _ALL_PATHS_SCRIPT, mode], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DATA / "verify_m3_n3_d5.json").read_bytes()
 
 
 def test_table_at_a_large_order_exits_0():
@@ -366,7 +393,6 @@ _FLAGS = {
         "--n": _INT_OR_ABOVE,
         "--max-deg": _INT_OR_ABOVE,
         "--format": st.sampled_from(["csv", "json", "pretty", "xml"]),
-        "--jobs": st.sampled_from(["1", "0", "-1", "x"]),  # never a pool of workers
     },
     "verify": {"--m": _M, "--n": _SMALL_OR_ABOVE, "--max-deg": _SMALL_OR_ABOVE, "--format": st.sampled_from(["json", "pretty"])},
     "identities": {"--m": _M, "--dx": _SMALL_OR_ABOVE, "--dy": _SMALL_OR_ABOVE},
@@ -378,8 +404,7 @@ def _argv(draw, dump_dir):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
     for flag, values in _FLAGS[command].items():
-        # table always gets --jobs: its default is one worker per core.
-        if flag == "--jobs" or draw(st.integers(0, 5)) > 0:
+        if draw(st.integers(0, 5)) > 0:
             argv += [flag, draw(values)]
     if draw(st.booleans()):
         paths = [str(dump_dir / "dump.json"), *(bad(dump_dir) for bad in BAD_DUMP_PATHS.values())]

@@ -98,8 +98,13 @@ def test_numeric_suite_enumerates_the_group_once():
     _group_trace_data.cache_clear()
     assert run_numeric_suite(3, 3, 4).passed
     assert _group_trace_data.cache_info().misses == 1
-    # the cache hands one array to every caller, so no caller may write to it
-    assert not _group_trace_data(3, 3, 4)[1].flags.writeable
+    # the cache hands the same traces to every caller, so no caller may write to them
+    traces = _group_trace_data(3, 3, 4)[1]
+    assert isinstance(traces, tuple) and all(isinstance(row, tuple) for row in traces)
+    with pytest.raises(TypeError):
+        traces[1] = traces[0]
+    with pytest.raises(TypeError):
+        traces[1][0] = 0j
 
 
 def _character_plus_one_at_21_3_call(monkeypatch):
@@ -144,9 +149,8 @@ def _first_trace_shifted(monkeypatch, shift=1e-6):
 
     def shifted(order, n, max_power):
         labels, traces = true_data(order, n, max_power)
-        traces = traces.copy()
-        traces[1, 0] += shift
-        return labels, traces
+        first, *rest = traces[1]
+        return labels, (traces[0], (first + shift, *rest), *traces[2:])
 
     monkeypatch.setattr(oracle_module, "_group_trace_data", shifted)
 

@@ -42,7 +42,8 @@ MAX_ORDER = 10**6
 # Sizes and degrees have a cap too, as memory grows about threefold per two
 # degrees: coeff --m 1 --rho 0:D --lambda D peaks at 120 MB at D = 16 and
 # 357 MB at D = 18 (CPython 3.11), so D = 20 needs about a gigabyte, and
-# larger inputs end in MemoryError.
+# larger inputs end in MemoryError.  Before any series, character_table(20)
+# takes about 2.8 s and 145 MB in a fresh process (2-core x86-64 host).
 MAX_DEGREE = 20
 
 

@@ -99,31 +99,36 @@ _TABLES: dict[int, dict[tuple[Partition, Partition], int]] = {0: {((), ()): 1}}
 
 
 def _border_strip_removals(lam: Partition, size: int):
-    """Yield (smaller partition, sign) for each removable border strip."""
+    """Yield (smaller partition, sign) for each removable border strip: lowering
+    beta[i] below beta[i + 1 .. j] moves rows i + 1 .. j up one row and one box
+    shorter, leaves the strip's other boxes in row j, and signs it (-1)^(j - i)."""
     k = len(lam)
-    beta = [lam[i] + k - 1 - i for i in range(k)]
+    beta = [part + k - 1 - i for i, part in enumerate(lam)]
     beta_set = set(beta)
-    for b in beta:
+    for i, b in enumerate(beta):
         lowered = b - size
         if lowered < 0 or lowered in beta_set:
             continue
-        height = sum(1 for c in beta if lowered < c < b)
-        new_beta = sorted((beta_set - {b}) | {lowered}, reverse=True)
-        shrunk = tuple(v - (len(new_beta) - 1 - i) for i, v in enumerate(new_beta))
-        yield tuple(x for x in shrunk if x > 0), (-1 if height % 2 else 1)
+        j = i
+        while j + 1 < k and beta[j + 1] > lowered:
+            j += 1
+        shrunk = lam[:i] + tuple(x - 1 for x in lam[i + 1 : j + 1]) + (lowered + j + 1 - k,) + lam[j + 1 :]
+        yield tuple(x for x in shrunk if x > 0), (-1 if (j - i) % 2 else 1)
 
 
 def _build_table(n: int) -> dict[tuple[Partition, Partition], int]:
     table: dict[tuple[Partition, Partition], int] = {}
     shapes = _partitions(n, n)
+    # Strips depend on mu's first part alone: each shape's are found once per size.
+    strips_by_size: dict[int, list] = {}
     for mu in shapes:
         strip, rest = mu[0], mu[1:]
+        rows = strips_by_size.get(strip)
+        if rows is None:
+            rows = strips_by_size[strip] = [tuple(_border_strip_removals(lam, strip)) for lam in shapes]
         lower = _TABLES[n - strip]
-        for lam in shapes:
-            value = 0
-            for smaller, sign in _border_strip_removals(lam, strip):
-                value += sign * lower[(smaller, rest)]
-            table[(lam, mu)] = value
+        for lam, strips in zip(shapes, rows):
+            table[(lam, mu)] = sum([sign * lower[(smaller, rest)] for smaller, sign in strips])
     return table
 
 
@@ -135,6 +140,8 @@ def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
     """
     table = _TABLES.get(n)
     if table is None:
+        if n < 0:
+            raise ValueError(f"no symmetric group of negative degree: {n}")
         for k in range(1, n + 1):
             if k not in _TABLES:
                 _TABLES[k] = _build_table(k)

@@ -159,6 +159,12 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
     ]
 
 
+# Label structure only, like merge_labels; a run asks for few (size, order) pairs.
+@lru_cache(maxsize=1 << 6)
+def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
+    return tuple(wreath_class_labels(n, order))
+
+
 @lru_cache(maxsize=None)
 def centralizer_order(rho: WreathLabel) -> int:
     """Centralizer order of the class labelled rho inside the wreath product."""
@@ -430,7 +436,7 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
 def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> WreathSeries:
     # s_lam[phi_j] in closed form (see the convention note), one pass over the labels.
     terms = {}
-    for sigma in wreath_class_labels(sum(lam), order):
+    for sigma in _class_labels(sum(lam), order):
         cycle_type = tuple(sorted(chain.from_iterable(filter(None, sigma.parts)), reverse=True))
         chi = partitions.symmetric_group_character(lam, cycle_type)
         if chi:

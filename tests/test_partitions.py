@@ -1,11 +1,14 @@
+import hashlib
 from math import factorial
 
 import pytest
 
 from bruteforce import frobenius_character, pentagonal_partition_counts
+from wreathlitt import partitions
 from wreathlitt.partitions import (
     SizeMismatchError,
     centralizer_order,
+    character_table,
     format_partition,
     parse_partition,
     partitions_of,
@@ -95,6 +98,57 @@ def test_character_at_identity_is_dimension():
     for n in range(1, 9):
         for lam in partitions_of(n):
             assert symmetric_group_character(lam, (1,) * n) == specht_dimension(lam)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_orthogonality_and_dimensions_past_degree_8(n):
+    shapes = partitions_of(n)
+    table = character_table(n)
+    rows = [[table[(lam, mu)] for mu in shapes] for lam in shapes]
+    class_sizes = [factorial(n) // centralizer_order(mu) for mu in shapes]
+    for lam, row in zip(shapes, rows):
+        assert table[(lam, (1,) * n)] == specht_dimension(lam)
+        for nu, other in zip(shapes, rows):
+            total = sum(a * b * size for a, b, size in zip(row, other, class_sizes))
+            assert total == (factorial(n) if lam == nu else 0), (lam, nu)
+    columns = list(zip(*rows))
+    for mu, column in zip(shapes, columns):
+        for nu, other in zip(shapes, columns):
+            total = sum(a * b for a, b in zip(column, other))
+            assert total == (centralizer_order(mu) if mu == nu else 0), (mu, nu)
+
+
+# sha256 of repr(sorted(character_table(n).items())), recorded from the
+# per-cycle-type build of the Murnaghan-Nakayama recursion.
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (12, "cea13d34329ae6ba1c291a8e6d7fd0076f9e00f00b018ea3640e9dd6aae5c39e"),
+        pytest.param(
+            16,
+            "89ed63113493e02834244b5dcf1f6f882bb6a5a15d1b9a23c8535d77b8336eb9",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_character_table_digest(n, digest):
+    text = repr(sorted(character_table(n).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_tables_do_not_depend_on_build_order(monkeypatch):
+    def tables_after(*degrees):
+        monkeypatch.setattr(partitions, "_TABLES", {0: {((), ()): 1}})
+        for n in degrees:
+            character_table(n)
+        return [list(character_table(n).items()) for n in range(12)]
+
+    assert tables_after(5, 11) == tables_after(11)
+
+
+def test_negative_degree_is_a_value_error():
+    with pytest.raises(ValueError, match="negative"):
+        character_table(-1)
 
 
 def test_parse_and_format():

@@ -54,8 +54,6 @@ from .symfunc import (
 from .wreath import (
     WreathLabel,
     WreathSeries,
-    characteristic_polynomial,
-    conjugacy_class_size,
     evaluation_kernel,
     format_label,
     frobenius_characteristic,

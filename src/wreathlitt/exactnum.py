@@ -6,7 +6,8 @@ positive denominator, in lowest terms.  Phi_m, the m-th cyclotomic
 polynomial, is monic and integral, so reduction stays in the integers, and
 quotienting by it rather than x^m - 1 gives Q(zeta_m) itself: each number has
 one representation.  No computation divides in Q(zeta_m), so elements only
-add, multiply and conjugate.
+add, multiply and conjugate; conjugation moves the numerator of zeta^i to
+x^(-i mod m) and reduces once, and no computation path calls it.
 
 Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic; ``sum_of_products`` instead accumulates unreduced
@@ -137,12 +138,11 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Image under zeta -> zeta^(-1); fixes rationals, is an involution.
-        The sum of c times the reduced zeta^(-i) over the nonzero numerators."""
-        work = [0] * len(self.nums)
-        for c, row in zip(self.nums, _conjugation_table(self.order)):
-            if c:
-                work = [w + c * r for w, r in zip(work, row)]
-        return Cyclotomic(self.order, tuple(work), self.den)
+        The numerator of zeta^i moves to x^(-i mod m), then one reduction."""
+        work = [0] * self.order
+        for i, c in enumerate(self.nums):
+            work[-i % self.order] = c
+        return Cyclotomic(self.order, _reduce(work, self.order), self.den)
 
     def _coerced(self, other):
         if isinstance(other, Cyclotomic):
@@ -249,12 +249,6 @@ def _zeta_cached(order: int, power: int) -> Cyclotomic:
     mono = [0] * (power + 1)
     mono[power] = 1
     return Cyclotomic(order, _reduce(mono, order), 1)
-
-
-@lru_cache(maxsize=None)
-def _conjugation_table(order: int) -> tuple[tuple[int, ...], ...]:
-    # Row i: the numerators of zeta^(-i) reduced mod Phi_order, for i < phi(order).
-    return tuple(zeta(order, -i).nums for i in range(euler_phi(order)))
 
 
 def _numerators(value, order: int) -> tuple[tuple[int, ...], int]:

@@ -177,8 +177,11 @@ _per_lambda = lru_cache(maxsize=None)
 
 
 def _packed_conjugate(order: int, classes: list[WreathLabel]):
-    """Per label, on first use: its conjugated characteristic packed over classes."""
-    return _per_label(lambda rho: pack(order, map(frobenius_characteristic(rho).conjugate().coefficient, classes)))
+    """Per label, on first use: its conjugated characteristic packed over
+    classes, read at the inverse classes, as conj chi(g) = chi(g^-1) and
+    z_sigma is the same for sigma and its inverse."""
+    inverses = [sigma.inverse() for sigma in classes]
+    return _per_label(lambda rho: pack(order, map(frobenius_characteristic(rho).coefficient, inverses)))
 
 
 def _main_path(degree_cap: int, lambdas):
@@ -320,7 +323,8 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
 
 def _numeric_path(order: int, n: int, max_power: int):
     """Path C: once per label, its conjugated complex characters (its packed
-    coefficients dotted with the powers of zeta, times z_sigma), once per
+    coefficients dotted with the powers of zeta, times z_sigma, conjugated in
+    complex arithmetic, not read at the inverse classes), once per
     lambda its numeric class sums, and per cell one dot over the classes.
     max_power, the highest traced power, must be >= 1 and >= every |lambda|."""
     classes = wreath_class_labels(n, order)

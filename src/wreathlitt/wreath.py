@@ -35,7 +35,7 @@ from operator import mul
 from . import partitions
 from .exactnum import Cyclotomic, reduce_mod_cyclotomic, sum_of_products, zeta
 from .partitions import Partition, format_partition, parse_partition
-from .symfunc import SymSeries, omega_at_root, stretch
+from .symfunc import SymSeries, _min_trunc, omega_at_root, stretch
 
 __all__ = [
     "NonIntegralError",
@@ -43,8 +43,6 @@ __all__ = [
     "WreathLabel",
     "WreathSeries",
     "centralizer_order",
-    "characteristic_polynomial",
-    "conjugacy_class_size",
     "evaluation_kernel",
     "evaluation_kernel_product_form",
     "format_label",
@@ -113,6 +111,12 @@ class WreathLabel:
     def sort_key(self):
         return (self.size, self.parts)
 
+    def inverse(self) -> "WreathLabel":
+        """As a class label, the class of the inverse elements: inverting
+        turns each cycle product zeta^t into zeta^(-t), so slot t moves to
+        slot -t mod m.  Character values there are the complex conjugates."""
+        return WreathLabel(self.order, self.parts[:1] + self.parts[:0:-1])
+
     def __repr__(self) -> str:
         return f"WreathLabel(m={self.order}, {format_label(self) or 'empty'})"
 
@@ -161,8 +165,13 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
 
 # Label structure only, like merge_labels; a run asks for few (size, order) pairs.
 @lru_cache(maxsize=1 << 6)
-def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
-    return tuple(wreath_class_labels(n, order))
+def _class_structure(n: int, order: int) -> tuple[tuple[WreathLabel, Partition, int], ...]:
+    # Per label: its cycle type, and the sum over its cycles of each one's slot t.
+    return tuple(
+        (sigma, tuple(sorted(chain.from_iterable(sigma.parts), reverse=True)),
+         sum(t * len(part) for t, part in enumerate(sigma.parts)))
+        for sigma in wreath_class_labels(n, order)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -172,32 +181,6 @@ def centralizer_order(rho: WreathLabel) -> int:
     for part in rho.parts:
         out *= partitions.centralizer_order(part) * rho.order ** len(part)
     return out
-
-
-def conjugacy_class_size(rho: WreathLabel) -> int:
-    group_order = rho.order**rho.size * factorial(rho.size)
-    size, rem = divmod(group_order, centralizer_order(rho))
-    if rem:
-        raise NonIntegralError(f"class size of {rho!r} is not integral")
-    return size
-
-
-def characteristic_polynomial(rho: WreathLabel) -> tuple[Cyclotomic, ...]:
-    """Coefficients (constant first) of det(Id - t*g) for g in the class rho.
-
-    Each l-cycle with cycle product zeta^j contributes a factor 1 - zeta^j t^l.
-    """
-    m = rho.order
-    poly: list[Cyclotomic] = [Cyclotomic.from_rational(1, m)]
-    for j, part in enumerate(rho.parts):
-        for ell in part:
-            root = zeta(m, j)
-            poly = [
-                (poly[i] if i < len(poly) else Cyclotomic.from_rational(0, m))
-                - (root * poly[i - ell] if i >= ell else Cyclotomic.from_rational(0, m))
-                for i in range(len(poly) + ell)
-            ]
-    return tuple(poly)
 
 
 def _cyclic_trace(rho: WreathLabel, r: int) -> list[int]:
@@ -345,10 +328,7 @@ class WreathSeries:
         out = dict(self.terms)
         for label, coeff in other.terms.items():
             out[label] = out.get(label, 0) + coeff
-        trunc = self.truncation
-        if trunc is None or (other.truncation is not None and other.truncation < trunc):
-            trunc = other.truncation
-        return WreathSeries(self.order, out, trunc)
+        return WreathSeries(self.order, out, _min_trunc(self.truncation, other.truncation))
 
     def __radd__(self, other):
         # 0 + f, as in sum() or a dict.get(key, 0) accumulator
@@ -361,11 +341,7 @@ class WreathSeries:
         if isinstance(other, WreathSeries):
             if other.order != self.order:
                 raise OrderMismatchError("cannot multiply series of different orders")
-            trunc = self.truncation
-            if trunc is None or (
-                other.truncation is not None and other.truncation < trunc
-            ):
-                trunc = other.truncation
+            trunc = _min_trunc(self.truncation, other.truncation)
             pairs: dict[WreathLabel, list] = {}
             for la, ca in self.terms.items():
                 for lb, cb in other.terms.items():
@@ -383,16 +359,6 @@ class WreathSeries:
         if isinstance(other, WreathSeries):
             return NotImplemented
         return self * other
-
-    def conjugate(self) -> "WreathSeries":
-        """The bar involution: conjugate every P-coefficient."""
-        out = {}
-        for label, coeff in self.terms.items():
-            if isinstance(coeff, Cyclotomic):
-                out[label] = coeff.conjugate()
-            else:
-                out[label] = coeff
-        return WreathSeries(self.order, out, self.truncation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WreathSeries):
@@ -436,12 +402,10 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
 def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> WreathSeries:
     # s_lam[phi_j] in closed form (see the convention note), one pass over the labels.
     terms = {}
-    for sigma in _class_labels(sum(lam), order):
-        cycle_type = tuple(sorted(chain.from_iterable(filter(None, sigma.parts)), reverse=True))
+    for sigma, cycle_type, turns in _class_structure(sum(lam), order):
         chi = partitions.symmetric_group_character(lam, cycle_type)
         if chi:
-            twist = j * sum(t * len(part) for t, part in enumerate(sigma.parts) if part)
-            terms[sigma] = zeta(order, twist) * Fraction(chi, centralizer_order(sigma))
+            terms[sigma] = zeta(order, j * turns) * Fraction(chi, centralizer_order(sigma))
     return WreathSeries(order, terms)
 
 

@@ -1,18 +1,24 @@
 """Independent brute-force oracles used by the tests.
 
-Everything here recomputes expected values from first principles, by routes
+Most of this recomputes expected values from first principles, by routes
 disjoint from the library's own algorithms: explicit monomial polynomials in
 finitely many variables, the Frobenius alternant formula for characters,
-Euler's pentagonal recurrence for partition counts, numpy root-finding
-for cyclotomic polynomials, and counting fixed points for permutation
-characters.
+Euler's pentagonal recurrence for partition counts, multiplying out the
+primitive roots of unity for cyclotomic polynomials, and counting fixed
+points for permutation characters.  Two helpers on wreath class labels,
+which no computation path needs, live here too and use the library's
+labels and cyclotomic arithmetic: the class size (group order over
+centralizer order) and the characteristic polynomial det(Id - t*g).
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+from math import factorial, gcd
 
-import numpy as np
+from wreathlitt.exactnum import Cyclotomic, zeta
+from wreathlitt.wreath import WreathLabel, centralizer_order
 
 Mono = dict  # exponent tuple -> coefficient
 
@@ -180,17 +186,17 @@ def young_permutation_character(mu, nu) -> int:
 
 
 def cyclotomic_from_roots(order: int) -> list[int]:
-    """Phi_order via numpy: the monic polynomial over the primitive roots,
-    rounded back to integers."""
-    primitive = [
-        np.exp(2j * np.pi * k / order)
-        for k in range(1, order + 1)
-        if np.gcd(k, order) == 1
-    ]
-    coeffs = np.poly(primitive)  # leading coefficient first
+    """Phi_order as the product of (x - zeta^k) over the primitive k, in
+    complex floating point, rounded back to integers; constant first."""
+    coeffs = [1 + 0j]
+    for k in range(1, order + 1):
+        if gcd(k, order) == 1:
+            root = cmath.exp(2j * cmath.pi * k / order)
+            # x * coeffs - root * coeffs
+            coeffs = [a - root * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
     rounded = [round(c.real) for c in coeffs]
     assert all(abs(c - r) < 1e-8 for c, r in zip(coeffs, rounded))
-    return rounded[::-1]  # constant first
+    return rounded
 
 
 def newton_power_sums_from_poly(coeffs, count: int):
@@ -208,3 +214,28 @@ def newton_power_sums_from_poly(coeffs, count: int):
             value = value + (-1) ** (r - 1) * r * e[r]
         sums.append(value)
     return sums
+
+
+def conjugacy_class_size(rho: WreathLabel) -> int:
+    """Size of the class rho: the group order m^n n! over its centralizer order."""
+    size, rem = divmod(rho.order**rho.size * factorial(rho.size), centralizer_order(rho))
+    assert not rem, f"class size of {rho!r} is not integral"
+    return size
+
+
+def characteristic_polynomial(rho: WreathLabel) -> tuple[Cyclotomic, ...]:
+    """Coefficients (constant first) of det(Id - t*g) for g in the class rho.
+
+    Each l-cycle with cycle product zeta^j contributes a factor 1 - zeta^j t^l.
+    """
+    m = rho.order
+    poly: list[Cyclotomic] = [Cyclotomic.from_rational(1, m)]
+    for j, part in enumerate(rho.parts):
+        for ell in part:
+            root = zeta(m, j)
+            poly = [
+                (poly[i] if i < len(poly) else Cyclotomic.from_rational(0, m))
+                - (root * poly[i - ell] if i >= ell else Cyclotomic.from_rational(0, m))
+                for i in range(len(poly) + ell)
+            ]
+    return tuple(poly)

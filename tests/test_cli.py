@@ -254,6 +254,7 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
         (["verify", "--m", "4", "--n", "3", "--max-deg", "4"], "verify_m4_n3_d4.json"),
         (["verify", "--m", "6", "--n", "3", "--max-deg", "3"], "verify_m6_n3_d3.json"),
         (["verify", "--m", "1", "--n", "5", "--max-deg", "6"], "verify_m1_n5_d6.json"),
+        (["verify", "--m", "5", "--n", "2", "--max-deg", "4"], "verify_m5_n2_d4.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
     ],
@@ -262,6 +263,7 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
         "verify-non-prime-order",
         "verify-non-prime-power-order",
         "verify-order-1",
+        "verify-degree-4-field",
         "identities",
         "identities-dx-above-dy",
     ],
@@ -286,8 +288,8 @@ assert sys.modules.get("numpy") is None, "numpy was imported"
 
 @pytest.mark.parametrize("mode", ["blocked", "plain"])
 def test_library_runs_without_numpy(mode):
-    # numpy is a test dependency only: every path, path C included, runs on
-    # the standard library, and a plain run never imports numpy.
+    # Neither the library nor its tests need numpy: every path, path C
+    # included, runs on the standard library, and a plain run never imports it.
     proc = subprocess.run([sys.executable, "-c", _ALL_PATHS_SCRIPT, mode], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (DATA / "verify_m3_n3_d5.json").read_bytes()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import conjugacy_class_size
 from wreathlitt import partitions
 from wreathlitt.branching import HypothesisViolationError, branching_coefficient
 from wreathlitt.oracle import (
@@ -171,7 +172,6 @@ def test_numeric_class_sums_match_exact_schur_values(order, n):
     # Each class sums its elements' values, so the sum is the class size
     # times the exact value at the class, including lam with more rows than n.
     from wreathlitt.oracle import _numeric_class_sums
-    from wreathlitt.wreath import conjugacy_class_size
 
     sums = _numeric_class_sums(order, n, 4)
     for lam in _grid(4, 4):
@@ -463,6 +463,19 @@ def test_corrupted_schur_kernel_fails_main_against_both_oracles(helper, corrupte
     check = run_verification(3, 3, 5).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == SCHUR_KERNEL_FAULT
+
+
+def test_unconjugated_characters_fail_paths_a_and_b(monkeypatch):
+    # Reading each label's characteristic at sigma, not at its inverse class,
+    # pairs with the unconjugated character: paths A and B fail alike, at the
+    # same cell as the conjugate twist.  At m <= 2 every class is its own
+    # inverse, and path C conjugates in complex arithmetic, so both still pass.
+    monkeypatch.setattr(WreathLabel, "inverse", lambda self: self)
+    check = run_verification(3, 3, 5).checks[0]
+    assert check.name == "triple_agreement"
+    assert (check.counterexample, check.cells) == SCHUR_KERNEL_FAULT
+    assert run_verification(2, 3, 5).passed
+    assert run_numeric_suite(3, 3, 4).passed
 
 
 PER_BOX_FAULT = {

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from bruteforce import newton_power_sums_from_poly
+from bruteforce import characteristic_polynomial, conjugacy_class_size, newton_power_sums_from_poly
 from wreathlitt import partitions
 from wreathlitt.exactnum import Cyclotomic, reduce_mod_cyclotomic, zeta
 from wreathlitt.oracle import _class_label
@@ -17,8 +17,6 @@ from wreathlitt.wreath import (
     WreathLabel,
     WreathSeries,
     centralizer_order,
-    characteristic_polynomial,
-    conjugacy_class_size,
     evaluation_kernel,
     evaluation_kernel_product_form,
     format_label,
@@ -244,6 +242,11 @@ def test_wreath_inner_product():
         wreath_inner_product(WreathSeries.one(2), WreathSeries.one(3))
 
 
+def _bar(f):
+    # the bar involution: every P-coefficient conjugated (a Fraction's conjugate is itself)
+    return WreathSeries(f.order, {label: coeff.conjugate() for label, coeff in f.terms.items()})
+
+
 def test_schur_elements_are_orthonormal_under_bar_pairing():
     for order in (1, 2, 3):
         for n in range(4):
@@ -251,23 +254,25 @@ def test_schur_elements_are_orthonormal_under_bar_pairing():
             chars = {r: frobenius_characteristic(r) for r in labels}
             for a in labels:
                 for b in labels:
-                    value = wreath_inner_product(chars[a], chars[b].conjugate())
+                    value = wreath_inner_product(chars[a], _bar(chars[b]))
                     assert value == (1 if a == b else 0)
 
 
-def test_bar_involution():
-    rho = lab(4, {1: (2, 1), 3: (1,)})
-    p = WreathSeries(4, {rho: Fraction(1)})
-    assert p.conjugate() == p
-    series = p * zeta(4)
-    assert series.conjugate().coefficient(rho) == -zeta(4)
-    rng = random.Random(8)
-    terms = {
-        r: zeta(4, rng.randrange(4)) * Fraction(rng.randint(1, 5), 3)
-        for r in rng.sample(wreath_class_labels(3, 4), 5)
-    }
-    f = WreathSeries(4, terms)
-    assert f.conjugate().conjugate() == f
+def test_characteristic_at_inverse_class_is_conjugate():
+    # conj chi(g) = chi(g^-1), and z_sigma is the same at sigma and its inverse;
+    # inverting moves slot t to slot -t mod m
+    assert lab(4, {0: (2,), 1: (1,), 3: (2, 1)}).inverse() == lab(4, {0: (2,), 3: (1,), 1: (2, 1)})
+    for order in range(1, 7):
+        for n in range(4):
+            labels = wreath_class_labels(n, order)
+            for sigma in labels:
+                inverse = sigma.inverse()
+                assert inverse.inverse() == sigma
+                assert centralizer_order(inverse) == centralizer_order(sigma)
+            for rho in labels:
+                f = frobenius_characteristic(rho)
+                for sigma in labels:
+                    assert f.coefficient(sigma.inverse()) == f.coefficient(sigma).conjugate(), (rho, sigma)
 
 
 def test_label_parse_format():

@@ -8,8 +8,9 @@ function (the j = 0 alphabet includes the constant 1).  Everything on this
 path is exact: the symfunc kernel works on integer z-scaled power-sum
 coefficients, and the read-off is one integer division per cell.  Since
 s_lam[A] = sum over mu of chi^lam(mu) / z_mu * p_mu[A] (Macdonald, ch. I 7-8),
-a table builds each slot's products p_mu[A_j] once and each factor s_lam[A_j]
-once, and multiplies a label's factors in slot order per row.
+one builder makes every series, for a table or for one label: it builds each
+slot's products p_mu[A_j] once and each factor s_lam[A_j] once for all labels,
+and multiplies a label's factors in slot order.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from operator import mul
 
 from . import partitions
 
-# hall_inner_product and to_rational are not called here but stay bound:
-# perfbench/layertrace.py patches both by name in this module.
+# hall_inner_product, plethysm and to_rational are not called here but stay
+# bound: perfbench/layertrace.py patches each by name in this module.
 from .exactnum import to_rational  # noqa: F401
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, hall_inner_product, plethysm, plethysms, s_basis  # noqa: F401
@@ -55,19 +56,30 @@ def _progression_alphabet(order: int, j: int, max_degree: int) -> SymSeries:
 
 def branching_series(rho: WreathLabel, max_degree: int) -> SymSeries:
     """The generating series whose Schur coefficients are the multiplicities
-    d(rho, lambda), truncated by total degree."""
+    d(rho, lambda), truncated by total degree; the series builder run on rho."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    factors = (
-        plethysm(s_basis(part, 1), _progression_alphabet(rho.order, j, max_degree), max_degree)
-        for j, part in enumerate(rho.parts)
-        if part
-    )
-    return _product(factors, max_degree)
+    return next(_series(rho.order, [rho], max_degree))[1]
+
+
+def _series(order: int, labels: list[WreathLabel], max_degree: int):
+    """The series builder: (rho, branching_series(rho, max_degree)) for each
+    of labels in turn, with every slot factor the labels use built once."""
+    shapes: dict[int, dict] = {}
+    for rho in labels:
+        for j, part in enumerate(rho.parts):
+            if part:
+                shapes.setdefault(j, {})[part] = None
+    factors = {}
+    for j, slot in shapes.items():
+        alphabet = _progression_alphabet(order, j, max_degree)
+        built = plethysms([s_basis(part, 1) for part in slot], alphabet, max_degree)
+        factors.update(zip([(j, part) for part in slot], built))
+    for rho in labels:
+        yield rho, _product([factors[j, part] for j, part in enumerate(rho.parts) if part], max_degree)
 
 
 def _product(factors, max_degree: int) -> SymSeries:
-    # Slot order; stops at a zero product, before a lazy `factors` builds the rest.
     result = None
     for factor in factors:
         result = factor if result is None else result * factor
@@ -199,20 +211,8 @@ def _lambda_grid(size: int, max_degree: int) -> list[Partition]:
 
 def table_series(order: int, size: int, max_degree: int):
     """Yield (rho, branching_series(rho, max_degree)) for the labels of the
-    given size, in table order, building each slot factor once per call."""
-    labels = wreath_class_labels(size, order)
-    shapes: dict[int, dict] = {}
-    for rho in labels:
-        for j, part in enumerate(rho.parts):
-            if part:
-                shapes.setdefault(j, {})[part] = None
-    factors = {}
-    for j, slot in shapes.items():
-        alphabet = _progression_alphabet(order, j, max_degree)
-        built = plethysms([s_basis(part, 1) for part in slot], alphabet, max_degree)
-        factors.update(zip([(j, part) for part in slot], built))
-    for rho in labels:
-        yield rho, _product((factors[j, part] for j, part in enumerate(rho.parts) if part), max_degree)
+    given size, in table order: the series builder run on all of them."""
+    return _series(order, wreath_class_labels(size, order), max_degree)
 
 
 def _table_row(series: SymSeries, lambdas, rows) -> list[int]:

@@ -2,10 +2,10 @@
 
 Three routes to every multiplicity: (A) pair the restriction characteristic
 against the conjugated irreducible characteristic inside the wreath ring;
-(B) a classical character average over conjugacy classes, using no wreath
-series products at all; (C) floating-point brute force over the actual
-monomial matrices at tiny sizes.  A bug in any single layer cannot produce
-silent three-way agreement.
+(B) a classical character average over conjugacy classes, with its own Schur
+values and characters read from frobenius_characteristic, as in (A); (C)
+floating-point brute force over the actual monomial matrices at tiny sizes.
+A bug in any single layer cannot produce silent three-way agreement.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -184,13 +184,12 @@ def _packed_conjugate(order: int, classes: list[WreathLabel]):
     return _per_label(lambda rho: pack(order, map(frobenius_characteristic(rho).coefficient, inverses)))
 
 
-def _main_path(degree_cap: int, lambdas):
-    """The main path: one branching series per label, read off per cell with
-    lambda's character row, which is read from the tables once per run."""
+def _main_path(order: int, n: int, degree_cap: int, lambdas):
+    """The main path: the rows of table_series, taken in table order as the
+    cells reach them, each read off per cell as branching_table reads it."""
     rows = dict(zip(lambdas, branching._character_rows(lambdas)))
-    # Through the module, so a tracer that wraps branching.branching_series
-    # (perfbench/layertrace.py) sees these calls.
-    reader = _per_label(lambda rho: branching._reader(branching.branching_series(rho, degree_cap)))
+    series = branching.table_series(order, n, degree_cap)
+    reader = _per_label(lambda rho: branching._reader(next(series)[1]))
     return lambda rho, lam: reader(rho)(lam, rows[lam])
 
 
@@ -576,7 +575,7 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     labels = wreath_class_labels(n, order)
     lambdas = branching._lambda_grid(n, degree_cap)
 
-    main_path = _main_path(degree_cap, lambdas)
+    main_path = _main_path(order, n, degree_cap, lambdas)
     table: dict[tuple[WreathLabel, Partition], int] = {}
 
     def agreement():
@@ -619,7 +618,7 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
 def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Numeric brute force over all monomial matrices against the exact path."""
     lambdas = branching._lambda_grid(n, degree_cap)
-    main_path = _main_path(degree_cap, lambdas)
+    main_path = _main_path(order, n, degree_cap, lambdas)
     numeric_path = _numeric_path(order, n, max(1, degree_cap))
 
     def cells():

@@ -51,7 +51,7 @@ MAIN_SCOPE = [(1, n) for n in range(1, 6)] + [(2, n) for n in range(1, 5)] + [
 ]
 
 # Wider scopes, run with `pytest -m slow`: (m, n, max_degree).
-SLOW_SCOPE = [(4, 4, 4), (3, 4, 6)]
+SLOW_SCOPE = [(4, 4, 4), (3, 4, 6), (2, 6, 10), (3, 5, 8), (1, 8, 12)]
 
 
 def _report(label: str, ok: bool, detail=None):

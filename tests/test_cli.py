@@ -255,6 +255,7 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
         (["verify", "--m", "6", "--n", "3", "--max-deg", "3"], "verify_m6_n3_d3.json"),
         (["verify", "--m", "1", "--n", "5", "--max-deg", "6"], "verify_m1_n5_d6.json"),
         (["verify", "--m", "5", "--n", "2", "--max-deg", "4"], "verify_m5_n2_d4.json"),
+        (["verify", "--m", "1", "--n", "7", "--max-deg", "11"], "verify_m1_n7_d11.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
     ],
@@ -264,6 +265,7 @@ def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_
         "verify-non-prime-power-order",
         "verify-order-1",
         "verify-degree-4-field",
+        "verify-table-scope",
         "identities",
         "identities-dx-above-dy",
     ],

@@ -678,3 +678,39 @@ def test_character_rows_are_read_per_run(monkeypatch):
         {"rho": "0:2", "lambda": "2,1", "error": "multiplicity at 2,1 came out 4/3"},
         6,
     )
+
+
+def test_suites_check_the_series_the_table_builds(monkeypatch):
+    # A builder that hands a slot's factors back in the wrong order, seen only
+    # where one plethysms call builds several shapes: the table's series.  The
+    # suites read that builder, so both fail; coeff's one-label series, which
+    # has one shape per slot, stays right.
+    import wreathlitt.branching as branching_module
+
+    labels = [WreathLabel.from_mapping(2, {0: (2, 1), 1: (1,)}),
+              WreathLabel.from_mapping(3, {0: (2,), 1: (1, 1)})]
+    expected = {rho: branching_module.coefficient_and_series(rho, (3, 1)) for rho in labels}
+    true_plethysms = branching_module.plethysms
+
+    def reversed_factors(fs, g, max_degree=None):
+        built = true_plethysms(fs, g, max_degree)
+        return built[::-1] if len(fs) > 1 else built
+
+    monkeypatch.setattr(branching_module, "plethysms", reversed_factors)
+    assert run_verification(2, 3, 4).to_json_obj()["checks"] == [
+        {
+            "name": "triple_agreement",
+            "passed": False,
+            "cells": 8,
+            "counterexample": {"rho": "0:3", "lambda": "4", "main": 1, "pairing": 2, "character_average": 2},
+        },
+        {"name": "dimension_sums", "passed": True, "cells": 0},
+    ]
+    check = run_numeric_suite(2, 3, 3).checks[0]
+    assert not check.passed and check.cells == 15
+    detail = check.counterexample
+    assert (detail["rho"], detail["lambda"], detail["exact"]) == ("0:1,1,1", "[]", 1)
+    assert abs(complex(*detail["numeric"])) < 1e-9
+    for rho, (value, series) in expected.items():
+        patched_value, patched_series = branching_module.coefficient_and_series(rho, (3, 1))
+        assert (patched_value, patched_series.terms) == (value, series.terms)

@@ -42,7 +42,6 @@ from .partitions import (
 )
 from .symfunc import (
     SymSeries,
-    convert,
     h_basis,
     hall_inner_product,
     omega_at_root,

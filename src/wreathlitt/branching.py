@@ -5,8 +5,8 @@ the highest-weight representation V^lambda is the Schur coefficient of a
 product of plethysms: one factor per slot j, substituting the arithmetic-
 progression alphabet h_j + h_{j+m} + h_{j+2m} + ... into the slot's Schur
 function (the j = 0 alphabet includes the constant 1).  Everything on this
-path is exact: the symfunc kernel works on integer z-scaled power-sum
-coefficients, and the read-off is one integer division per cell.  Since
+path is exact: every series holds integer z-scaled power-sum coordinates
+F_mu = <f, p_mu>, and the read-off is one integer division per cell.  Since
 s_lam[A] = sum over mu of chi^lam(mu) / z_mu * p_mu[A] (Macdonald, ch. I 7-8),
 one builder makes every series, for a table or for one label: it builds each
 slot's products p_mu[A_j] once and each factor s_lam[A_j] once for all labels,
@@ -49,9 +49,9 @@ class HypothesisViolationError(ValueError):
 
 def _progression_alphabet(order: int, j: int, max_degree: int) -> SymSeries:
     # h_j + h_{j+m} + ... up to max_degree; for j = 0 the k = 0 term is h_0 = 1.
-    # Integer coefficients keep the whole plethysm in integer arithmetic.
-    terms = {(k,) if k else (): 1 for k in range(j, max_degree + 1, order)}
-    return SymSeries("h", terms, max_degree)
+    # Each h_k has F_mu = 1 at every mu of size k, so the plethysm stays in integers.
+    shapes = (mu for k in range(j, max_degree + 1, order) for mu in partitions.partitions_of(k))
+    return SymSeries(dict.fromkeys(shapes, 1), max_degree)
 
 
 def branching_series(rho: WreathLabel, max_degree: int) -> SymSeries:
@@ -85,7 +85,7 @@ def _product(factors, max_degree: int) -> SymSeries:
         result = factor if result is None else result * factor
         if not result:
             break
-    return constant(Fraction(1), truncation=max_degree) if result is None else result
+    return constant(1, truncation=max_degree) if result is None else result
 
 
 def _character_rows(lambdas) -> list[list[int]]:
@@ -99,17 +99,17 @@ def _character_rows(lambdas) -> list[list[int]]:
 
 def _reader(series: SymSeries):
     """The read-off of one series: (lam, chi) -> <f, s_lam> = sum over nu of
-    [p_nu] f * chi^lam(nu), with chi lam's character row.  The coefficient
-    vector is built once per degree, as integers over that degree's common
-    denominator, and each cell is one dot and one exact integer division."""
+    F_nu * chi^lam(nu) / z_nu, with chi lam's character row.  The vector of
+    F_nu * den / z_nu over den = lcm(z_nu) is built once per degree, and each
+    cell is one integer dot and one exact integer division."""
     terms, vectors = series.terms, {}
 
     def read(lam: Partition, chi) -> int:
         k = sum(lam)
         if k not in vectors:
-            vector = [terms.get(nu, 0) for nu in partitions.partitions_of(k)]
-            den = lcm(*[a.denominator for a in vector])
-            vectors[k] = [a.numerator * (den // a.denominator) for a in vector], den
+            shapes = partitions.partitions_of(k)
+            den = lcm(*map(partitions.centralizer_order, shapes))
+            vectors[k] = [terms.get(nu, 0) * (den // partitions.centralizer_order(nu)) for nu in shapes], den
         vector, den = vectors[k]
         total = sum(map(mul, chi, vector))
         value, rem = divmod(total, den)

@@ -26,7 +26,6 @@ from operator import add, mul
 __all__ = [
     "Cyclotomic",
     "NotRationalError",
-    "common_denominator",
     "cyclotomic_polynomial",
     "euler_phi",
     "pack",
@@ -319,11 +318,3 @@ def to_rational(value) -> Fraction:
         return value.to_rational()
     return Fraction(value)
 
-
-def common_denominator(values: dict) -> tuple[dict, int]:
-    """(numerators, den): rational values as integers over their least common
-    denominator; values of any other type (cyclotomic) unchanged over 1."""
-    if not all(isinstance(v, (int, Fraction)) for v in values.values()):
-        return values, 1
-    den = lcm(*(v.denominator for v in values.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den

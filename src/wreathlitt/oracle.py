@@ -30,7 +30,7 @@ from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
 from .exactnum import NotRationalError, euler_phi, pack, packed_dot, to_rational, zeta
 from .partitions import Partition, format_partition
-from .symfunc import SymSeries, constant, convert, hall_inner_product, omega_at_root, s_basis, stretch
+from .symfunc import SymSeries, constant, h_basis, hall_inner_product, omega_at_root, s_basis, stretch
 # wreath_inner_product is not called here but stays bound:
 # perfbench/layertrace.py patches it by name in this module.
 from .wreath import (  # noqa: F401
@@ -434,26 +434,23 @@ def kernel_identity_check(order: int, size_cap: int, degree_cap: int) -> CheckRe
 
 
 def _first_two_sided_mismatch(lhs: WreathSeries, rhs: WreathSeries) -> dict | None:
-    no_terms = SymSeries("p", {})
+    no_terms = SymSeries({})
     for label in sorted(lhs.terms.keys() | rhs.terms.keys(), key=WreathLabel.sort_key):
-        a = lhs.terms.get(label, no_terms).terms
-        b = rhs.terms.get(label, no_terms).terms
-        for nu in sorted(a.keys() | b.keys()):
-            if a.get(nu, 0) != b.get(nu, 0):
-                return {
-                    "rho": format_label(label),
-                    "y_index": list(nu),
-                    "lhs": repr(a.get(nu, 0)),
-                    "rhs": repr(b.get(nu, 0)),
-                }
+        a = lhs.terms.get(label, no_terms)
+        b = rhs.terms.get(label, no_terms)
+        for nu in sorted(a.terms.keys() | b.terms.keys()):
+            if a.terms.get(nu, 0) != b.terms.get(nu, 0):
+                # the power-sum coefficients, 0 where a side has no term
+                shown = [repr(side.coefficient(nu) if nu in side.terms else 0) for side in (a, b)]
+                return {"rho": format_label(label), "y_index": list(nu), "lhs": shown[0], "rhs": shown[1]}
     return None
 
 
 def _schur_in_power_sums(degree_cap: int) -> dict[Partition, SymSeries]:
-    """s_lam in power sums for every |lam| <= degree_cap, converted once
-    for pairing against many series."""
+    """s_lam for every |lam| <= degree_cap, built once for pairing against
+    many series."""
     return {
-        lam: convert(s_basis(lam))
+        lam: s_basis(lam)
         for k in range(degree_cap + 1)
         for lam in partitions.partitions_of(k)
     }
@@ -493,14 +490,12 @@ def alphabet_transform_check(order: int, degree_cap: int) -> CheckResult:
     progression of complete homogeneous terms, for every residue."""
     def cells():
         for j in range(1, order + 1):
-            acc = SymSeries("h", {}, degree_cap)
+            acc = expected = SymSeries({}, degree_cap)
             for t in range(order):
                 weight = zeta(order, j * t) * Fraction(1, order)
                 acc = acc + omega_at_root(t, order, degree_cap) * weight
-            expected = SymSeries("h", {
-                (deg,) if deg else (): Fraction(1)
-                for deg in range(order - j, degree_cap + 1, order)
-            }, degree_cap)
+            for deg in range(order - j, degree_cap + 1, order):
+                expected = expected + h_basis((deg,) if deg else ())
             yield None if acc == expected else {"j": j, "got": repr(acc), "expected": repr(expected)}
 
     return _check("alphabet_transform", cells())

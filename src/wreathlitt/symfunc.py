@@ -1,15 +1,15 @@
 """Degree-truncated symmetric series in one alphabet.
 
-A series is a sparse map partition -> coefficient, tagged with a basis:
-power sum ('p'), complete homogeneous ('h'), or Schur ('s').  The constant
-term lives at the empty partition.  Conversion goes one way only, from h and
-s into the power sums, where the Hall pairing is diagonal and plethysm acts
-by stretching part sizes; nothing converts back.  Truncation is explicit on
-each value (None meaning an exact, finitely supported element) and
-propagates as the minimum across binary operations.
-
-Products, the conversion and plethysm share one kernel on z-scaled power-sum
-coefficients, F_mu = z_mu [p_mu] f = <f, p_mu> (Macdonald, ch. I 2 and 8).
+A series is a sparse map partition -> F_mu = z_mu [p_mu] f = <f, p_mu>, its
+z-scaled power-sum coordinate (Macdonald, ch. I 2 and 8), with the constant
+term at the empty partition.  These are the only coordinates: h_k has
+F_mu = 1 at every mu of size k and s_lam has F_mu = chi^lam(mu), so on the
+main path every value is an integer.  Products merge indices with integer
+factors, plethysm by p_n stretches parts, and the Hall pairing is the sum of
+F_mu G_mu / z_mu.  The power-sum coefficients F_mu / z_mu are shown only on
+the way out, by ``coefficient``, ``repr`` and ``series_to_json``.
+Truncation is explicit on each value (None meaning an exact, finitely
+supported element) and propagates as the minimum across binary operations.
 """
 
 from __future__ import annotations
@@ -18,19 +18,13 @@ from fractions import Fraction
 from math import lcm
 
 from . import partitions
-from .exactnum import Cyclotomic, common_denominator, zeta
+from .exactnum import Cyclotomic, zeta
 from .partitions import Partition
-
-POWER_SUM = "p"
-HOMOGENEOUS = "h"
-SCHUR = "s"
-_BASES = (POWER_SUM, HOMOGENEOUS, SCHUR)
 
 __all__ = [
     "SymSeries",
     "TruncationTooShortError",
     "constant",
-    "convert",
     "h_basis",
     "hall_inner_product",
     "omega_at_root",
@@ -60,18 +54,18 @@ def _canonical_order(lam: Partition):
     return (sum(lam), tuple(-part for part in lam))
 
 
-class SymSeries:
-    """Sparse symmetric series; ``truncation`` None marks an exact element.
+_z = partitions.centralizer_order
 
-    Sums and equality convert both sides to power sums when their bases
-    differ; the truncation bound is metadata and takes no part in equality.
+
+class SymSeries:
+    """Sparse symmetric series: ``terms`` maps mu to F_mu = <f, p_mu>, and
+    ``truncation`` None marks an exact element.  The truncation bound is
+    metadata and takes no part in equality.
     """
 
-    __slots__ = ("basis", "truncation", "terms")
+    __slots__ = ("truncation", "terms")
 
-    def __init__(self, basis: str, terms: dict, truncation: int | None = None):
-        if basis not in _BASES:
-            raise ValueError(f"unknown basis tag {basis!r}")
+    def __init__(self, terms: dict, truncation: int | None = None):
         if truncation is not None and truncation < 0:
             raise ValueError("truncation must be non-negative")
         clean = {}
@@ -80,30 +74,26 @@ class SymSeries:
                 continue
             if coeff:
                 clean[lam] = coeff
-        self.basis = basis
         self.truncation = truncation
         self.terms = clean
 
     def coefficient(self, lam: Partition):
-        """Coefficient of the basis element indexed by lam (no conversion)."""
-        return self.terms.get(lam, Fraction(0))
+        """The power-sum coefficient [p_lam] f = F_lam / z_lam."""
+        return self.terms.get(lam, 0) * Fraction(1, _z(lam))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def restricted(self, max_degree: int) -> "SymSeries":
-        return SymSeries(self.basis, self.terms, _min_trunc(self.truncation, max_degree))
+        return SymSeries(self.terms, _min_trunc(self.truncation, max_degree))
 
     def __add__(self, other: "SymSeries") -> "SymSeries":
         if not isinstance(other, SymSeries):
             return NotImplemented
-        a, b = self, other
-        if a.basis != b.basis:
-            a, b = convert(a), convert(b)
-        out = dict(a.terms)
-        for lam, coeff in b.terms.items():
+        out = dict(self.terms)
+        for lam, coeff in other.terms.items():
             out[lam] = out.get(lam, 0) + coeff
-        return SymSeries(a.basis, out, _min_trunc(a.truncation, b.truncation))
+        return SymSeries(out, _min_trunc(self.truncation, other.truncation))
 
     def __radd__(self, other):
         # 0 + f, as in sum() or a dict.get(key, 0) accumulator
@@ -113,79 +103,61 @@ class SymSeries:
         return self + (-other)
 
     def __neg__(self) -> "SymSeries":
-        return SymSeries(
-            self.basis, {lam: -c for lam, c in self.terms.items()}, self.truncation
-        )
+        return SymSeries({lam: -c for lam, c in self.terms.items()}, self.truncation)
 
     def __mul__(self, other):
         if isinstance(other, SymSeries):
-            # p- and h-basis elements multiply by merging indices; s goes to p.
-            if self.basis == other.basis and self.basis in (POWER_SUM, HOMOGENEOUS):
-                basis, f, g = self.basis, self, other
-            else:
-                basis, f, g = POWER_SUM, convert(self), convert(other)
             trunc = _min_trunc(self.truncation, other.truncation)
-            (f, fden), (g, gden) = common_denominator(f.terms), common_denominator(g.terms)
-            product = _graded_product(_z_scaled(f), _z_scaled(g), trunc)
-            return SymSeries(basis, _unscaled(product, fden * gden), trunc)
-        return SymSeries(
-            self.basis,
-            {lam: c * other for lam, c in self.terms.items()},
-            self.truncation,
-        )
+            return SymSeries(_graded_product(self.terms, other.terms, trunc), trunc)
+        return SymSeries({lam: c * other for lam, c in self.terms.items()}, self.truncation)
 
     def __rmul__(self, other):
         if isinstance(other, SymSeries):
             return NotImplemented
-        return SymSeries(
-            self.basis,
-            {lam: other * c for lam, c in self.terms.items()},
-            self.truncation,
-        )
+        return SymSeries({lam: other * c for lam, c in self.terms.items()}, self.truncation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymSeries):
             return NotImplemented
-        a, b = self, other
-        if a.basis != b.basis:
-            a, b = convert(a), convert(b)
-        if a.terms.keys() != b.terms.keys():
-            return False
-        return all(a.terms[lam] == b.terms[lam] for lam in a.terms)
+        return self.terms == other.terms
 
     def __repr__(self) -> str:
         body = " + ".join(
-            f"({coeff})*{self.basis}{list(lam)}"
-            for lam, coeff in sorted(self.terms.items(), key=lambda kv: _canonical_order(kv[0]))
+            f"({self.coefficient(lam)})*p{list(lam)}" for lam in sorted(self.terms, key=_canonical_order)
         )
-        return f"SymSeries[{self.basis}; D={self.truncation}]({body or '0'})"
+        return f"SymSeries[p; D={self.truncation}]({body or '0'})"
 
 
-def p_basis(lam: Partition, coeff=Fraction(1), truncation: int | None = None) -> SymSeries:
-    return SymSeries(POWER_SUM, {tuple(lam): coeff}, truncation)
+def p_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
+    lam = tuple(lam)
+    return SymSeries({lam: coeff * _z(lam)}, truncation)
 
 
-def h_basis(lam: Partition, coeff=Fraction(1), truncation: int | None = None) -> SymSeries:
-    return SymSeries(HOMOGENEOUS, {tuple(lam): coeff}, truncation)
+def h_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
+    # h_k has F_mu = 1 at every mu of size k; h_lam is the product over its parts.
+    terms = {(): coeff}
+    for part in lam:
+        terms = _graded_product(terms, dict.fromkeys(partitions.partitions_of(part), 1), None)
+    return SymSeries(terms, truncation)
 
 
-def s_basis(lam: Partition, coeff=Fraction(1), truncation: int | None = None) -> SymSeries:
-    return SymSeries(SCHUR, {tuple(lam): coeff}, truncation)
+def s_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
+    # s_lam has F_mu = chi^lam(mu), the Frobenius formula.
+    lam = tuple(lam)
+    shapes = partitions.partitions_of(sum(lam))
+    return SymSeries({mu: coeff * partitions.symmetric_group_character(lam, mu) for mu in shapes}, truncation)
 
 
-def constant(value, basis: str = POWER_SUM, truncation: int | None = None) -> SymSeries:
-    return SymSeries(basis, {(): value}, truncation)
-
-
-_z = partitions.centralizer_order
+def constant(value, truncation: int | None = None) -> SymSeries:
+    return SymSeries({(): value}, truncation)
 
 
 def _graded_product(f: dict, g: dict, max_degree: int | None) -> dict:
     """The one truncated product loop, for any exact coefficient type.
 
-    With b_a * b_b = b_(a+b) (p or h) and F_a = z_a [b_a] f, F_(a+b) gains
-    C * F_a * G_b for the integer C = z_(a+b) / (z_a z_b) = prod_k
-    binom(m_k(a) + m_k(b), m_k(a)).  Only degree pairs within max_degree are visited.
+    With p_a * p_b = p_(a+b), F_(a+b) gains C * F_a * G_b for the integer
+    C = z_(a+b) / (z_a z_b) = prod_k binom(m_k(a) + m_k(b), m_k(a)).  Only
+    degree pairs within max_degree are visited.
     """
     g_by_degree = _by_degree(g)
     out: dict = {}
@@ -207,72 +179,27 @@ def _by_degree(terms: dict) -> dict[int, list]:
     return out
 
 
-def _z_scaled(terms: dict) -> dict:
-    return {lam: c * _z(lam) for lam, c in terms.items()}
-
-
-def _unscaled(terms: dict, den: int = 1) -> dict:
-    out = {}
-    for lam, c in terms.items():
-        scale = _z(lam) * den
-        # Fraction(c, scale) is the cheap exact quotient; cyclotomics multiply.
-        rational = isinstance(c, (int, Fraction))
-        out[lam] = Fraction(c, scale) if rational else c * Fraction(1, scale)
-    return out
-
-
-def _scaled(f: SymSeries) -> dict:
-    """F_mu = z_mu [p_mu] f, read off directly: s_lam has F_mu = chi^lam(mu)
-    and h_k has F_mu = 1 for every mu of size k."""
-    if f.basis == POWER_SUM:
-        return _z_scaled(f.terms)
-    out: dict = {}
-    for lam, coeff in f.terms.items():
-        if f.basis == SCHUR:
-            shapes = partitions.partitions_of(sum(lam))
-            chars = {mu: partitions.symmetric_group_character(lam, mu) for mu in shapes}
-            expansion = {mu: chi for mu, chi in chars.items() if chi}
-        else:
-            # h_lam is the product of the h_k over its parts, each all ones.
-            expansion = {(): 1}
-            for i, part in enumerate(lam):
-                ones = dict.fromkeys(partitions.partitions_of(part), 1)
-                expansion = ones if i == 0 else _graded_product(expansion, ones, None)
-        for mu, c in expansion.items():
-            out[mu] = out.get(mu, 0) + coeff * c
-    return out
-
-
-def convert(f: SymSeries) -> SymSeries:
-    """Re-expand f in power sums, keeping its truncation."""
-    if f.basis == POWER_SUM:
-        return f
-    return SymSeries(POWER_SUM, _unscaled(_scaled(f)), f.truncation)
-
-
 def hall_inner_product(f: SymSeries, g: SymSeries):
-    """Hall pairing: diagonal on power sums with <p_lam, p_lam> = z_lam."""
-    fp, gp = convert(f).terms, convert(g).terms
+    """Hall pairing: <f, g> = sum over lam of F_lam * G_lam / z_lam."""
     total = Fraction(0)
-    for lam in fp.keys() & gp.keys():
-        total = total + _z(lam) * fp[lam] * gp[lam]
+    for lam in f.terms.keys() & g.terms.keys():
+        total = total + f.terms[lam] * g.terms[lam] * Fraction(1, _z(lam))
     return total
 
 
 def stretch(f: SymSeries, n: int) -> SymSeries:
-    """Substitute p_r -> p_{n*r}, keeping all coefficients fixed.
+    """Substitute p_r -> p_{n*r}, keeping all power-sum coefficients fixed.
 
     This is plethysm by p_n on the right in the sense used here: exponents
     of the underlying variables are scaled, coefficients (rational or
-    cyclotomic) are untouched, and constants pass through.
+    cyclotomic) are untouched, and constants pass through.  As
+    z_(n mu) = n^len(mu) z_mu, F_(n mu) = n^len(mu) F_mu.
     """
     if n < 1:
         raise ValueError("stretch factor must be >= 1")
-    fp = convert(f)
-    trunc = None if fp.truncation is None else n * fp.truncation + (n - 1)
+    trunc = None if f.truncation is None else n * f.truncation + (n - 1)
     return SymSeries(
-        POWER_SUM,
-        {tuple(n * part for part in lam): c for lam, c in fp.terms.items()},
+        {tuple(n * part for part in lam): n ** len(lam) * c for lam, c in f.terms.items()},
         trunc,
     )
 
@@ -280,6 +207,14 @@ def stretch(f: SymSeries, n: int) -> SymSeries:
 def plethysm(f: SymSeries, g: SymSeries, max_degree: int | None = None) -> SymSeries:
     """The substitution f[g]: ``plethysms`` for the one series f."""
     return plethysms([f], g, max_degree)[0]
+
+
+def _quotient(value, den: int):
+    # value / den, exact: an int when den divides an int value.
+    if isinstance(value, int):
+        q, r = divmod(value, den)
+        return Fraction(value, den) if r else q
+    return value * Fraction(1, den)
 
 
 def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries]:
@@ -297,17 +232,15 @@ def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries
             raise TruncationTooShortError(
                 f"argument known to degree {g.truncation}, need {max_degree}"
             )
-    g_scaled = _scaled(g)
     stretched: dict[int, dict] = {}
     prefixes: dict[Partition, dict] = {(): {(): 1}}
     out = []
     for f in fs:
-        # f = sum over mu of (W_mu / z_mu) p_mu; over den = lcm(z_mu) the weights
-        # W_mu * den / z_mu are integers when f is (a multiple of) a Schur function.
-        weights = _scaled(f)
-        den = lcm(*map(_z, weights))
+        # f[g] = sum over mu of (F_mu / z_mu) p_mu[g]; over den = lcm(z_mu) the
+        # weights F_mu * den / z_mu are integers when F is.
+        den = lcm(*map(_z, f.terms))
         total: dict[Partition, object] = {}
-        for mu, weight in weights.items():
+        for mu, weight in f.terms.items():
             k = len(mu)
             while mu[:k] not in prefixes:
                 k -= 1
@@ -318,7 +251,7 @@ def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries
                     # p_r[g]: z_(r nu) = r^len(nu) z_nu, so F_(r nu) = r^len(nu) G_nu.
                     stretched[r] = {
                         tuple(r * part for part in nu): r ** len(nu) * c
-                        for nu, c in g_scaled.items()
+                        for nu, c in g.terms.items()
                         if degree is None or r * sum(nu) <= degree
                     }
                 product = stretched[r] if i == 0 else _graded_product(product, stretched[r], degree)
@@ -326,7 +259,7 @@ def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries
             weight = weight * (den // _z(mu))
             for nu, c in product.items():
                 total[nu] = total.get(nu, 0) + weight * c
-        out.append(SymSeries(POWER_SUM, _unscaled(total, den), degree))
+        out.append(SymSeries({nu: _quotient(c, den) for nu, c in total.items()}, degree))
     return out
 
 
@@ -334,18 +267,19 @@ def omega_at_root(exponent: int, order: int, max_degree: int) -> SymSeries:
     """The geometric kernel sum of zeta^(j*k) h_k for the root zeta_order^exponent."""
     if not 0 <= exponent < order:
         raise ValueError(f"exponent must lie in 0..{order - 1}")
-    terms: dict[Partition, Cyclotomic] = {(): zeta(order, 0)}
-    for k in range(1, max_degree + 1):
-        terms[(k,)] = zeta(order, exponent * k)
-    return SymSeries(HOMOGENEOUS, terms, max_degree)
+    terms: dict[Partition, Cyclotomic] = {}
+    for k in range(max_degree + 1):
+        root = zeta(order, exponent * k)
+        terms.update(dict.fromkeys(partitions.partitions_of(k), root))
+    return SymSeries(terms, max_degree)
 
 
 def series_to_json(f: SymSeries) -> dict:
-    """JSON form of a rational series: basis, truncation, and sorted terms."""
+    """JSON form of a rational series: its power-sum coefficients, sorted."""
     from .exactnum import to_rational
 
     entries = []
     for lam in sorted(f.terms, key=_canonical_order):
-        coeff = to_rational(f.terms[lam])
+        coeff = to_rational(f.coefficient(lam))
         entries.append({"partition": list(lam), "coeff": str(coeff)})
-    return {"basis": f.basis, "truncation": f.truncation, "terms": entries}
+    return {"basis": "p", "truncation": f.truncation, "terms": entries}

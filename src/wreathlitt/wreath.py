@@ -29,13 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 from . import partitions
 from .exactnum import Cyclotomic, reduce_mod_cyclotomic, sum_of_products, zeta
 from .partitions import Partition, format_partition, parse_partition
-from .symfunc import SymSeries, _min_trunc, omega_at_root, stretch
+from .symfunc import SymSeries, _min_trunc, constant, omega_at_root, stretch
 
 __all__ = [
     "NonIntegralError",
@@ -261,27 +261,23 @@ def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:
     """The series whose Hall pairing against f returns f at rho's eigenvalues.
 
     In power sums: sum over lam of p_lam * (p_lam at the eigenvalues) / z_lam,
-    truncated by total degree.
+    truncated by total degree; so F_lam is p_lam at the eigenvalues, the
+    product of the traces over the parts of lam.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     traces = {r: power_trace(rho, r) for r in range(1, max_degree + 1)}
-    terms: dict[Partition, object] = {}
-    for k in range(max_degree + 1):
-        for lam in partitions.partitions_of(k):
-            value = Fraction(1, partitions.centralizer_order(lam))
-            for part in lam:
-                value = value * traces[part]
-            if value:
-                terms[lam] = value
-    return SymSeries("p", terms, max_degree)
+    return SymSeries(
+        {lam: prod(traces[part] for part in lam) for k in range(max_degree + 1) for lam in partitions.partitions_of(k)},
+        max_degree,
+    )
 
 
 def evaluation_kernel_product_form(rho: WreathLabel, max_degree: int) -> SymSeries:
     """Same series built from its product formula: one geometric factor
     (1 - zeta^j x^l)^{-1} over every cycle of the class, expanded plethystically."""
     m = rho.order
-    result = SymSeries("p", {(): Fraction(1)}, max_degree)
+    result = constant(1, max_degree)
     for j, part in enumerate(rho.parts):
         for ell, mult in partitions.multiplicities(part).items():
             factor = stretch(omega_at_root(j, m, max_degree // ell), ell)

@@ -140,7 +140,17 @@ def test_table_series_equals_branching_series():
     for rho, series in table_series(3, 3, 5):
         direct = branching_series(rho, 5)
         assert series.terms == direct.terms
-        assert (series.basis, series.truncation) == (direct.basis, direct.truncation)
+        assert series.truncation == direct.truncation
+
+
+@pytest.mark.parametrize("order, size, max_degree", [(1, 7, 11), (3, 3, 5), (2, 4, 8)])
+def test_main_path_series_hold_integers(order, size, max_degree):
+    # F_mu = <f, p_mu> is an integer for every branching series, so the main
+    # path never leaves integer arithmetic.
+    for rho, series in table_series(order, size, max_degree):
+        assert all(type(value) is int for value in series.terms.values()), rho
+    series = branching_series(lab(3, {0: (2,), 1: (1, 1), 2: (1,)}), 6)
+    assert series and all(type(value) is int for value in series.terms.values())
 
 
 def test_table_starts_no_process(monkeypatch):

@@ -233,17 +233,35 @@ def test_non_integral_read_off_exits_2(capsys, monkeypatch):
     assert failure["error"] == "NonIntegralError" and "came out 4/3" in failure["message"]
 
 
+VERIFY_M3_REPORT = """m=3 n=3 max_degree=5
+triple_agreement: PASS (352 cells)
+dimension_sums: PASS (16 cells)
+all checks passed
+"""
+
+
 @pytest.mark.parametrize(
-    "m, rho, lam, value, golden",
+    "args, out, golden",
     [
-        ("1", "0:3,2,1", "4,2,1", "56", "coeff_dump_m1.json"),
-        ("3", "0:2;1:1;2:1", "3,2,1", "1", "coeff_dump_m3.json"),
+        pytest.param(
+            ["coeff", "--m", "1", "--rho", "0:3,2,1", "--lambda", "4,2,1"], "56\n", "coeff_dump_m1.json",
+            id="1-0:3,2,1-4,2,1-56-coeff_dump_m1.json",
+        ),
+        pytest.param(
+            ["coeff", "--m", "3", "--rho", "0:2;1:1;2:1", "--lambda", "3,2,1"], "1\n", "coeff_dump_m3.json",
+            id="3-0:2;1:1;2:1-3,2,1-1-coeff_dump_m3.json",
+        ),
+        # every label's series, multi-slot products included
+        pytest.param(
+            ["verify", "--m", "3", "--n", "3", "--max-deg", "5"], VERIFY_M3_REPORT, "verify_dump_m3_n3_d5.json",
+            id="verify_dump_m3_n3_d5.json",
+        ),
     ],
 )
-def test_coeff_dump_is_byte_identical_to_golden(m, rho, lam, value, golden, tmp_path, capsys):
+def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, capsys):
     dump = tmp_path / "series.json"
-    assert main(["coeff", "--m", m, "--rho", rho, "--lambda", lam, "--dump", str(dump)]) == 0
-    assert capsys.readouterr().out == value + "\n"
+    assert main([*args, "--dump", str(dump)]) == 0
+    assert capsys.readouterr().out == out
     assert dump.read_bytes() == (DATA / golden).read_bytes()
 
 

@@ -11,9 +11,7 @@ from wreathlitt.symfunc import (
     SymSeries,
     TruncationTooShortError,
     _graded_product,
-    _scaled,
     constant,
-    convert,
     h_basis,
     hall_inner_product,
     omega_at_root,
@@ -25,37 +23,58 @@ from wreathlitt.symfunc import (
 )
 
 
+def _p_coefficients(f):
+    return {lam: f.coefficient(lam) for lam in f.terms}
+
+
 def test_conversion_examples():
-    h2 = convert(h_basis((2,)))
-    assert h2.terms == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
-    s11 = convert(s_basis((1, 1)))
-    assert s11.terms == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
-    assert convert(p_basis((1,))) == s_basis((1,))
+    # Each constructor writes F_mu = <f, p_mu>; coefficient reads [p_mu] f = F_mu / z_mu.
+    h2 = h_basis((2,))
+    assert h2.terms == {(2,): 1, (1, 1): 1}
+    assert _p_coefficients(h2) == {(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+    s11 = s_basis((1, 1))
+    assert s11.terms == {(2,): -1, (1, 1): 1}
+    assert _p_coefficients(s11) == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+    assert p_basis((2, 1), Fraction(3, 4)).terms == {(2, 1): Fraction(3, 2)}
+    assert p_basis((1,)) == s_basis((1,))
+
+
+BASES = {"p": p_basis, "h": h_basis, "s": s_basis}
+
+
+def _combination(basis, coeffs, truncation=None):
+    # sum over lam of coeffs[lam] times the basis element indexed by lam
+    return sum((BASES[basis](lam, c) for lam, c in coeffs.items()), SymSeries({}, truncation))
+
+
+def _random_coefficients(rng, degree, scale=4):
+    return {
+        lam: Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
+        for k in range(degree + 1)
+        for lam in partitions_of(k)
+        if rng.random() < 0.4
+    }
 
 
 def _random_series(rng, basis, degree, scale=4, exact=False):
-    terms = {}
-    for k in range(degree + 1):
-        for lam in partitions_of(k):
-            if rng.random() < 0.4:
-                terms[lam] = Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
-    return SymSeries(basis, terms, None if exact else degree)
+    return _combination(basis, _random_coefficients(rng, degree, scale), None if exact else degree)
 
 
 @pytest.mark.parametrize("src,dst", [("p", "s"), ("s", "p")])
 def test_conversion_round_trips(src, dst):
-    # Nothing converts back out of power sums, so the way back from p to s
-    # is read off here by the Hall pairing: f = sum over lam of <f, s_lam> s_lam.
+    # A combination of src elements re-expanded in dst, and its src
+    # coefficients read back: the p-coefficients by coefficient, the Schur
+    # coefficients by the Hall pairing, f = sum over lam of <f, s_lam> s_lam.
     rng = random.Random(20240801)
     shapes = [lam for k in range(9) for lam in partitions_of(k)]
+    read = {"p": lambda f, lam: f.coefficient(lam), "s": lambda f, lam: hall_inner_product(f, s_basis(lam))}
     for _ in range(4):
-        f = _random_series(rng, src, 8)
-        if src == "s":
-            back = {lam: hall_inner_product(convert(f), s_basis(lam)) for lam in shapes}
-            assert {lam: c for lam, c in back.items() if c} == f.terms
-        else:
-            in_s = SymSeries("s", {lam: hall_inner_product(f, s_basis(lam)) for lam in shapes}, 8)
-            assert convert(in_s).terms == f.terms
+        coeffs = _random_coefficients(rng, 8)
+        f = _combination(src, {lam: c for lam, c in coeffs.items() if c}, 8)
+        in_dst = _combination(dst, {lam: read[dst](f, lam) for lam in shapes}, 8)
+        assert in_dst == f
+        back = {lam: read[src](in_dst, lam) for lam in shapes}
+        assert {lam: c for lam, c in back.items() if c} == {lam: c for lam, c in coeffs.items() if c}
 
 
 def test_hall_pairing_examples():
@@ -83,11 +102,11 @@ def test_schur_orthonormality_small():
 
 
 def test_plethysm_power_sum_rules():
-    assert plethysm(p_basis((2,)), p_basis((3,))).terms == {(6,): Fraction(1)}
+    assert plethysm(p_basis((2,)), p_basis((3,))) == p_basis((6,))
     for n in (1, 2, 3):
         one_plus_h1 = constant(Fraction(1)) + h_basis((1,))
         result = plethysm(p_basis((n,)), one_plus_h1)
-        assert result.terms == {(): Fraction(1), (n,): Fraction(1)}
+        assert _p_coefficients(result) == {(): Fraction(1), (n,): Fraction(1)}
 
 
 def test_plethysm_h2_h2_against_monomial_bruteforce():
@@ -102,7 +121,7 @@ def test_plethysm_h2_h2_against_monomial_bruteforce():
     expected = schur_decompose(expanded, nvars)
     assert expected == {(4,): 1, (2, 2): 1}
 
-    assert plethysm(h_basis((2,)), h_basis((2,))) == SymSeries("s", expected)
+    assert plethysm(h_basis((2,)), h_basis((2,))) == _combination("s", expected)
 
 
 def test_plethysm_is_ring_homomorphism_in_left_argument():
@@ -144,7 +163,7 @@ def test_plethysm_truncation_guard_and_stability():
 def test_stretch_keeps_constants_and_coefficients():
     f = constant(Fraction(2)) + p_basis((2, 1), Fraction(3, 5))
     g = stretch(f, 3)
-    assert g.terms == {(): Fraction(2), (6, 3): Fraction(3, 5)}
+    assert _p_coefficients(g) == {(): Fraction(2), (6, 3): Fraction(3, 5)}
     # cyclotomic coefficients pass through untouched:
     # 1 + z4*h1 - h2 = 1 + z4*p1 - p11/2 - p2/2, stretched by 2
     h = stretch(omega_at_root(1, 4, 2), 2)
@@ -158,9 +177,9 @@ def test_omega():
     # the plethystic exponential 1 + h_1 + ... + h_D is the kernel at the root 1
     assert omega_at_root(0, 1, 0).terms == {(): 1}
     for order in (1, 2, 5):
-        assert omega_at_root(0, order, 3).terms == {(): 1, (1,): 1, (2,): 1, (3,): 1}
-    in_p = convert(omega_at_root(0, 1, 2))
-    assert in_p.terms == {
+        assert omega_at_root(0, order, 3) == _combination("h", {(k,) if k else (): 1 for k in range(4)})
+    in_p = _p_coefficients(omega_at_root(0, 1, 2))
+    assert in_p == {
         (): Fraction(1),
         (1,): Fraction(1),
         (1, 1): Fraction(1, 2),
@@ -169,15 +188,12 @@ def test_omega():
 
 
 def test_omega_at_root():
-    assert omega_at_root(0, 3, 4) == SymSeries("h", {(k,) if k else (): 1 for k in range(5)}, 4)
-    alt = omega_at_root(1, 2, 3)
-    assert alt.coefficient((1,)) == -1
-    assert alt.coefficient((2,)) == 1
-    assert alt.coefficient((3,)) == -1
+    assert omega_at_root(0, 3, 4) == _combination("h", {(k,) if k else (): 1 for k in range(5)}, 4)
+    # F_mu = zeta^(j|mu|) at every mu up to the truncation
+    assert omega_at_root(1, 2, 3) == _combination("h", {(): 1, (1,): -1, (2,): 1, (3,): -1})
     quarter = omega_at_root(1, 4, 2)
-    assert quarter.coefficient(()) == 1
-    assert quarter.coefficient((1,)) == zeta(4)
-    assert quarter.coefficient((2,)) == -1
+    assert quarter == _combination("h", {(): 1, (1,): zeta(4), (2,): -1})
+    assert quarter.terms == {(): 1, (1,): zeta(4), (2,): -1, (1, 1): -1}
 
 
 def test_schur_coefficient():
@@ -190,20 +206,19 @@ def test_schur_coefficient():
 
 
 def test_equality_across_bases_and_scalar_types():
-    assert convert(h_basis((2,))) == h_basis((2,))
+    assert p_basis((2,), Fraction(1, 2)) + p_basis((1, 1), Fraction(1, 2)) == h_basis((2,))
     assert omega_at_root(0, 5, 3) == omega_at_root(0, 1, 3)
 
 
 def test_sums_across_bases_add_power_sum_expansions():
     # h_2 + s_11 = (p_11 + p_2)/2 + (p_11 - p_2)/2 = p_11
-    assert (h_basis((2,)) + s_basis((1, 1))).terms == {(1, 1): 1}
-    assert (s_basis((1,)) + p_basis((1,))).terms == {(1,): 2}
+    assert h_basis((2,)) + s_basis((1, 1)) == p_basis((1, 1))
+    assert s_basis((1,)) + p_basis((1,)) == p_basis((1,), 2)
     rng = random.Random(31)
     shapes = [lam for k in range(6) for lam in partitions_of(k)]
     for a, b in (("h", "s"), ("s", "p")):
         f, g = _random_series(rng, a, 5), _random_series(rng, b, 5)
         total = f + g
-        assert total.basis == "p"
         for lam in shapes:
             want = hall_inner_product(f, p_basis(lam)) + hall_inner_product(g, p_basis(lam))
             assert hall_inner_product(total, p_basis(lam)) == want
@@ -214,26 +229,26 @@ def test_json_round_trip():
     rng = random.Random(11)
     f = _random_series(rng, "h", 5)
     obj = series_to_json(f)
+    assert obj["basis"] == "p"
     terms = {tuple(e["partition"]): Fraction(e["coeff"]) for e in obj["terms"]}
-    g = SymSeries(obj["basis"], terms, obj["truncation"])
-    assert g.basis == f.basis and g.truncation == f.truncation and g.terms == f.terms
+    g = _combination("p", terms, obj["truncation"])
+    assert g.truncation == f.truncation and g.terms == f.terms
     # entries are sorted by degree then reverse-lexicographically
     degrees = [sum(e["partition"]) for e in obj["terms"]]
     assert degrees == sorted(degrees)
 
 
 # ----------------------------------------------------------------------
-# The z-scaled kernel: F_mu = z_mu [p_mu] f, checked against the Fraction
-# definitions and against the plain loops it replaced.
+# The z-scaled coordinates F_mu = z_mu [p_mu] f, checked against the
+# power-sum coefficients and against the plain loops the kernel replaced.
 # ----------------------------------------------------------------------
 
 
 def test_scaled_h_is_all_ones():
     for k in range(7):
-        assert _scaled(h_basis((k,), 1)) == dict.fromkeys(partitions_of(k), 1)
-        in_p = convert(h_basis((k,)))
+        assert h_basis((k,)).terms == dict.fromkeys(partitions_of(k), 1)
         for mu in partitions_of(k):
-            assert in_p.terms[mu] == Fraction(1, centralizer_order(mu))
+            assert h_basis((k,)).coefficient(mu) == Fraction(1, centralizer_order(mu))
             assert hall_inner_product(h_basis((k,)), p_basis(mu)) == 1
 
 
@@ -241,8 +256,8 @@ def test_scaled_stretch_multiplies_by_r_to_the_length():
     rng = random.Random(3)
     g = _random_series(rng, "p", 6)
     for r in (1, 2, 3):
-        stretched = _scaled(stretch(g, r))
-        for nu, coeff in _scaled(g).items():
+        stretched = stretch(g, r).terms
+        for nu, coeff in g.terms.items():
             r_nu = tuple(r * part for part in nu)
             assert stretched[r_nu] == r ** len(nu) * coeff
             assert hall_inner_product(stretch(g, r), p_basis(r_nu)) == r ** len(nu) * hall_inner_product(
@@ -270,36 +285,36 @@ def test_scaled_merge_factor_is_a_product_of_binomials():
 
 def _reference_product(f, g):
     # The plain merge loop on power-sum coefficients.
-    f, g = convert(f), convert(g)
     trunc = min(f.truncation, g.truncation)
     out = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
+    for a, ca in _p_coefficients(f).items():
+        for b, cb in _p_coefficients(g).items():
             if sum(a) + sum(b) <= trunc:
                 key = tuple(sorted(a + b, reverse=True))
                 out[key] = out.get(key, 0) + ca * cb
-    return SymSeries("p", out, trunc)
+    return _combination("p", out, trunc)
 
 
 def _reference_plethysm(f, g, degree):
     # Product of stretched copies of g for each p_mu of f, no prefix sharing.
     total = {}
-    for mu, coeff in convert(f).terms.items():
+    for mu, coeff in _p_coefficients(f).items():
         prod = constant(Fraction(1), truncation=degree)
         for part in mu:
             prod = _reference_product(prod, stretch(g, part).restricted(degree))
-        for nu, c in prod.terms.items():
+        for nu, c in _p_coefficients(prod).items():
             total[nu] = total.get(nu, 0) + coeff * c
-    return SymSeries("p", total, degree)
+    return _combination("p", total, degree)
 
 
 def _random_cyclotomic_series(rng, basis, degree, order=3):
-    terms = {}
-    for k in range(degree + 1):
-        for lam in partitions_of(k):
-            if rng.random() < 0.4:
-                terms[lam] = zeta(order, rng.randrange(order)) * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return SymSeries(basis, terms, degree)
+    coeffs = {
+        lam: zeta(order, rng.randrange(order)) * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for k in range(degree + 1)
+        for lam in partitions_of(k)
+        if rng.random() < 0.4
+    }
+    return _combination(basis, coeffs, degree)
 
 
 @pytest.mark.parametrize("basis", ["p", "h", "s"])

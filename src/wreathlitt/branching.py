@@ -67,16 +67,15 @@ def _series(order: int, labels: list[WreathLabel], max_degree: int):
     of labels in turn, with every slot factor the labels use built once."""
     shapes: dict[int, dict] = {}
     for rho in labels:
-        for j, part in enumerate(rho.parts):
-            if part:
-                shapes.setdefault(j, {})[part] = None
+        for j, part in rho.slots:
+            shapes.setdefault(j, {})[part] = None
     factors = {}
     for j, slot in shapes.items():
         alphabet = _progression_alphabet(order, j, max_degree)
         built = plethysms([s_basis(part, 1) for part in slot], alphabet, max_degree)
         factors.update(zip([(j, part) for part in slot], built))
     for rho in labels:
-        yield rho, _product([factors[j, part] for j, part in enumerate(rho.parts) if part], max_degree)
+        yield rho, _product(map(factors.__getitem__, rho.slots), max_degree)
 
 
 def _product(factors, max_degree: int) -> SymSeries:
@@ -141,7 +140,7 @@ def littlewood_coefficient(mu: Partition, lam: Partition, n: int) -> int:
     restriction of V^lambda from GL_n to the symmetric group."""
     if sum(mu) != n:
         raise ValueError(f"|mu| = {sum(mu)} must equal n = {n}")
-    return branching_coefficient(WreathLabel(1, (tuple(mu),)), lam)
+    return branching_coefficient(WreathLabel.from_mapping(1, {0: mu}), lam)
 
 
 @dataclass

@@ -35,8 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Every label stores one slot per power of the root of unity, so --m has a
-# cap; a coeff query at the cap still answers in under a second.
+# A label stores only its nonempty slots, so a coeff query at the cap still
+# answers in under a second; but a table at --n 1 has m labels, about 1 KB
+# and 40 us each, so the cap keeps the smallest table near a gigabyte.
 MAX_ORDER = 10**6
 
 # Sizes and degrees have a cap too, as memory grows about threefold per two

@@ -268,7 +268,7 @@ def _group_trace_data(order: int, n: int, max_power: int):
 
 
 def _class_label(order: int, exponents, perm) -> WreathLabel:
-    slots: list[list[int]] = [[] for _ in range(order)]
+    slots: dict[int, list[int]] = {}
     seen = [False] * len(perm)
     for start in range(len(perm)):
         if seen[start]:
@@ -279,10 +279,8 @@ def _class_label(order: int, exponents, perm) -> WreathLabel:
             total += exponents[cursor]
             cursor = perm[cursor]
             length += 1
-        slots[total % order].append(length)
-    return WreathLabel(
-        order, tuple(tuple(sorted(slot, reverse=True)) for slot in slots)
-    )
+        slots.setdefault(total % order, []).append(length)
+    return WreathLabel(order, tuple(sorted((j, tuple(sorted(cycles, reverse=True))) for j, cycles in slots.items())))
 
 
 def _numeric_class_sums(order: int, n: int, max_power: int):
@@ -376,7 +374,7 @@ def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
 # ----------------------------------------------------------------------
 
 def _empty_label(order: int) -> WreathLabel:
-    return WreathLabel(order, ((),) * order)
+    return WreathLabel(order, ())
 
 
 def _cycle_labels(order: int, r: int) -> list[WreathLabel]:

@@ -44,12 +44,11 @@ def _partitions(n: int, max_part: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
+def partitions_of(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    cap = n if max_part is None else min(max_part, n)
-    return list(_partitions(n, cap))
+    return list(_partitions(n, n))
 
 
 def is_partition(seq) -> bool:

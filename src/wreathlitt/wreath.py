@@ -2,7 +2,8 @@
 
 Conjugacy classes and irreducibles are labelled by maps j -> partition for
 j in 0..m-1, the j-th slot recording cycles whose cycle product is the j-th
-power of the primitive m-th root of unity.  Series live in the P-basis,
+power of the primitive m-th root of unity.  A label of size n has at most n
+nonempty slots, and stores only those.  Series live in the P-basis,
 P_rho = product over slots of p_{rho_j} on the slot's own alphabet, which is
 orthogonal for the wreath pairing with norm the centralizer order.
 
@@ -25,6 +26,7 @@ paths agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -70,19 +72,23 @@ class NonIntegralError(ArithmeticError):
 
 @dataclass(frozen=True)
 class WreathLabel:
-    """A class/irreducible label: one partition per power of the root of unity."""
+    """A class/irreducible label, an m-multipartition: slots holds (j, partition)
+    for each nonempty slot, with j rising strictly within 0..m-1, and every
+    slot not in it holds the empty partition.  So a label costs memory in its
+    size, not in m, and equal labels have equal slots."""
 
     order: int
-    parts: tuple[Partition, ...]
+    slots: tuple[tuple[int, Partition], ...]
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if len(self.parts) != self.order:
-            raise ValueError(
-                f"expected {self.order} slots, got {len(self.parts)}"
-            )
-        object.__setattr__(self, "_hash", hash((self.order, self.parts)))
+        last = -1
+        for j, part in self.slots:
+            if not last < j < self.order or not part:
+                raise ValueError(f"expected nonempty slots at rising j in 0..{self.order - 1}, got {self.slots!r}")
+            last = j
+        object.__setattr__(self, "_hash", hash((self.order, self.slots)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,30 +98,36 @@ class WreathLabel:
             return True
         if other.__class__ is not WreathLabel:
             return NotImplemented
-        return self._hash == other._hash and self.order == other.order and self.parts == other.parts
+        return self._hash == other._hash and self.order == other.order and self.slots == other.slots
 
     @property
     def size(self) -> int:
-        return sum(sum(part) for part in self.parts)
+        return sum(sum(part) for _, part in self.slots)
 
     @classmethod
     def from_mapping(cls, order: int, mapping: dict[int, Partition]) -> "WreathLabel":
-        slots = [()] * order
+        # An empty partition occupies no slot: a later one may fill it.
+        slots: dict[int, Partition] = {}
         for j, part in mapping.items():
             k = j % order
-            if slots[k]:
+            if slots.get(k):
                 raise ValueError(f"slot {k} assigned twice")
             slots[k] = tuple(part)
-        return cls(order, tuple(slots))
+        return cls(order, tuple(sorted((k, part) for k, part in slots.items() if part)))
 
     def sort_key(self):
-        return (self.size, self.parts)
+        # The order of the dense m-tuples of partitions, empty slots included:
+        # at the first slot where two labels differ, an empty partition sorts
+        # first, and so does the label whose next nonempty slot lies further
+        # on, hence -j.
+        return (self.size, tuple((-j, part) for j, part in self.slots))
 
     def inverse(self) -> "WreathLabel":
         """As a class label, the class of the inverse elements: inverting
         turns each cycle product zeta^t into zeta^(-t), so slot t moves to
         slot -t mod m.  Character values there are the complex conjugates."""
-        return WreathLabel(self.order, self.parts[:1] + self.parts[:0:-1])
+        m = self.order
+        return WreathLabel(m, tuple(sorted((-j % m, part) for j, part in self.slots)))
 
     def __repr__(self) -> str:
         return f"WreathLabel(m={self.order}, {format_label(self) or 'empty'})"
@@ -123,7 +135,7 @@ class WreathLabel:
 
 def identity_label(n: int, order: int) -> WreathLabel:
     """The class of the identity element: n one-cycles with trivial product."""
-    return WreathLabel(order, ((1,) * n,) + ((),) * (order - 1))
+    return WreathLabel.from_mapping(order, {0: (1,) * n})
 
 
 # Pure label structure, shared by every caller; bounded, as labels vary per scope.
@@ -131,23 +143,20 @@ def identity_label(n: int, order: int) -> WreathLabel:
 def merge_labels(a: WreathLabel, b: WreathLabel) -> WreathLabel:
     if a.order != b.order:
         raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
-    return WreathLabel(
-        a.order,
-        tuple(
-            tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(a.parts, b.parts)
-        ),
-    )
+    merged = dict(a.slots)
+    for j, part in b.slots:
+        merged[j] = tuple(sorted(merged.get(j, ()) + part, reverse=True))
+    return WreathLabel(a.order, tuple(sorted(merged.items())))
 
 
 def _compositions(total: int, slots: int):
     # Stars and bars: star positions among total + slots - 1 places, taken in
-    # lexicographic order, give the first slot's load descending-first; a
-    # star's slot is the number of bars before it.
+    # lexicographic order, give the first slot's load descending-first; a star
+    # at position p with i stars before it lies in slot p - i.  Yields the
+    # loaded slots, rising, and their loads.
     for stars in combinations(range(total + slots - 1), total):
-        comp = [0] * slots
-        for i, position in enumerate(stars):
-            comp[position - i] += 1
-        yield tuple(comp)
+        loads = Counter(position - i for i, position in enumerate(stars))
+        yield tuple(loads), tuple(loads.values())
 
 
 def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
@@ -157,9 +166,9 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
         raise ValueError("n must be non-negative")
     by_load = [partitions.partitions_of(c) for c in range(n + 1)]
     return [
-        WreathLabel(order, parts)
-        for comp in _compositions(n, order)
-        for parts in product(*map(by_load.__getitem__, comp))
+        WreathLabel(order, tuple(zip(slots, parts)))
+        for slots, loads in _compositions(n, order)
+        for parts in product(*map(by_load.__getitem__, loads))
     ]
 
 
@@ -168,17 +177,18 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
 def _class_structure(n: int, order: int) -> tuple[tuple[WreathLabel, Partition, int], ...]:
     # Per label: its cycle type, and the sum over its cycles of each one's slot t.
     return tuple(
-        (sigma, tuple(sorted(chain.from_iterable(sigma.parts), reverse=True)),
-         sum(t * len(part) for t, part in enumerate(sigma.parts)))
+        (sigma, tuple(sorted(chain.from_iterable(part for _, part in sigma.slots), reverse=True)),
+         sum(t * len(part) for t, part in sigma.slots))
         for sigma in wreath_class_labels(n, order)
     )
 
 
-@lru_cache(maxsize=None)
+# Bounded like merge_labels: a large-m table would keep one entry per label.
+@lru_cache(maxsize=1 << 12)
 def centralizer_order(rho: WreathLabel) -> int:
     """Centralizer order of the class labelled rho inside the wreath product."""
     out = 1
-    for part in rho.parts:
+    for _, part in rho.slots:
         out *= partitions.centralizer_order(part) * rho.order ** len(part)
     return out
 
@@ -187,7 +197,7 @@ def _cyclic_trace(rho: WreathLabel, r: int) -> list[int]:
     # Integer coefficients of p_r at rho's eigenvalues, mod x^m - 1.
     m = rho.order
     work = [0] * m
-    for j, part in enumerate(rho.parts):
+    for j, part in rho.slots:
         for ell in part:
             if r % ell == 0:
                 work[j * (r // ell) % m] += ell
@@ -278,7 +288,7 @@ def evaluation_kernel_product_form(rho: WreathLabel, max_degree: int) -> SymSeri
     (1 - zeta^j x^l)^{-1} over every cycle of the class, expanded plethystically."""
     m = rho.order
     result = constant(1, max_degree)
-    for j, part in enumerate(rho.parts):
+    for j, part in rho.slots:
         for ell, mult in partitions.multiplicities(part).items():
             factor = stretch(omega_at_root(j, m, max_degree // ell), ell)
             for _ in range(mult):
@@ -311,7 +321,7 @@ class WreathSeries:
 
     @classmethod
     def one(cls, order: int) -> "WreathSeries":
-        return cls(order, {WreathLabel(order, ((),) * order): Fraction(1)})
+        return cls(order, {WreathLabel(order, ()): Fraction(1)})
 
     def coefficient(self, label: WreathLabel):
         return self.terms.get(label, Fraction(0))
@@ -412,11 +422,7 @@ def frobenius_characteristic(rho: WreathLabel) -> WreathSeries:
     The coefficient at a class label sigma, multiplied by sigma's centralizer
     order, is the irreducible character value on that class.
     """
-    factors = [
-        _schur_isotypic_factor(rho.order, j, part)
-        for j, part in enumerate(rho.parts)
-        if part
-    ]
+    factors = [_schur_isotypic_factor(rho.order, j, part) for j, part in rho.slots]
     return reduce(WreathSeries.__mul__, factors) if factors else WreathSeries.one(rho.order)
 
 
@@ -437,10 +443,8 @@ def irreducible_dimension(rho: WreathLabel) -> int:
     """Dimension of the irreducible labelled rho:
     a multinomial times the product of the slotwise tableau counts."""
     dim = factorial(rho.size)
-    for part in rho.parts:
-        dim //= factorial(sum(part))
-    for part in rho.parts:
-        dim *= partitions.specht_dimension(part)
+    for _, part in rho.slots:
+        dim = dim // factorial(sum(part)) * partitions.specht_dimension(part)
     return dim
 
 
@@ -467,6 +471,4 @@ def parse_label(text: str, order: int) -> WreathLabel:
 
 
 def format_label(rho: WreathLabel) -> str:
-    return ";".join(
-        f"{j}:{format_partition(part)}" for j, part in enumerate(rho.parts) if part
-    )
+    return ";".join(f"{j}:{format_partition(part)}" for j, part in rho.slots)

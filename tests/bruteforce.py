@@ -230,7 +230,7 @@ def characteristic_polynomial(rho: WreathLabel) -> tuple[Cyclotomic, ...]:
     """
     m = rho.order
     poly: list[Cyclotomic] = [Cyclotomic.from_rational(1, m)]
-    for j, part in enumerate(rho.parts):
+    for j, part in rho.slots:
         for ell in part:
             root = zeta(m, j)
             poly = [

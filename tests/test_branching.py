@@ -55,7 +55,7 @@ def test_branching_examples():
     for order in (1, 2, 3):
         for n in (1, 2, 3):
             for rho in wreath_class_labels(n, order):
-                expected = 1 if rho.parts[0] == (n,) else 0
+                expected = 1 if rho.slots == ((0, (n,)),) else 0
                 assert branching_coefficient(rho, ()) == expected
 
 

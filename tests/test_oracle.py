@@ -191,7 +191,7 @@ def test_numeric_mismatch_reports_cell(monkeypatch):
 
 def test_kernel_identity_trivia():
     kernel = _omega_composite_xy(1, 2, 3)
-    empty = WreathLabel(1, ((),))
+    empty = WreathLabel(1, ())
     assert kernel.terms[empty].terms[()] == 1
     # the single-box label carries the full plethystic exponential in Y
     box = lab(1, {0: (1,)})
@@ -408,7 +408,7 @@ def _trace_with_conjugate_exponent(rho, r):
     # p_r with zeta^(-j*r/l) for zeta^(j*r/l): a sign slip in the exponent
     m = rho.order
     work = [0] * m
-    for j, part in enumerate(rho.parts):
+    for j, part in rho.slots:
         for ell in part:
             if r % ell == 0:
                 work[-j * (r // ell) % m] += ell
@@ -430,7 +430,7 @@ def _isotypic_factor_with_twist(twist):
     def factor(order, j, lam):
         terms = {}
         for sigma in wreath_class_labels(sum(lam), order):
-            cycle_type = tuple(sorted((c for part in sigma.parts for c in part), reverse=True))
+            cycle_type = tuple(sorted((c for _, part in sigma.slots for c in part), reverse=True))
             chi = partitions.symmetric_group_character(lam, cycle_type)
             if chi:
                 terms[sigma] = zeta(order, twist(j, sigma)) * Fraction(chi, centralizer_order(sigma))
@@ -441,7 +441,7 @@ def _isotypic_factor_with_twist(twist):
 
 # zeta^(-jt) for zeta^(jt) on each cycle of slot t: the conjugate convention
 _factor_with_conjugate_twist = _isotypic_factor_with_twist(
-    lambda j, sigma: -j * sum(t * len(part) for t, part in enumerate(sigma.parts))
+    lambda j, sigma: -j * sum(t * len(part) for t, part in sigma.slots)
 )
 
 # A wrong exponent in either integer helper of schur_at_eigenvalues, or the
@@ -488,7 +488,7 @@ def test_isotypic_twist_per_box_fails_pairing_integrality(monkeypatch):
     # zeta^(jt) once per box of slot t, not once per cycle
     import wreathlitt.wreath as wreath_module
 
-    per_box = _isotypic_factor_with_twist(lambda j, sigma: j * sum(t * sum(part) for t, part in enumerate(sigma.parts)))
+    per_box = _isotypic_factor_with_twist(lambda j, sigma: j * sum(t * sum(part) for t, part in sigma.slots))
     monkeypatch.setattr(wreath_module, "_schur_isotypic_factor", per_box)
     check = run_verification(3, 3, 5).checks[0]
     assert check.name == "triple_agreement" and not check.passed
@@ -498,7 +498,7 @@ def test_isotypic_twist_per_box_fails_pairing_integrality(monkeypatch):
 def _kernel_plus_box(true, rho, degree):
     # +1 at p_(1) in the kernel of every size-2 label whose slot 0 is (2)
     series = true(rho, degree)
-    return series + p_basis((1,)) if rho.size == 2 and rho.parts[0] == (2,) else series
+    return series + p_basis((1,)) if rho.size == 2 and dict(rho.slots).get(0) == (2,) else series
 
 
 def _restriction_doubled_at_21(true, lam, n, order):
@@ -524,7 +524,7 @@ def _schur_plus_one_at_21(true, lam, rho):
 def _product_form_plus_box(true, rho, degree):
     # +1 at p_(1) in the product form of every size-2 label with a non-empty slot 1
     series = true(rho, degree)
-    return series + p_basis((1,)) if rho.size == 2 and rho.parts[1] else series
+    return series + p_basis((1,)) if rho.size == 2 and 1 in dict(rho.slots) else series
 
 
 # For each identity check: the oracle input corrupted, how, the check's scope,
@@ -621,7 +621,7 @@ def _dimension_plus_one_at_21(monkeypatch):
     import wreathlitt.oracle as oracle_module
 
     true = oracle_module.irreducible_dimension
-    monkeypatch.setattr(oracle_module, "irreducible_dimension", lambda rho: true(rho) + (rho.parts[0] == (2, 1)))
+    monkeypatch.setattr(oracle_module, "irreducible_dimension", lambda rho: true(rho) + (dict(rho.slots).get(0) == (2, 1)))
 
 
 def _character_plus_one_at_21_3(monkeypatch):

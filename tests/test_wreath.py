@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -38,15 +39,27 @@ def lab(order, mapping):
     return WreathLabel.from_mapping(order, mapping)
 
 
+# The dense form, one partition per slot, is the tests' reference layout.
+def _dense(rho):
+    parts = [()] * rho.order
+    for j, part in rho.slots:
+        parts[j] = part
+    return tuple(parts)
+
+
+def _sparse(parts):
+    return tuple((j, part) for j, part in enumerate(parts) if part)
+
+
 def test_label_enumeration():
     assert len(wreath_class_labels(4, 1)) == 5
     two = wreath_class_labels(2, 2)
     assert two == [
-        WreathLabel(2, ((2,), ())),
-        WreathLabel(2, ((1, 1), ())),
-        WreathLabel(2, ((1,), (1,))),
-        WreathLabel(2, ((), (2,))),
-        WreathLabel(2, ((), (1, 1))),
+        WreathLabel(2, ((0, (2,)),)),
+        WreathLabel(2, ((0, (1, 1)),)),
+        WreathLabel(2, ((0, (1,)), (1, (1,)))),
+        WreathLabel(2, ((1, (2,)),)),
+        WreathLabel(2, ((1, (1, 1)),)),
     ]
     assert len(wreath_class_labels(2, 3)) == 9
 
@@ -57,24 +70,29 @@ def test_centralizer_orders():
     assert centralizer_order(lab(2, {1: (2,)})) == 4
 
 
+def _element_slots(order, exponents, perm):
+    # the sparse slots of one group element's class, from a dense walk of its cycles
+    slots = [[] for _ in range(order)]
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        total, length, cursor = 0, 0, start
+        while not seen[cursor]:
+            seen[cursor] = True
+            total += exponents[cursor]
+            cursor = perm[cursor]
+            length += 1
+        slots[total % order].append(length)
+    return _sparse(tuple(sorted(s, reverse=True)) for s in slots)
+
+
 def _enumerate_class_sizes(order, n):
     # independent count: walk every group element, read off its class label
     sizes = {}
     for exponents in itertools.product(range(order), repeat=n):
         for perm in itertools.permutations(range(n)):
-            slots = [[] for _ in range(order)]
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                total, length, cursor = 0, 0, start
-                while not seen[cursor]:
-                    seen[cursor] = True
-                    total += exponents[cursor]
-                    cursor = perm[cursor]
-                    length += 1
-                slots[total % order].append(length)
-            key = tuple(tuple(sorted(s, reverse=True)) for s in slots)
+            key = _element_slots(order, exponents, perm)
             sizes[key] = sizes.get(key, 0) + 1
     return sizes
 
@@ -83,7 +101,7 @@ def test_class_sizes_against_enumeration():
     for order, n in [(1, 3), (2, 2), (2, 3), (3, 2)]:
         sizes = _enumerate_class_sizes(order, n)
         for rho in wreath_class_labels(n, order):
-            assert conjugacy_class_size(rho) == sizes[rho.parts], rho
+            assert conjugacy_class_size(rho) == sizes[rho.slots], rho
     assert conjugacy_class_size(lab(2, {0: (1,), 1: (1,)})) == 2
     assert conjugacy_class_size(lab(1, {0: (3,)})) == 2
 
@@ -147,7 +165,7 @@ def test_power_trace_against_explicit_eigenvalues():
         for rho in rng.sample(labels, min(len(labels), 12)):
             eigenvalues = [
                 cmath.exp(2j * cmath.pi * (j / order + t) / ell)
-                for j, part in enumerate(rho.parts)
+                for j, part in rho.slots
                 for ell in part
                 for t in range(ell)
             ]
@@ -166,7 +184,7 @@ def test_schur_at_eigenvalues():
 
 
 def test_evaluation_kernel():
-    empty = WreathLabel(2, ((), ()))
+    empty = WreathLabel(2, ())
     assert evaluation_kernel(empty, 3) == constant(1)
     assert evaluation_kernel(lab(1, {0: (1,)}), 3) == omega_at_root(0, 1, 3)
     signs = evaluation_kernel(lab(2, {1: (1,)}), 2)
@@ -279,7 +297,10 @@ def test_label_parse_format():
     rho = parse_label("0:2,1;1:1", 3)
     assert rho == lab(3, {0: (2, 1), 1: (1,)})
     assert format_label(rho) == "0:2,1;1:1"
-    assert parse_label("", 2) == WreathLabel(2, ((), ()))
+    assert parse_label("", 2) == WreathLabel(2, ())
+    # an empty partition occupies no slot
+    assert parse_label("0:;2:1", 2) == parse_label("0:1;1:", 2) == lab(2, {0: (1,)})
+    assert lab(2, {0: (), 2: (1,)}) == lab(2, {0: (1,), 1: ()}) == lab(2, {0: (1,)})
     # exponents are reduced mod the order
     assert parse_label("2:1", 2) == lab(2, {0: (1,)})
     with pytest.raises(ValueError):
@@ -289,56 +310,100 @@ def test_label_parse_format():
 
 
 # ----------------------------------------------------------------------
-# Labels hash once and compare by their parts, whoever built them.
+# Labels hash once and compare by their slots, whoever built them.
 # ----------------------------------------------------------------------
 
 def _built_labels(order, n):
-    """(constructor, expected parts, label) for every label of size n, built
-    by each constructor that makes labels."""
+    """(constructor, expected slots, label) for every label of size n, built
+    by each constructor that makes labels; the expected slots come from the
+    dense reference layout."""
     for rho in wreath_class_labels(n, order):
-        yield "wreath_class_labels", rho.parts, rho
-        yield "parse_label", rho.parts, parse_label(format_label(rho), order)
-        yield "from_mapping", rho.parts, WreathLabel.from_mapping(order, dict(enumerate(rho.parts)))
+        dense = _dense(rho)
+        expected = _sparse(dense)
+        yield "wreath_class_labels", expected, rho
+        yield "parse_label", expected, parse_label(format_label(rho), order)
+        yield "from_mapping", expected, WreathLabel.from_mapping(order, dict(rho.slots))
+        # every slot given, empty ones too, in falling order and shifted by m
+        shifted = {j + order: dense[j] for j in reversed(range(order))}
+        yield "from_mapping (dense)", expected, WreathLabel.from_mapping(order, shifted)
+        yield "inverse", _sparse(dense[:1] + dense[:0:-1]), rho.inverse()
+        yield "identity_label", _sparse(((1,) * n,) + ((),) * (order - 1)), identity_label(n, order)
     for k in range(n + 1):
         for a in wreath_class_labels(k, order):
             for b in wreath_class_labels(n - k, order):
-                merged = tuple(tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(a.parts, b.parts))
+                merged = _sparse(tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(_dense(a), _dense(b)))
                 yield "merge_labels", merged, merge_labels(a, b)
     for exponents in itertools.product(range(order), repeat=n):
         for perm in itertools.permutations(range(n)):
-            label = _class_label(order, exponents, perm)
-            yield "_class_label", label.parts, label
+            yield "_class_label", _element_slots(order, exponents, perm), _class_label(order, exponents, perm)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_labels_are_equal_and_hash_equal_exactly_when_parts_match(order):
     for n in range(5):
-        reps = {rho.parts: rho for rho in wreath_class_labels(n, order)}
+        reps = {rho.slots: rho for rho in wreath_class_labels(n, order)}
         compared = set()
-        for kind, parts, label in _built_labels(order, n):
-            assert label.parts == parts, (kind, label)
-            assert label == reps[parts] and hash(label) == hash(reps[parts]), (kind, label)
+        for kind, slots, label in _built_labels(order, n):
+            assert label.slots == slots, (kind, label)
+            assert label == reps[slots] and hash(label) == hash(reps[slots]), (kind, label)
             # every constructor's label against every other label of its size
-            if (kind, parts) not in compared:
-                compared.add((kind, parts))
+            if (kind, slots) not in compared:
+                compared.add((kind, slots))
                 for other in reps.values():
-                    assert (label == other) == (other.parts == parts), (kind, label, other)
-                    assert (other == label) == (other.parts == parts), (kind, label, other)
+                    assert (label == other) == (other.slots == slots), (kind, label, other)
+                    assert (other == label) == (other.slots == slots), (kind, label, other)
 
 
 def test_label_is_not_a_tuple_and_stays_frozen():
     rho = lab(3, {0: (2, 1), 2: (1,)})
-    for plain in [(rho.order, rho.parts), rho.parts, ((2, 1), (), (1,))]:
+    for plain in [(rho.order, rho.slots), rho.slots, ((2, 1), (), (1,))]:
         assert rho != plain and plain != rho
         assert rho.__eq__(plain) is NotImplemented
-    for field, value in [("order", 2), ("parts", ((), (), ()))]:
+    for field, value in [("order", 2), ("slots", ())]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rho, field, value)
     assert rho == lab(3, {0: (2, 1), 2: (1,)})
     assert repr(rho) == "WreathLabel(m=3, 0:2,1;2:1)"
-    with pytest.raises(ValueError):
-        WreathLabel(2, ((1,),))
+    assert not hasattr(rho, "parts")
     assert merge_labels.cache_info().maxsize is not None
+    assert centralizer_order.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("slots", [
+    ((1, (1,)), (0, (2,))),  # unsorted
+    ((0, (1,)), (0, (2,))),  # repeated
+    ((3, (1,)),),  # out of range
+    ((-1, (1,)),),  # out of range
+    ((0, ()),),  # empty
+    ((0, (1,)), (1, ())),  # empty
+    (((1,),),),  # the old dense layout
+    ((1,), ()),  # the old dense layout
+])
+def test_label_constructor_rejects_noncanonical_slots(slots):
+    with pytest.raises(ValueError):
+        WreathLabel(3, slots)
+
+
+def test_label_sort_key_keeps_the_dense_order():
+    # sort_key orders labels of every size as (size, dense m-tuple) does
+    rng = random.Random(5)
+    for order in range(1, 6):
+        labels = [rho for n in range(5) for rho in wreath_class_labels(n, order)]
+        rng.shuffle(labels)
+        expected = sorted(labels, key=lambda rho: (rho.size, _dense(rho)))
+        assert sorted(labels, key=WreathLabel.sort_key) == expected, order
+
+
+def test_label_memory_does_not_grow_with_the_order():
+    # a dense label of size 1 would hold 3000 slots, about 69 MB for the 3000 labels
+    tracemalloc.start()
+    try:
+        labels = wreath_class_labels(1, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 3000
+    assert peak < 5 * 2**20, peak
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +465,7 @@ def _pairwise_product(f, g):
         for lb, cb in g.terms.items():
             if trunc is not None and la.size + lb.size > trunc:
                 continue
-            key = WreathLabel(f.order, tuple(tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(la.parts, lb.parts)))
+            key = WreathLabel(f.order, _sparse(tuple(sorted(pa + pb, reverse=True)) for pa, pb in zip(_dense(la), _dense(lb))))
             out[key] = out.get(key, 0) + ca * cb
     return WreathSeries(f.order, out, trunc)
 
@@ -491,7 +556,7 @@ def test_label_order_matches_slotwise_recursion():
     for order in range(1, 6):
         for n in range(7):
             expected = [
-                WreathLabel(order, parts)
+                WreathLabel(order, _sparse(parts))
                 for comp in _compositions_reference(n, order)
                 for parts in itertools.product(*(partitions.partitions_of(c) for c in comp))
             ]

@@ -44,7 +44,7 @@ from .wreath import (  # noqa: F401
     identity_label,
     irreducible_dimension,
     schur_at_eigenvalues,
-    schur_values_at_class,
+    schur_evaluator,
     wreath_class_labels,
     wreath_inner_product,
 )
@@ -143,13 +143,14 @@ def _check(name: str, cells) -> CheckResult:
 def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, WreathSeries]:
     """Characteristic of each restricted highest-weight representation: the
     class-basis series whose coefficient at rho is s_lam at rho's eigenvalues,
-    built class by class for every lambda, over rho's centralizer order."""
+    from one Schur evaluator for every lambda, over rho's centralizer order."""
     if (rows := max(map(len, lambdas), default=0)) > n:
         raise HypothesisViolationError(f"need len(lambda) <= n, got {rows} > {n}")
     terms = {lam: {} for lam in lambdas}
+    schur = schur_evaluator(lambdas)
     for rho in wreath_class_labels(n, order):
         weight = Fraction(1, centralizer_order(rho))
-        for lam, value in zip(lambdas, schur_values_at_class(lambdas, rho)):
+        for lam, value in zip(lambdas, schur(rho)):
             if value:
                 terms[lam][rho] = value * weight
     return {lam: WreathSeries(order, series) for lam, series in terms.items()}
@@ -219,11 +220,11 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
 
 
 def _character_average_path(order: int, n: int, lambdas):
-    """Path B: its own Schur values, class by class, packed per lambda over
-    the classes, and its own conjugated characteristic per label; one packed
-    dot per cell."""
+    """Path B: its own Schur values, from its own evaluator, packed per
+    lambda over the classes, and its own conjugated characteristic per label;
+    one packed dot per cell."""
     classes = wreath_class_labels(n, order)
-    by_class = [schur_values_at_class(lambdas, sigma) for sigma in classes]
+    by_class = list(map(schur_evaluator(lambdas), classes))
     schur = {lam: pack(order, values) for lam, values in zip(lambdas, zip(*by_class))}
     conjugated = _packed_conjugate(order, classes)
     return lambda rho, lam: _as_multiplicity(
@@ -591,11 +592,11 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
                 }
 
     def dimension_sums():
-        ident = identity_label(n, order)
         dims = [irreducible_dimension(rho) for rho in labels]
-        for lam in lambdas:
+        at_identity = schur_evaluator(lambdas)(identity_label(n, order))
+        for lam, value in zip(lambdas, at_identity):
             weighted = sum(table[(rho, lam)] * dim for rho, dim in zip(labels, dims))
-            expected = to_rational(schur_at_eigenvalues(lam, ident))
+            expected = to_rational(value)
             yield None if weighted == expected else {
                 "lambda": format_partition(lam),
                 "weighted_sum": weighted,

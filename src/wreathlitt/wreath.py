@@ -27,7 +27,7 @@ paths agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, product
@@ -35,7 +35,7 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from . import partitions
-from .exactnum import Cyclotomic, reduce_mod_cyclotomic, sum_of_products, zeta
+from .exactnum import Cyclotomic, _reduce, reduce_mod_cyclotomic, sum_of_products, zeta
 from .partitions import Partition, format_partition, parse_partition
 from .symfunc import SymSeries, _min_trunc, constant, omega_at_root, stretch
 
@@ -56,7 +56,7 @@ __all__ = [
     "parse_label",
     "power_trace",
     "schur_at_eigenvalues",
-    "schur_values_at_class",
+    "schur_evaluator",
     "wreath_class_labels",
     "wreath_inner_product",
 ]
@@ -70,7 +70,7 @@ class NonIntegralError(ArithmeticError):
     """A quantity that must be a non-negative integer failed to be one."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WreathLabel:
     """A class/irreducible label, an m-multipartition: slots holds (j, partition)
     for each nonempty slot, with j rising strictly within 0..m-1, and every
@@ -79,6 +79,7 @@ class WreathLabel:
 
     order: int
     slots: tuple[tuple[int, Partition], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -227,44 +228,48 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     return reduce_mod_cyclotomic(_cyclic_trace(rho, r), rho.order)
 
 
-def schur_values_at_class(lambdas, rho: WreathLabel) -> list[Cyclotomic]:
-    """Exact values of the Schur polynomials s_lam, lam in lambdas, at the
-    eigenvalues of rho, from the power-sum expansion of s_lam.
+def schur_evaluator(lambdas):
+    """The values of the Schur polynomials s_lam, lam in lambdas, at the
+    eigenvalues of a class: a function of the class, from the power-sum
+    expansion of s_lam.
 
-    rho's traces p_r and each p_mu are built once, as integer polynomials mod
-    x^m - 1, p_mu as p_mu without its last part times that part's trace.
-    Scaled to lcm(z_mu), each value is one integer dot of lam's character row
-    per power of x and one reduction mod Phi_m.  A lam with more rows than
-    there are eigenvalues gives 0 (the zero specialization, not an error).
+    Each lam's character row is read once, here, scaled to lcm(z_mu) over
+    its degree.  Per class, its traces p_r and each p_mu are built once, as
+    integer polynomials mod x^m - 1, p_mu as p_mu without its last part times
+    that part's trace; each value is then one integer dot of lam's row per
+    power of x and one reduction mod Phi_m.  A lam with more rows than there
+    are eigenvalues gives 0 (the zero specialization, not an error).
     """
-    m = rho.order
-    top = max(map(sum, lambdas), default=0)
-    traces = [None] + [_cyclic_trace(rho, r) for r in range(1, top + 1)]
-    products = {(): [1] + [0] * (m - 1)}
-    for k in range(1, top + 1):
-        for mu in partitions.partitions_of(k):
-            products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]])
-    columns = {}  # |lam| -> (lcm(z_mu), the scaled p_mu as m integer columns over mu)
-    values = []
+    lcms = {}  # |lam| -> lcm(z_mu) over the partitions mu of |lam|
+    rows = []
     for lam in lambdas:
-        if len(lam) > rho.size:
-            values.append(Cyclotomic.from_rational(0, m))
-            continue
         k = sum(lam)
-        shapes = partitions.partitions_of(k)
-        if k not in columns:
-            den = lcm(*map(partitions.centralizer_order, shapes))
-            scaled = ([c * (den // partitions.centralizer_order(mu)) for c in products[mu]] for mu in shapes)
-            columns[k] = den, list(zip(*scaled))
-        den, cols = columns[k]
-        row = [partitions.symmetric_group_character(lam, mu) for mu in shapes]
-        values.append(reduce_mod_cyclotomic([sum(map(mul, row, col)) for col in cols], m) * Fraction(1, den))
-    return values
+        shapes, table = partitions.partitions_of(k), partitions.character_table(k)
+        den = lcms.setdefault(k, lcm(*map(partitions.centralizer_order, shapes)))
+        rows.append((len(lam), k, den, [table[(lam, mu)] * (den // partitions.centralizer_order(mu)) for mu in shapes]))
+    top = max(lcms, default=0)
+
+    def at(rho: WreathLabel) -> list[Cyclotomic]:
+        m = rho.order
+        traces = [None] + [_cyclic_trace(rho, r) for r in range(1, top + 1)]
+        products = {(): [1] + [0] * (m - 1)}
+        for k in range(1, top + 1):
+            for mu in partitions.partitions_of(k):
+                products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]])
+        # |lam| -> its p_mu as m integer columns over mu
+        columns = {k: list(zip(*map(products.__getitem__, partitions.partitions_of(k)))) for k in lcms}
+        return [
+            Cyclotomic(m, _reduce([sum(map(mul, row, col)) for col in columns[k]], m), den)
+            if length <= rho.size else Cyclotomic.from_rational(0, m)
+            for length, k, den, row in rows
+        ]
+
+    return at
 
 
 def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
-    """s_lam at the eigenvalues of rho: the one-lambda case of schur_values_at_class."""
-    return schur_values_at_class([lam], rho)[0]
+    """s_lam at the eigenvalues of rho: the one-lambda case of schur_evaluator."""
+    return schur_evaluator([lam])(rho)[0]
 
 
 def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:

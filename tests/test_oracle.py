@@ -374,34 +374,54 @@ def test_corrupted_pairing_fails_only_path_a(monkeypatch):
 
 
 def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
-    # Path A's restriction characteristics are rebuilt from the true values,
-    # so only the character average sees the corrupted Schur evaluation.
+    # The corruption is in the evaluator that path B builds.  Path A's
+    # restriction characteristics are rebuilt from the true values, and the
+    # dimension sums read theirs at the identity class only, so only the
+    # character average sees the corrupted Schur evaluation.
     import wreathlitt.oracle as oracle_module
 
-    true_schur = oracle_module.schur_values_at_class
+    true_evaluator = oracle_module.schur_evaluator
     target_sigma = lab(2, {0: (1,), 1: (2,)})
 
-    def corrupted(lambdas, sigma):
+    def corrupted(lambdas):
+        schur = true_evaluator(lambdas)
         # shifts a character average by the conjugated character value at sigma
-        return [
+        return lambda sigma: [
             value + centralizer_order(sigma) if lam == (2, 1) and sigma == target_sigma else value
-            for lam, value in zip(lambdas, true_schur(lambdas, sigma))
+            for lam, value in zip(lambdas, schur(sigma))
         ]
 
     def restriction_from_true_values(lambdas, n, order):
         return {
             lam: WreathSeries(order, {
-                sigma: true_schur([lam], sigma)[0] * Fraction(1, centralizer_order(sigma))
+                sigma: schur_at_eigenvalues(lam, sigma) * Fraction(1, centralizer_order(sigma))
                 for sigma in wreath_class_labels(n, order)
             })
             for lam in lambdas
         }
 
-    monkeypatch.setattr(oracle_module, "schur_values_at_class", corrupted)
+    monkeypatch.setattr(oracle_module, "schur_evaluator", corrupted)
     monkeypatch.setattr(oracle_module, "restriction_characteristics", restriction_from_true_values)
     check = run_verification(2, 3, 4).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == PATH_B_FAULT
+
+
+def test_verification_builds_one_schur_evaluator_per_check(monkeypatch):
+    # path A, path B and the dimension sums each build their own evaluator,
+    # over the whole lambda grid, and no other evaluator is built
+    import wreathlitt.oracle as oracle_module
+
+    true_evaluator = oracle_module.schur_evaluator
+    built = []
+
+    def counted(lambdas):
+        built.append(list(lambdas))
+        return true_evaluator(lambdas)
+
+    monkeypatch.setattr(oracle_module, "schur_evaluator", counted)
+    assert run_verification(3, 3, 5).passed
+    assert built == [_grid(3, 5)] * 3
 
 
 def _trace_with_conjugate_exponent(rho, r):

@@ -29,7 +29,7 @@ from wreathlitt.wreath import (
     parse_label,
     power_trace,
     schur_at_eigenvalues,
-    schur_values_at_class,
+    schur_evaluator,
     wreath_class_labels,
     wreath_inner_product,
 )
@@ -369,6 +369,15 @@ def test_label_is_not_a_tuple_and_stays_frozen():
     assert centralizer_order.cache_info().maxsize is not None
 
 
+def test_label_keeps_no_instance_dict():
+    # a label holds its fields in slots, so it has no per-instance __dict__
+    rho = lab(3, {0: (2, 1), 2: (1,)})
+    assert not hasattr(rho, "__dict__")
+    assert WreathLabel.__slots__ == ("order", "slots", "_hash")
+    with pytest.raises((AttributeError, TypeError)):
+        object.__setattr__(rho, "parts", ())
+
+
 @pytest.mark.parametrize("slots", [
     ((1, (1,)), (0, (2,))),  # unsorted
     ((0, (1,)), (0, (2,))),  # repeated
@@ -436,20 +445,23 @@ def test_schur_at_eigenvalues_matches_power_sum_reference(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_schur_values_at_class_match_power_sum_reference(order):
-    # One call per class, the lambdas shuffled across sizes; those with more
-    # rows than the class has eigenvalues give 0.
+    # One evaluator for every class, its lambdas shuffled across sizes and
+    # repeated; those with more rows than the class has eigenvalues give 0.
+    rng = random.Random(order)
     lambdas = [lam for k in range(6) for lam in partitions.partitions_of(k)]
-    random.Random(order).shuffle(lambdas)
+    lambdas += rng.sample(lambdas, 10)
+    rng.shuffle(lambdas)
+    schur = schur_evaluator(lambdas)
     for n in range(5):
         for rho in wreath_class_labels(n, order):
-            values = schur_values_at_class(lambdas, rho)
+            values = schur(rho)
             assert len(values) == len(lambdas)
             for lam, value in zip(lambdas, values):
                 assert isinstance(value, Cyclotomic) and value.order == order
                 reference = _schur_reference(lam, rho)
                 assert (value.nums, value.den) == (reference.nums, reference.den), (lam, rho)
                 assert value == 0 or len(lam) <= n, (lam, rho)
-    assert schur_values_at_class([], wreath_class_labels(2, order)[0]) == []
+    assert schur_evaluator([])(wreath_class_labels(2, order)[0]) == []
 
 
 # ----------------------------------------------------------------------

@@ -145,23 +145,16 @@ def littlewood_coefficient(mu: Partition, lam: Partition, n: int) -> int:
 
 @dataclass
 class BranchingTable:
-    """All multiplicities for a fixed group and degree bound, with fixed
-    row (label) and column (partition) orders for reproducible output."""
+    """All multiplicities for a fixed group and degree bound: rows[i][k] is
+    d(labels[i], lambdas[k]), one row per label, with fixed label and
+    partition orders for reproducible output."""
 
     order: int
     size: int
     max_degree: int
     labels: list[WreathLabel]
     lambdas: list[Partition]
-    cells: dict[tuple[WreathLabel, Partition], int] = field(repr=False)
-
-    def value(self, rho: WreathLabel, lam: Partition) -> int:
-        return self.cells[(rho, lam)]
-
-    def rows(self):
-        for rho in self.labels:
-            for lam in self.lambdas:
-                yield rho, lam, self.cells[(rho, lam)]
+    rows: list[list[int]] = field(repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -170,7 +163,8 @@ class BranchingTable:
             "max_degree": self.max_degree,
             "cells": [
                 {"rho": format_label(rho), "lambda": format_partition(lam), "d": d}
-                for rho, lam, d in self.rows()
+                for rho, row in zip(self.labels, self.rows)
+                for lam, d in zip(self.lambdas, row)
             ],
         }
 
@@ -178,17 +172,13 @@ class BranchingTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["rho", "lambda", "d"])
-        for rho, lam, d in self.rows():
-            writer.writerow([format_label(rho), format_partition(lam), d])
+        for rho, row in zip(self.labels, self.rows):
+            writer.writerows([format_label(rho), format_partition(lam), d] for lam, d in zip(self.lambdas, row))
         return buf.getvalue()
 
     def to_pretty(self) -> str:
         headers = ["rho \\ lambda"] + [format_partition(lam) for lam in self.lambdas]
-        body = [
-            [format_label(rho) or "(empty)"]
-            + [str(self.cells[(rho, lam)]) for lam in self.lambdas]
-            for rho in self.labels
-        ]
+        body = [[format_label(rho), *map(str, row)] for rho, row in zip(self.labels, self.rows)]
         widths = [
             max(len(row[i]) for row in [headers] + body) for i in range(len(headers))
         ]
@@ -238,6 +228,8 @@ def branching_table(
         raise ValueError("max_degree must be non-negative")
     lambdas = _lambda_grid(size, max_degree)
     chi = _character_rows(lambdas)
-    rows = {rho: _table_row(series, lambdas, chi) for rho, series in table_series(order, size, max_degree)}
-    cells = {(rho, lam): d for rho, row in rows.items() for lam, d in zip(lambdas, row)}
-    return BranchingTable(order, size, max_degree, list(rows), lambdas, cells)
+    table = BranchingTable(order, size, max_degree, [], lambdas, [])
+    for rho, series in table_series(order, size, max_degree):
+        table.labels.append(rho)
+        table.rows.append(_table_row(series, lambdas, chi))
+    return table

@@ -22,7 +22,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial
 from operator import mul
 
@@ -169,44 +169,31 @@ def _as_multiplicity(value, path: str, rho: WreathLabel, lam: Partition) -> int:
     return int(rational)
 
 
-# Each path is built for one group.  Paths A and B build their per-lambda
-# values when they are built, path C on first use, and every path its
-# per-label values on first use; no path reads a value another path computed.
-# Cells are visited row by row, so a label's values are kept for its row only.
-_per_label = lru_cache(maxsize=1)
-_per_lambda = lru_cache(maxsize=None)
-
-
-def _packed_conjugate(order: int, classes: list[WreathLabel]):
-    """Per label, on first use: its conjugated characteristic packed over
-    classes, read at the inverse classes, as conj chi(g) = chi(g^-1) and
-    z_sigma is the same for sigma and its inverse."""
-    inverses = [sigma.inverse() for sigma in classes]
-    return _per_label(lambda rho: pack(order, map(frobenius_characteristic(rho).coefficient, inverses)))
-
-
-def _main_path(order: int, n: int, degree_cap: int, lambdas):
-    """The main path: the rows of table_series, taken in table order as the
-    cells reach them, each read off per cell as branching_table reads it."""
-    rows = dict(zip(lambdas, branching._character_rows(lambdas)))
-    series = branching.table_series(order, n, degree_cap)
-    reader = _per_label(lambda rho: branching._reader(next(series)[1]))
-    return lambda rho, lam: reader(rho)(lam, rows[lam])
-
+# Each path is built for one group, and is a row builder: path(rho) returns
+# rho's cell function lam -> value.  A path builds its per-lambda values when
+# it is built, and a label's values when its row is built, so the suites,
+# which read the cells row by row, build each label's values once; no path
+# reads a value another path computed.
 
 def _pairing_path(order: int, n: int, lambdas):
     """Path A: each lambda's restriction characteristic, its coefficients
-    times the pairing norm z_sigma packed over the classes, paired with each
-    label's conjugated irreducible characteristic by one packed dot per cell."""
+    times the pairing norm z_sigma packed over the classes; per row, rho's
+    conjugated irreducible characteristic, packed over the classes and read
+    at the inverse classes, as conj chi(g) = chi(g^-1) and z_sigma is the
+    same for sigma and its inverse; one packed dot per cell."""
     classes = wreath_class_labels(n, order)
     norms = [centralizer_order(sigma) for sigma in classes]
     restricted = {
         lam: pack(order, [series.coefficient(sigma) * z for sigma, z in zip(classes, norms)])
         for lam, series in restriction_characteristics(lambdas, n, order).items()
     }
-    conjugated = _packed_conjugate(order, classes)
-    return lambda rho, lam: _as_multiplicity(
-        packed_dot(order, restricted[lam], conjugated(rho)), "pairing", rho, lam)
+    inverses = [sigma.inverse() for sigma in classes]
+
+    def row(rho: WreathLabel):
+        conjugated = pack(order, map(frobenius_characteristic(rho).coefficient, inverses))
+        return lambda lam: _as_multiplicity(packed_dot(order, restricted[lam], conjugated), "pairing", rho, lam)
+
+    return row
 
 
 def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
@@ -216,19 +203,24 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
         raise HypothesisViolationError(
             f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
         )
-    return _pairing_path(rho.order, rho.size, [lam])(rho, lam)
+    return _pairing_path(rho.order, rho.size, [lam])(rho)(lam)
 
 
 def _character_average_path(order: int, n: int, lambdas):
     """Path B: its own Schur values, from its own evaluator, packed per
-    lambda over the classes, and its own conjugated characteristic per label;
-    one packed dot per cell."""
+    lambda over the classes; per row, its own conjugated characteristic of
+    rho, read at the inverse classes as in path A; one packed dot per cell."""
     classes = wreath_class_labels(n, order)
     by_class = list(map(schur_evaluator(lambdas), classes))
     schur = {lam: pack(order, values) for lam, values in zip(lambdas, zip(*by_class))}
-    conjugated = _packed_conjugate(order, classes)
-    return lambda rho, lam: _as_multiplicity(
-        packed_dot(order, schur[lam], conjugated(rho)), "character average", rho, lam)
+    inverses = [sigma.inverse() for sigma in classes]
+
+    def row(rho: WreathLabel):
+        conjugated = pack(order, map(frobenius_characteristic(rho).coefficient, inverses))
+        return lambda lam: _as_multiplicity(
+            packed_dot(order, schur[lam], conjugated), "character average", rho, lam)
+
+    return row
 
 
 def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
@@ -239,7 +231,7 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
         raise HypothesisViolationError(
             f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}"
         )
-    return _character_average_path(rho.order, rho.size, [lam])(rho, lam)
+    return _character_average_path(rho.order, rho.size, [lam])(rho)(lam)
 
 
 # ----------------------------------------------------------------------
@@ -295,14 +287,14 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
     class_of = [index[label] for label in labels]
     columns = list(zip(*traces))  # columns[t - 1]: every element's trace of its t-th power
 
-    @_per_lambda
+    @cache
     def power_sums(mu: Partition):
         # p_mu without its last part, times that part's trace column
         if not mu:
             return [1] * len(labels)
         return list(map(mul, power_sums(mu[:-1]), columns[mu[-1] - 1]))
 
-    @_per_lambda
+    @cache
     def class_row(mu: Partition):
         row = [0] * len(index)
         for c, value in zip(class_of, power_sums(mu)):
@@ -310,7 +302,7 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
         z = partitions.centralizer_order(mu)
         return [total / z for total in row]
 
-    @_per_lambda
+    @cache
     def sums(lam: Partition):
         mus = partitions.partitions_of(sum(lam))
         chi = [partitions.symmetric_group_character(lam, mu) for mu in mus]
@@ -320,7 +312,7 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
 
 
 def _numeric_path(order: int, n: int, max_power: int):
-    """Path C: once per label, its conjugated complex characters (its packed
+    """Path C: per row, rho's conjugated complex characters (its packed
     coefficients dotted with the powers of zeta, times z_sigma, conjugated in
     complex arithmetic, not read at the inverse classes), once per
     lambda its numeric class sums, and per cell one dot over the classes.
@@ -331,18 +323,18 @@ def _numeric_path(order: int, n: int, max_power: int):
     sums = _numeric_class_sums(order, n, max_power)
     group_order = order**n * factorial(n)
 
-    @_per_label
-    def characters(rho):
+    def row(rho: WreathLabel):
         columns, den = pack(order, map(frobenius_characteristic(rho).coefficient, classes))
-        return [(sum(map(mul, roots, nums)) * z).conjugate() / den for nums, z in zip(zip(*columns), norms)]
+        characters = [(sum(map(mul, roots, nums)) * z).conjugate() / den for nums, z in zip(zip(*columns), norms)]
+        return lambda lam: sum(map(mul, characters, sums(lam))) / group_order
 
-    return lambda rho, lam: sum(map(mul, characters(rho), sums(lam))) / group_order
+    return row
 
 
 def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:
     """Floating-point multiplicity: average conj(character) * s_lam(eigenvalues)
     over every element of the group, all computed numerically."""
-    return _numeric_path(rho.order, rho.size, max(1, sum(lam)))(rho, lam)
+    return _numeric_path(rho.order, rho.size, max(1, sum(lam)))(rho)(lam)
 
 
 def _numeric_detail(rho: WreathLabel, lam: Partition, exact: int, numeric: complex) -> dict:
@@ -563,48 +555,59 @@ def evaluation_kernel_agreement_check(order: int, n_cap: int, degree_cap: int) -
 # Suites
 # ----------------------------------------------------------------------
 
+def _suite_cells(order: int, n: int, degree_cap: int, lambdas, paths, compare):
+    """The cells of a suite, row by row in table order: per cell, what
+    compare(rho, lam, main, *values) returns, None for a passing cell.  main
+    is read off the series table_series builds for rho, as branching_table
+    reads it, and values holds each path's value from the row that path
+    builds for rho.  An ArithmeticError raised in a row, by a row builder or
+    at a cell, is reported as that cell's counterexample and ends the cells."""
+    chis = branching._character_rows(lambdas)
+    for rho, series in branching.table_series(order, n, degree_cap):
+        lam = lambdas[0]
+        try:
+            main, rows = branching._reader(series), [path(rho) for path in paths]
+            for lam, chi in zip(lambdas, chis):
+                yield compare(rho, lam, main(lam, chi), *(row(lam) for row in rows))
+        except ArithmeticError as exc:
+            yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
+            return
+
+
 def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Triple agreement of the three branching paths on every cell, plus the
     weighted dimension sums; any disagreement is reported with its cell."""
-    labels = wreath_class_labels(n, order)
     lambdas = branching._lambda_grid(n, degree_cap)
-
-    main_path = _main_path(order, n, degree_cap, lambdas)
-    table: dict[tuple[WreathLabel, Partition], int] = {}
+    weighted = dict.fromkeys(lambdas, 0)
 
     def agreement():
-        pairing_path = _pairing_path(order, n, lambdas)
-        average_path = _character_average_path(order, n, lambdas)
-        for rho in labels:
-            for lam in lambdas:
-                try:
-                    main, pairing, average = main_path(rho, lam), pairing_path(rho, lam), average_path(rho, lam)
-                except ArithmeticError as exc:
-                    yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
-                    return
-                table[(rho, lam)] = main
-                yield None if main == pairing == average else {
-                    "rho": format_label(rho),
-                    "lambda": format_partition(lam),
-                    "main": main,
-                    "pairing": pairing,
-                    "character_average": average,
-                }
+        paths = _pairing_path(order, n, lambdas), _character_average_path(order, n, lambdas)
+        dims = {rho: irreducible_dimension(rho) for rho in wreath_class_labels(n, order)}
+
+        def compare(rho, lam, main, pairing, average):
+            weighted[lam] += main * dims[rho]
+            return None if main == pairing == average else {
+                "rho": format_label(rho),
+                "lambda": format_partition(lam),
+                "main": main,
+                "pairing": pairing,
+                "character_average": average,
+            }
+
+        yield from _suite_cells(order, n, degree_cap, lambdas, paths, compare)
 
     def dimension_sums():
-        dims = [irreducible_dimension(rho) for rho in labels]
         at_identity = schur_evaluator(lambdas)(identity_label(n, order))
         for lam, value in zip(lambdas, at_identity):
-            weighted = sum(table[(rho, lam)] * dim for rho, dim in zip(labels, dims))
             expected = to_rational(value)
-            yield None if weighted == expected else {
+            yield None if weighted[lam] == expected else {
                 "lambda": format_partition(lam),
-                "weighted_sum": weighted,
+                "weighted_sum": weighted[lam],
                 "schur_at_identity": str(expected),
             }
 
     agreed = _check("triple_agreement", agreement())
-    # the dimension sums read the agreed table, so without it they pass vacuously
+    # the dimension sums add up the agreed rows, so without them they pass vacuously
     dimensions = _check("dimension_sums", dimension_sums() if agreed.passed else ())
     return VerificationReport({"m": order, "n": n, "max_degree": degree_cap}, [agreed, dimensions])
 
@@ -612,20 +615,16 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
 def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Numeric brute force over all monomial matrices against the exact path."""
     lambdas = branching._lambda_grid(n, degree_cap)
-    main_path = _main_path(order, n, degree_cap, lambdas)
-    numeric_path = _numeric_path(order, n, max(1, degree_cap))
+
+    def compare(rho, lam, exact, numeric):
+        try:
+            _numeric_detail(rho, lam, exact, numeric)
+        except ToleranceExceededError as exc:
+            return exc.detail
 
     def cells():
-        for rho in wreath_class_labels(n, order):
-            for lam in lambdas:
-                try:
-                    _numeric_detail(rho, lam, main_path(rho, lam), numeric_path(rho, lam))
-                except ToleranceExceededError as exc:
-                    yield exc.detail
-                except ArithmeticError as exc:
-                    yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
-                else:
-                    yield None
+        paths = [_numeric_path(order, n, max(1, degree_cap))]
+        yield from _suite_cells(order, n, degree_cap, lambdas, paths, compare)
 
     scope = {"m": order, "n": n, "max_degree": degree_cap}
     return VerificationReport(scope, [_check("numeric_matrix", cells())])

@@ -91,16 +91,18 @@ def test_littlewood_agrees_with_general_path():
 def test_stability_in_truncation():
     small = branching_table(2, 2, 2)
     large = branching_table(2, 2, 5)
-    for (rho, lam), value in small.cells.items():
-        assert large.cells[(rho, lam)] == value
+    # the smaller grid is a prefix of the larger, so each row is a prefix too
+    assert small.labels == large.labels and large.lambdas[: len(small.lambdas)] == small.lambdas
+    for small_row, large_row in zip(small.rows, large.rows):
+        assert large_row[: len(small_row)] == small_row
 
 
 def test_table_shape_and_oracle_agreement():
     table = branching_table(2, 1, 2)
-    assert len(table.cells) == 6  # 2 labels x partitions [], (1), (2)
+    assert [len(row) for row in table.rows] == [3, 3]  # 2 labels x partitions [], (1), (2)
     table = branching_table(1, 3, 3)
-    for rho, lam, value in table.rows():
-        assert value == branching_by_pairing(rho, lam)
+    for rho, row in zip(table.labels, table.rows):
+        assert row == [branching_by_pairing(rho, lam) for lam in table.lambdas]
 
 
 def test_integrality_of_series_coefficients():
@@ -119,7 +121,7 @@ def test_integrality_of_series_coefficients():
 def test_table_parallel_matches_serial():
     serial = branching_table(2, 2, 3, jobs=1)
     parallel = branching_table(2, 2, 3, jobs=4)
-    assert serial.cells == parallel.cells
+    assert serial.rows == parallel.rows
     assert serial.to_csv() == parallel.to_csv()
     assert serial.to_json_obj() == parallel.to_json_obj()
 
@@ -130,10 +132,10 @@ def test_table_matches_the_per_label_path(order, size, max_degree):
     # read off the label's own series, including labels with empty slots.
     table = branching_table(order, size, max_degree)
     assert table.labels == wreath_class_labels(size, order)
-    for rho in table.labels:
-        read = _reader(branching_series(rho, max_degree))
-        row = list(map(read, table.lambdas, _character_rows(table.lambdas)))
-        assert [table.value(rho, lam) for lam in table.lambdas] == row
+    assert table.rows == [
+        list(map(_reader(branching_series(rho, max_degree)), table.lambdas, _character_rows(table.lambdas)))
+        for rho in table.labels
+    ]
 
 
 def test_table_series_equals_branching_series():
@@ -160,7 +162,7 @@ def test_table_starts_no_process(monkeypatch):
         raise AssertionError("branching_table started a process pool")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    assert branching_table(2, 2, 3, jobs=8).cells == branching_table(2, 2, 3).cells
+    assert branching_table(2, 2, 3, jobs=8).rows == branching_table(2, 2, 3).rows
 
 
 def test_read_off_remainder_raises_non_integral(monkeypatch):

@@ -276,6 +276,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         (["verify", "--m", "1", "--n", "7", "--max-deg", "11"], "verify_m1_n7_d11.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
+        (["table", "--m", "3", "--n", "3", "--max-deg", "5"], "table_m3_n3_d5.json"),
     ],
     ids=[
         "verify",
@@ -286,11 +287,17 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         "verify-table-scope",
         "identities",
         "identities-dx-above-dy",
+        "table",
     ],
 )
 def test_json_stdout_is_byte_identical_to_golden(args, golden, capsys):
     assert main([*args, "--format", "json"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def test_pretty_table_is_byte_identical_to_golden(capsys):
+    assert main(["table", "--m", "3", "--n", "3", "--max-deg", "5", "--format", "pretty"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "table_m3_n3_d5.txt").read_bytes()
 
 
 _ALL_PATHS_SCRIPT = """

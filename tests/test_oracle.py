@@ -30,6 +30,7 @@ from wreathlitt.wreath import (
     WreathSeries,
     centralizer_order,
     evaluation_kernel,
+    format_label,
     identity_label,
     irreducible_dimension,
     power_trace,
@@ -364,8 +365,13 @@ def test_corrupted_pairing_fails_only_path_a(monkeypatch):
     target = (lab(2, {0: (1,), 1: (2,)}), (2, 1))
 
     def corrupted(order, n, lambdas):
-        cell = true_path(order, n, lambdas)
-        return lambda rho, lam: cell(rho, lam) + ((rho, lam) == target)
+        path = true_path(order, n, lambdas)
+
+        def row(rho):
+            cell = path(rho)
+            return lambda lam: cell(lam) + ((rho, lam) == target)
+
+        return row
 
     monkeypatch.setattr(oracle_module, "_pairing_path", corrupted)
     check = run_verification(2, 3, 4).checks[0]
@@ -422,6 +428,55 @@ def test_verification_builds_one_schur_evaluator_per_check(monkeypatch):
     monkeypatch.setattr(oracle_module, "schur_evaluator", counted)
     assert run_verification(3, 3, 5).passed
     assert built == [_grid(3, 5)] * 3
+
+
+def test_suites_build_each_row_once(monkeypatch):
+    # Paths A and B each build a label's conjugated characteristic once, when
+    # its row starts, and path C its complex characters once; each suite reads
+    # the main path's rows from one run of the series builder.
+    import wreathlitt.branching as branching_module
+    import wreathlitt.oracle as oracle_module
+
+    characteristics, builders = [], []
+    true_characteristic, true_series = oracle_module.frobenius_characteristic, branching_module.table_series
+
+    def counted_characteristic(rho):
+        characteristics.append(rho)
+        return true_characteristic(rho)
+
+    def counted_series(*scope):
+        builders.append(scope)
+        return true_series(*scope)
+
+    monkeypatch.setattr(oracle_module, "frobenius_characteristic", counted_characteristic)
+    monkeypatch.setattr(branching_module, "table_series", counted_series)
+    labels = wreath_class_labels(3, 3)
+    assert run_verification(3, 3, 5).passed
+    assert characteristics == [rho for rho in labels for path in "AB"] and builders == [(3, 3, 5)]
+    characteristics.clear()
+    builders.clear()
+    assert run_numeric_suite(3, 3, 4).passed
+    assert characteristics == labels and builders == [(3, 3, 4)]
+
+
+def test_arithmetic_error_in_a_row_builder_is_reported_at_its_first_cell(monkeypatch):
+    # Paths A, B and C read a label's characteristic when they build its row,
+    # before any of its cells, so the error belongs to the row's first cell.
+    import wreathlitt.oracle as oracle_module
+
+    labels, lambdas = wreath_class_labels(2, 2), _grid(2, 3)
+    true_characteristic = oracle_module.frobenius_characteristic
+
+    def failing(rho):
+        if rho == labels[2]:
+            raise ZeroDivisionError("no characteristic")
+        return true_characteristic(rho)
+
+    monkeypatch.setattr(oracle_module, "frobenius_characteristic", failing)
+    expected = ({"rho": format_label(labels[2]), "lambda": "[]", "error": "no characteristic"}, 2 * len(lambdas) + 1)
+    for report in (run_verification(2, 2, 3), run_numeric_suite(2, 2, 3)):
+        check = report.checks[0]
+        assert (check.counterexample, check.cells) == expected
 
 
 def _trace_with_conjugate_exponent(rho, r):

@@ -13,6 +13,8 @@ Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic; ``sum_of_products`` instead accumulates unreduced
 integer numerators over a common denominator and reduces once per sum, and
 ``packed_dot`` does the same for two vectors that ``pack`` converted once.
+``packed_numerators`` stops before the ``Cyclotomic``, so that a caller can
+test its sum for an integer with one ``divmod`` and build no number at all.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "euler_phi",
     "pack",
     "packed_dot",
+    "packed_numerators",
     "reduce_mod_cyclotomic",
     "sum_of_products",
     "to_rational",
@@ -301,15 +304,20 @@ def pack(order: int, values) -> tuple[list[list[int]], int]:
     return columns, den
 
 
-def packed_dot(order: int, x, y) -> Cyclotomic:
-    """Exact sum of x_k * y_k over two packed vectors of one length: one
-    integer dot per pair of columns, and one reduction mod Phi_order."""
+def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of the exact sum of x_k * y_k over two packed vectors of one
+    length, not in lowest terms: one integer dot per pair of columns, one reduction."""
     (xs, dx), (ys, dy) = x, y
     work = [0] * (len(xs) + len(ys) - 1)
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
             work[i + j] += sum(map(mul, a, b))
-    return Cyclotomic(order, _reduce(work, order), dx * dy)
+    return _reduce(work, order), dx * dy
+
+
+def packed_dot(order: int, x, y) -> Cyclotomic:
+    """packed_numerators' sum as a Cyclotomic, in lowest terms."""
+    return Cyclotomic(order, *packed_numerators(order, x, y))
 
 
 def to_rational(value) -> Fraction:

@@ -6,6 +6,9 @@ against the conjugated irreducible characteristic inside the wreath ring;
 values and characters read from frobenius_characteristic, as in (A); (C)
 floating-point brute force over the actual monomial matrices at tiny sizes.
 A bug in any single layer cannot produce silent three-way agreement.
+Paths A and B pack their vectors once, as integer columns, and read each
+cell in one integer pass: the column dots, one reduction mod Phi_m and one
+divmod; only a cell that fails builds a Cyclotomic, to report itself.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -28,7 +31,7 @@ from operator import mul
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
-from .exactnum import NotRationalError, euler_phi, pack, packed_dot, to_rational, zeta
+from .exactnum import NotRationalError, euler_phi, pack, packed_dot, packed_numerators, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, h_basis, hall_inner_product, omega_at_root, s_basis, stretch
 # wreath_inner_product is not called here but stays bound:
@@ -161,12 +164,16 @@ def restriction_characteristic(lam: Partition, n: int, order: int) -> WreathSeri
     return restriction_characteristics([lam], n, order)[lam]
 
 
-def _as_multiplicity(value, path: str, rho: WreathLabel, lam: Partition) -> int:
-    rational = to_rational(value)
-    if rational.denominator != 1 or rational < 0:
+def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Partition) -> int:
+    # One cell of path A or B: the packed dot's numerators and one divmod.  Only a
+    # failing cell builds its Cyclotomic, for the value its error reports.
+    nums, den = packed_numerators(order, x, y)
+    value, rest = divmod(nums[0], den)
+    if rest or value < 0 or any(nums[1:]):
+        rational = to_rational(packed_dot(order, x, y))
         where = f"{path} at ({format_label(rho)}, {format_partition(lam)})"
         raise NotRationalError(f"{where}: expected a non-negative integer, got {rational}")
-    return int(rational)
+    return value
 
 
 # Each path is built for one group, and is a row builder: path(rho) returns
@@ -180,7 +187,7 @@ def _pairing_path(order: int, n: int, lambdas):
     times the pairing norm z_sigma packed over the classes; per row, rho's
     conjugated irreducible characteristic, packed over the classes and read
     at the inverse classes, as conj chi(g) = chi(g^-1) and z_sigma is the
-    same for sigma and its inverse; one packed dot per cell."""
+    same for sigma and its inverse; one integer pass per cell."""
     classes = wreath_class_labels(n, order)
     norms = [centralizer_order(sigma) for sigma in classes]
     restricted = {
@@ -191,7 +198,7 @@ def _pairing_path(order: int, n: int, lambdas):
 
     def row(rho: WreathLabel):
         conjugated = pack(order, map(frobenius_characteristic(rho).coefficient, inverses))
-        return lambda lam: _as_multiplicity(packed_dot(order, restricted[lam], conjugated), "pairing", rho, lam)
+        return lambda lam: _packed_multiplicity(order, restricted[lam], conjugated, "pairing", rho, lam)
 
     return row
 
@@ -209,7 +216,7 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
 def _character_average_path(order: int, n: int, lambdas):
     """Path B: its own Schur values, from its own evaluator, packed per
     lambda over the classes; per row, its own conjugated characteristic of
-    rho, read at the inverse classes as in path A; one packed dot per cell."""
+    rho, read at the inverse classes as in path A; one integer pass per cell."""
     classes = wreath_class_labels(n, order)
     by_class = list(map(schur_evaluator(lambdas), classes))
     schur = {lam: pack(order, values) for lam, values in zip(lambdas, zip(*by_class))}
@@ -217,8 +224,7 @@ def _character_average_path(order: int, n: int, lambdas):
 
     def row(rho: WreathLabel):
         conjugated = pack(order, map(frobenius_characteristic(rho).coefficient, inverses))
-        return lambda lam: _as_multiplicity(
-            packed_dot(order, schur[lam], conjugated), "character average", rho, lam)
+        return lambda lam: _packed_multiplicity(order, schur[lam], conjugated, "character average", rho, lam)
 
     return row
 
@@ -337,18 +343,18 @@ def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:
     return _numeric_path(rho.order, rho.size, max(1, sum(lam)))(rho)(lam)
 
 
+def _numeric_fails(exact: int, numeric: complex) -> bool:
+    return abs(numeric - exact) >= NUMERIC_TOLERANCE or round(numeric.real) != exact
+
+
 def _numeric_detail(rho: WreathLabel, lam: Partition, exact: int, numeric: complex) -> dict:
-    error = abs(numeric - exact)
-    detail = {
+    return {
         "rho": format_label(rho),
         "lambda": format_partition(lam),
         "exact": exact,
         "numeric": [numeric.real, numeric.imag],
-        "error": error,
+        "error": abs(numeric - exact),
     }
-    if error >= NUMERIC_TOLERANCE or round(numeric.real) != exact:
-        raise ToleranceExceededError(detail)
-    return detail
 
 
 def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
@@ -357,7 +363,11 @@ def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
 
     Returns the comparison detail, raising ToleranceExceededError on failure.
     """
-    return _numeric_detail(rho, lam, branching_coefficient(rho, lam), numeric_branching_estimate(rho, lam))
+    exact, numeric = branching_coefficient(rho, lam), numeric_branching_estimate(rho, lam)
+    detail = _numeric_detail(rho, lam, exact, numeric)
+    if _numeric_fails(exact, numeric):
+        raise ToleranceExceededError(detail)
+    return detail
 
 
 # ----------------------------------------------------------------------
@@ -617,10 +627,8 @@ def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport
     lambdas = branching._lambda_grid(n, degree_cap)
 
     def compare(rho, lam, exact, numeric):
-        try:
-            _numeric_detail(rho, lam, exact, numeric)
-        except ToleranceExceededError as exc:
-            return exc.detail
+        # a passing cell builds no detail
+        return _numeric_detail(rho, lam, exact, numeric) if _numeric_fails(exact, numeric) else None
 
     def cells():
         paths = [_numeric_path(order, n, max(1, degree_cap))]

@@ -61,6 +61,8 @@ __all__ = [
     "wreath_inner_product",
 ]
 
+_ZERO = Fraction(0)  # the coefficient of every absent label: a Fraction is immutable
+
 
 class OrderMismatchError(ValueError):
     """Two wreath values built over different root-of-unity orders."""
@@ -329,7 +331,7 @@ class WreathSeries:
         return cls(order, {WreathLabel(order, ()): Fraction(1)})
 
     def coefficient(self, label: WreathLabel):
-        return self.terms.get(label, Fraction(0))
+        return self.terms.get(label, _ZERO)
 
     def __add__(self, other: "WreathSeries") -> "WreathSeries":
         if not isinstance(other, WreathSeries):
@@ -411,12 +413,13 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
 
 
 def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> WreathSeries:
-    # s_lam[phi_j] in closed form (see the convention note), one pass over the labels.
+    # s_lam[phi_j] in closed form (see the convention note), one pass over the labels,
+    # each coefficient one Cyclotomic: chi zeta^(j turns) over z_sigma.
     terms = {}
     for sigma, cycle_type, turns in _class_structure(sum(lam), order):
         chi = partitions.symmetric_group_character(lam, cycle_type)
         if chi:
-            terms[sigma] = zeta(order, j * turns) * Fraction(chi, centralizer_order(sigma))
+            terms[sigma] = Cyclotomic(order, tuple(a * chi for a in zeta(order, j * turns).nums), centralizer_order(sigma))
     return WreathSeries(order, terms)
 
 

@@ -23,7 +23,7 @@ from wreathlitt.oracle import (
     eigenvalue_substitution_check,
     _omega_composite_xy,
 )
-from wreathlitt.exactnum import to_rational, zeta
+from wreathlitt.exactnum import NotRationalError, to_rational, zeta
 from wreathlitt.symfunc import hall_inner_product, omega_at_root, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
@@ -188,6 +188,15 @@ def test_numeric_mismatch_reports_cell(monkeypatch):
     with pytest.raises(ToleranceExceededError) as info:
         numeric_matrix_check(lab(1, {0: (2,)}), (2,))
     assert info.value.detail["rho"] == "0:2"
+
+
+def test_numeric_matrix_check_returns_the_detail_of_a_passing_cell():
+    # the detail a passing cell returns, which run_numeric_suite no longer builds
+    detail = numeric_matrix_check(lab(3, {0: (1,), 1: (1,)}), (1,))
+    assert list(detail) == ["rho", "lambda", "exact", "numeric", "error"]
+    assert (detail["rho"], detail["lambda"], detail["exact"]) == ("0:1;1:1", "1", 1)
+    assert detail["numeric"] == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert detail["error"] == abs(complex(*detail["numeric"]) - 1) < 1e-9
 
 
 def test_kernel_identity_trivia():
@@ -568,6 +577,39 @@ def test_isotypic_twist_per_box_fails_pairing_integrality(monkeypatch):
     check = run_verification(3, 3, 5).checks[0]
     assert check.name == "triple_agreement" and not check.passed
     assert (check.counterexample, check.cells) == (PER_BOX_FAULT, 115)
+
+
+# lambda = (1)'s Schur values times a factor, in both paths' evaluators, move
+# the cell (0:1;1:1, (1)), whose multiplicity is 1, to that factor.  The
+# errors are those the paths raised when each cell built its Cyclotomic with
+# packed_dot and converted it to a Fraction, before cells were read as integers.
+CELL_FAULTS = [
+    (1 + zeta(3) * Fraction(2, 3), "Cyclotomic(1 + 2/3*z3) has a nonzero zeta-component"),
+    (Fraction(1, 2), "{path} at (0:1;1:1, 1): expected a non-negative integer, got 1/2"),
+    (-1, "{path} at (0:1;1:1, 1): expected a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("factor, message", CELL_FAULTS, ids=["not-rational", "half", "negative"])
+def test_a_failing_integer_cell_raises_the_error_of_its_cyclotomic(factor, message, monkeypatch):
+    import wreathlitt.oracle as oracle_module
+
+    true_evaluator = oracle_module.schur_evaluator
+
+    def scaled(lambdas):
+        schur = true_evaluator(lambdas)
+        return lambda sigma: [value * factor if lam == (1,) else value for lam, value in zip(lambdas, schur(sigma))]
+
+    monkeypatch.setattr(oracle_module, "schur_evaluator", scaled)
+    rho = lab(3, {0: (1,), 1: (1,)})
+    for build, path in [(oracle_module._pairing_path, "pairing"), (oracle_module._character_average_path, "character average")]:
+        with pytest.raises(NotRationalError) as info:
+            build(3, 2, [(), (1,)])(rho)((1,))
+        assert str(info.value) == message.format(path=path)
+    # the suite reports path A's error, at the tenth cell
+    check = run_verification(3, 2, 2).checks[0]
+    error = message.format(path="pairing")
+    assert (check.counterexample, check.cells) == ({"rho": "0:1;1:1", "lambda": "1", "error": error}, 10)
 
 
 def _kernel_plus_box(true, rho, degree):

@@ -89,11 +89,7 @@ def _product(factors, max_degree: int) -> SymSeries:
 
 def _character_rows(lambdas) -> list[list[int]]:
     # chi^lam(nu) in partitions_of(|lam|) order, read from the tables on each call.
-    rows = []
-    for lam in lambdas:
-        chi = partitions.character_table(sum(lam))
-        rows.append([chi[lam, nu] for nu in partitions.partitions_of(sum(lam))])
-    return rows
+    return [list(partitions.character_table(sum(lam))[lam].values()) for lam in lambdas]
 
 
 def _reader(series: SymSeries):

@@ -41,10 +41,10 @@ class _Parser(argparse.ArgumentParser):
 MAX_ORDER = 10**6
 
 # Sizes and degrees have a cap too, as memory grows about threefold per two
-# degrees: coeff --m 1 --rho 0:D --lambda D peaks at 120 MB at D = 16 and
-# 357 MB at D = 18 (CPython 3.11), so D = 20 needs about a gigabyte, and
+# degrees: coeff --m 1 --rho 0:D --lambda D peaks at 112 MB at D = 16 and
+# 334 MB at D = 18 (CPython 3.11), so D = 20 needs about a gigabyte, and
 # larger inputs end in MemoryError.  Before any series, character_table(20)
-# takes about 2.8 s and 145 MB in a fresh process (2-core x86-64 host).
+# takes about 1.6 s and 59 MB in a fresh process (2-core Xeon VM).
 MAX_DEGREE = 20
 
 

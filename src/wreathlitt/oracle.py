@@ -466,8 +466,8 @@ def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckR
         schur = _schur_in_power_sums(degree_cap)
         for n in range(n_cap + 1):
             labels = sorted(wreath_class_labels(n, order), key=WreathLabel.sort_key)
-            for lam in branching._lambda_grid(n, degree_cap):
-                direct = restriction_characteristic(lam, n, order).terms
+            for lam, series in restriction_characteristics(branching._lambda_grid(n, degree_cap), n, order).items():
+                direct = series.terms
                 for label in labels:
                     # a zero pairing reads as 0, as an absent direct term does
                     extracted = hall_inner_product(kernel.terms[label], schur[lam]) or 0

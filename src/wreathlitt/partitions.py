@@ -5,7 +5,8 @@ beta-sets (first-column hook lengths): removing a border strip of size r
 means lowering one beta number by r, with sign given by the number of beta
 numbers jumped over.  Full character tables are built per degree on first
 use and kept in memory for the life of the process; they are never written
-to or read from disk.
+to or read from disk.  A table is stored as rows, {lam: {mu: chi^lam(mu)}},
+with the rows and each row's keys in partitions_of(n) order.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def specht_dimension(lam: Partition) -> int:
     return dim
 
 
-# Complete character tables per degree; degree 0 seeds the recursion.
-_TABLES: dict[int, dict[tuple[Partition, Partition], int]] = {0: {((), ()): 1}}
+# Complete character tables per degree as rows; degree 0 seeds the recursion.
+_TABLES: dict[int, dict[Partition, dict[Partition, int]]] = {0: {(): {(): 1}}}
 
 
 def _border_strip_removals(lam: Partition, size: int):
@@ -115,9 +116,10 @@ def _border_strip_removals(lam: Partition, size: int):
         yield tuple(x for x in shrunk if x > 0), (-1 if (j - i) % 2 else 1)
 
 
-def _build_table(n: int) -> dict[tuple[Partition, Partition], int]:
-    table: dict[tuple[Partition, Partition], int] = {}
+def _build_table(n: int) -> dict[Partition, dict[Partition, int]]:
     shapes = _partitions(n, n)
+    table: dict[Partition, dict[Partition, int]] = {lam: {} for lam in shapes}
+    # Filled column by column, so each row's keys come in partitions_of(n) order.
     # Strips depend on mu's first part alone: each shape's are found once per size.
     strips_by_size: dict[int, list] = {}
     for mu in shapes:
@@ -127,15 +129,16 @@ def _build_table(n: int) -> dict[tuple[Partition, Partition], int]:
             rows = strips_by_size[strip] = [tuple(_border_strip_removals(lam, strip)) for lam in shapes]
         lower = _TABLES[n - strip]
         for lam, strips in zip(shapes, rows):
-            table[(lam, mu)] = sum([sign * lower[(smaller, rest)] for smaller, sign in strips])
+            table[lam][mu] = sum([sign * lower[smaller][rest] for smaller, sign in strips])
     return table
 
 
-def character_table(n: int) -> dict[tuple[Partition, Partition], int]:
+def character_table(n: int) -> dict[Partition, dict[Partition, int]]:
     """The full character table of the symmetric group of degree n.
 
-    Keyed by (shape, cycle type); building degree n fills in all lower
-    degrees as well.  A built table is returned after one lookup.
+    As rows: table[lam][mu] is chi^lam(mu), and both the rows and each row's
+    keys come in partitions_of(n) order.  Building degree n fills in all
+    lower degrees as well.  A built table is returned after one lookup.
     """
     table = _TABLES.get(n)
     if table is None:
@@ -152,7 +155,7 @@ def symmetric_group_character(lam: Partition, mu: Partition) -> int:
     """Irreducible character of shape lam at cycle type mu."""
     if sum(lam) != sum(mu):
         raise SizeMismatchError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
-    return character_table(sum(lam))[(lam, mu)]
+    return character_table(sum(lam))[lam][mu]
 
 
 def parse_partition(text: str) -> Partition:

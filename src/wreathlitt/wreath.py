@@ -246,9 +246,9 @@ def schur_evaluator(lambdas):
     rows = []
     for lam in lambdas:
         k = sum(lam)
-        shapes, table = partitions.partitions_of(k), partitions.character_table(k)
-        den = lcms.setdefault(k, lcm(*map(partitions.centralizer_order, shapes)))
-        rows.append((len(lam), k, den, [table[(lam, mu)] * (den // partitions.centralizer_order(mu)) for mu in shapes]))
+        row = partitions.character_table(k)[lam]
+        den = lcms.setdefault(k, lcm(*map(partitions.centralizer_order, row)))
+        rows.append((len(lam), k, den, [chi * (den // partitions.centralizer_order(mu)) for mu, chi in row.items()]))
     top = max(lcms, default=0)
 
     def at(rho: WreathLabel) -> list[Cyclotomic]:
@@ -367,11 +367,6 @@ class WreathSeries:
             {label: coeff * other for label, coeff in self.terms.items()},
             self.truncation,
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, WreathSeries):
-            return NotImplemented
-        return self * other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WreathSeries):

@@ -193,7 +193,7 @@ def test_criterion_6_symmetric_function_kernel_properties():
         table = partitions.character_table(n)
         for mu in shapes_n:
             for nu in shapes_n:
-                total = sum(table[(lam, mu)] * table[(lam, nu)] for lam in shapes_n)
+                total = sum(table[lam][mu] * table[lam][nu] for lam in shapes_n)
                 want = partitions.centralizer_order(mu) if mu == nu else 0
                 if total != want:
                     failures.append(("character_orthogonality", n, mu, nu))

@@ -177,7 +177,7 @@ def test_read_off_remainder_raises_non_integral(monkeypatch):
     rho, lam = lab(1, {0: (2,)}), (2, 1)
     assert branching_coefficient(rho, lam) == 1
     table = partitions.character_table(3)
-    monkeypatch.setitem(table, ((2, 1), (3,)), table[((2, 1), (3,))] + 1)
+    monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)
     with pytest.raises(NonIntegralError, match=re.escape("multiplicity at 2,1 came out 4/3")):
         branching_coefficient(rho, lam)
 

@@ -227,7 +227,7 @@ def test_arithmetic_errors_exit_2_with_json_line(error, capsys, monkeypatch):
 
 def test_non_integral_read_off_exits_2(capsys, monkeypatch):
     table = partitions.character_table(3)
-    monkeypatch.setitem(table, ((2, 1), (3,)), table[((2, 1), (3,))] + 1)
+    monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)
     assert main(["coeff", "--m", "1", "--rho", "0:2", "--lambda", "2,1"]) == 2
     failure = json.loads(capsys.readouterr().err)
     assert failure["error"] == "NonIntegralError" and "came out 4/3" in failure["message"]

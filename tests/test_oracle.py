@@ -618,9 +618,8 @@ def _kernel_plus_box(true, rho, degree):
     return series + p_basis((1,)) if rho.size == 2 and dict(rho.slots).get(0) == (2,) else series
 
 
-def _restriction_doubled_at_21(true, lam, n, order):
-    series = true(lam, n, order)
-    return series * 2 if lam == (2, 1) else series
+def _restriction_doubled_at_21(true, lambdas, n, order):
+    return {lam: series * 2 if lam == (2, 1) else series for lam, series in true(lambdas, n, order).items()}
 
 
 def _centralizer_doubled_at_size_2(true, rho):
@@ -657,7 +656,7 @@ IDENTITY_FAULTS = {
         ({"rho": "0:2", "y_index": [1], "lhs": "Fraction(1, 6)", "rhs": "0"}, 346),
     ),
     "restriction_formula": (
-        "restriction_characteristic",
+        "restriction_characteristics",
         _restriction_doubled_at_21,
         lambda: restriction_formula_check(3, 3, 3),
         (
@@ -744,7 +743,7 @@ def _dimension_plus_one_at_21(monkeypatch):
 def _character_plus_one_at_21_3(monkeypatch):
     # +1 on chi^(2,1) at a 3-cycle in the shared character table
     table = partitions.character_table(3)
-    monkeypatch.setitem(table, ((2, 1), (3,)), table[((2, 1), (3,))] + 1)
+    monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)
 
 
 # For each corruption: its scope, and each check's first failing cell and

@@ -25,7 +25,6 @@ from .oracle import (
     branching_by_character_average,
     branching_by_pairing,
     numeric_matrix_check,
-    restriction_characteristic,
     run_identity_suite,
     run_numeric_suite,
     run_verification,

@@ -1,14 +1,15 @@
 """Independent verification paths for the branching computation.
 
 Three routes to every multiplicity: (A) pair the restriction characteristic
-against the conjugated irreducible characteristic inside the wreath ring;
-(B) a classical character average over conjugacy classes, with its own Schur
-values and characters read from frobenius_characteristic, as in (A); (C)
-floating-point brute force over the actual monomial matrices at tiny sizes.
-A bug in any single layer cannot produce silent three-way agreement.
-Paths A and B pack their vectors once, as integer columns, and read each
-cell in one integer pass: the column dots, one reduction mod Phi_m and one
-divmod; only a cell that fails builds a Cyclotomic, to report itself.
+against the conjugated irreducible character inside the wreath ring; (B) a
+classical character average over conjugacy classes, with its own Schur
+values and its own call of wreath.characters, as in (A); (C) floating-point
+brute force over the actual monomial matrices at tiny sizes.  A bug in any
+single layer cannot produce silent three-way agreement.  Paths A and B pack
+their vectors as integer columns, the characters straight from their
+integer numerators, and read each cell in one integer pass: the column
+dots, one reduction mod Phi_m and one divmod; only a cell that fails builds
+a Cyclotomic, to report itself.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from . import branching, partitions
@@ -34,12 +35,13 @@ from .branching import HypothesisViolationError, branching_coefficient
 from .exactnum import NotRationalError, euler_phi, pack, packed_dot, packed_numerators, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, h_basis, hall_inner_product, omega_at_root, s_basis, stretch
-# wreath_inner_product is not called here but stays bound:
-# perfbench/layertrace.py patches it by name in this module.
+# frobenius_characteristic and wreath_inner_product are not called here but
+# stay bound: perfbench/layertrace.py patches them by name in this module.
 from .wreath import (  # noqa: F401
     WreathLabel,
     WreathSeries,
     centralizer_order,
+    characters,
     evaluation_kernel,
     evaluation_kernel_product_form,
     format_label,
@@ -65,7 +67,6 @@ __all__ = [
     "numeric_branching_estimate",
     "numeric_matrix_check",
     "reproducing_kernel_check",
-    "restriction_characteristic",
     "restriction_characteristics",
     "restriction_formula_check",
     "run_identity_suite",
@@ -159,11 +160,6 @@ def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, 
     return {lam: WreathSeries(order, series) for lam, series in terms.items()}
 
 
-def restriction_characteristic(lam: Partition, n: int, order: int) -> WreathSeries:
-    """The restriction characteristic of one lambda."""
-    return restriction_characteristics([lam], n, order)[lam]
-
-
 def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Partition) -> int:
     # One cell of path A or B: the packed dot's numerators and one divmod.  Only a
     # failing cell builds its Cyclotomic, for the value its error reports.
@@ -176,6 +172,25 @@ def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Par
     return value
 
 
+def _conjugated_characters(order: int, classes):
+    # rho -> its conjugated characters over z_sigma, packed over the classes like
+    # exactnum.pack: chi(sigma^-1) * (L / z_sigma) over L = lcm(z_sigma), as conj
+    # chi(g) = chi(g^-1) and z_sigma is the same for sigma and its inverse.
+    inverses, den = [sigma.inverse() for sigma in classes], lcm(*map(centralizer_order, classes))
+    weights, zero = [den // centralizer_order(sigma) for sigma in classes], (0,) * euler_phi(order)
+
+    def packed(rho: WreathLabel):
+        values = characters(rho)
+        columns = [list(column) for column in zip(*(
+            [a * weight for a in values.get(inverse, zero)] for inverse, weight in zip(inverses, weights)
+        ))]
+        while len(columns) > 1 and not any(columns[-1]):
+            columns.pop()
+        return columns, den
+
+    return packed
+
+
 # Each path is built for one group, and is a row builder: path(rho) returns
 # rho's cell function lam -> value.  A path builds its per-lambda values when
 # it is built, and a label's values when its row is built, so the suites,
@@ -183,21 +198,20 @@ def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Par
 # reads a value another path computed.
 
 def _pairing_path(order: int, n: int, lambdas):
-    """Path A: each lambda's restriction characteristic, its coefficients
-    times the pairing norm z_sigma packed over the classes; per row, rho's
-    conjugated irreducible characteristic, packed over the classes and read
-    at the inverse classes, as conj chi(g) = chi(g^-1) and z_sigma is the
-    same for sigma and its inverse; one integer pass per cell."""
+    """Path A: each lambda's restriction characteristic packed over the
+    classes, its integer columns times the pairing norm z_sigma; per row,
+    rho's conjugated characters over z_sigma, packed over the classes; one
+    integer pass per cell."""
     classes = wreath_class_labels(n, order)
     norms = [centralizer_order(sigma) for sigma in classes]
-    restricted = {
-        lam: pack(order, [series.coefficient(sigma) * z for sigma, z in zip(classes, norms)])
-        for lam, series in restriction_characteristics(lambdas, n, order).items()
-    }
-    inverses = [sigma.inverse() for sigma in classes]
+    restricted = {}
+    for lam, series in restriction_characteristics(lambdas, n, order).items():
+        columns, scale = pack(order, map(series.coefficient, classes))
+        restricted[lam] = [list(map(mul, column, norms)) for column in columns], scale
+    conjugated_characters = _conjugated_characters(order, classes)
 
     def row(rho: WreathLabel):
-        conjugated = pack(order, map(frobenius_characteristic(rho).coefficient, inverses))
+        conjugated = conjugated_characters(rho)
         return lambda lam: _packed_multiplicity(order, restricted[lam], conjugated, "pairing", rho, lam)
 
     return row
@@ -215,15 +229,15 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
 
 def _character_average_path(order: int, n: int, lambdas):
     """Path B: its own Schur values, from its own evaluator, packed per
-    lambda over the classes; per row, its own conjugated characteristic of
-    rho, read at the inverse classes as in path A; one integer pass per cell."""
+    lambda over the classes; per row, its own conjugated characters of rho,
+    packed as in path A; one integer pass per cell."""
     classes = wreath_class_labels(n, order)
     by_class = list(map(schur_evaluator(lambdas), classes))
     schur = {lam: pack(order, values) for lam, values in zip(lambdas, zip(*by_class))}
-    inverses = [sigma.inverse() for sigma in classes]
+    conjugated_characters = _conjugated_characters(order, classes)
 
     def row(rho: WreathLabel):
-        conjugated = pack(order, map(frobenius_characteristic(rho).coefficient, inverses))
+        conjugated = conjugated_characters(rho)
         return lambda lam: _packed_multiplicity(order, schur[lam], conjugated, "character average", rho, lam)
 
     return row
@@ -318,21 +332,20 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
 
 
 def _numeric_path(order: int, n: int, max_power: int):
-    """Path C: per row, rho's conjugated complex characters (its packed
-    coefficients dotted with the powers of zeta, times z_sigma, conjugated in
-    complex arithmetic, not read at the inverse classes), once per
-    lambda its numeric class sums, and per cell one dot over the classes.
-    max_power, the highest traced power, must be >= 1 and >= every |lambda|."""
+    """Path C: per row, rho's conjugated complex characters (its integer
+    numerators dotted with the powers of zeta, conjugated in complex
+    arithmetic, not read at the inverse classes), once per lambda its
+    numeric class sums, and per cell one dot over the classes.  max_power,
+    the highest traced power, must be >= 1 and >= every |lambda|."""
     classes = wreath_class_labels(n, order)
-    norms = [centralizer_order(sigma) for sigma in classes]
     roots = [cmath.exp(2j * cmath.pi * k / order) for k in range(euler_phi(order))]
     sums = _numeric_class_sums(order, n, max_power)
     group_order = order**n * factorial(n)
 
     def row(rho: WreathLabel):
-        columns, den = pack(order, map(frobenius_characteristic(rho).coefficient, classes))
-        characters = [(sum(map(mul, roots, nums)) * z).conjugate() / den for nums, z in zip(zip(*columns), norms)]
-        return lambda lam: sum(map(mul, characters, sums(lam))) / group_order
+        values = characters(rho)
+        conjugated = [sum(map(mul, roots, values.get(sigma, ())), 0j).conjugate() for sigma in classes]
+        return lambda lam: sum(map(mul, conjugated, sums(lam))) / group_order
 
     return row
 

@@ -10,7 +10,9 @@ orthogonal for the wreath pairing with norm the centralizer order.
 Eigenvalue data is never materialized: an l-cycle with cycle product z
 contributes the l-th roots of z, so all power sums of eigenvalues lie in
 Z[zeta_m] and come from a divisor sum; Schur values at them stay integer
-polynomials mod x^m - 1 until one reduction mod Phi_m.  Labels hash once, at
+polynomials mod x^m - 1 until one reduction mod Phi_m.  Irreducible
+characters are integers too: each value is a sparse map exponent -> integer
+until one reduction, with no Cyclotomic per class.  Labels hash once, at
 construction, and a series product reduces each cyclotomic coefficient once;
 merging labels is memoised, as it reads label structure alone.
 
@@ -29,13 +31,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, combinations, product
 from math import factorial, lcm, prod
 from operator import mul
 
 from . import partitions
-from .exactnum import Cyclotomic, _reduce, reduce_mod_cyclotomic, sum_of_products, zeta
+from .exactnum import Cyclotomic, _reduce, euler_phi, reduce_mod_cyclotomic, sum_of_products, zeta
 from .partitions import Partition, format_partition, parse_partition
 from .symfunc import SymSeries, _min_trunc, constant, omega_at_root, stretch
 
@@ -45,6 +47,7 @@ __all__ = [
     "WreathLabel",
     "WreathSeries",
     "centralizer_order",
+    "characters",
     "evaluation_kernel",
     "evaluation_kernel_product_form",
     "format_label",
@@ -242,12 +245,12 @@ def schur_evaluator(lambdas):
     power of x and one reduction mod Phi_m.  A lam with more rows than there
     are eigenvalues gives 0 (the zero specialization, not an error).
     """
-    lcms = {}  # |lam| -> lcm(z_mu) over the partitions mu of |lam|
+    # |lam| -> lcm(z_mu) over the partitions mu of |lam|, once per degree
+    lcms = {k: lcm(*map(partitions.centralizer_order, partitions.partitions_of(k))) for k in set(map(sum, lambdas))}
     rows = []
     for lam in lambdas:
         k = sum(lam)
-        row = partitions.character_table(k)[lam]
-        den = lcms.setdefault(k, lcm(*map(partitions.centralizer_order, row)))
+        row, den = partitions.character_table(k)[lam], lcms[k]
         rows.append((len(lam), k, den, [chi * (den // partitions.centralizer_order(mu)) for mu, chi in row.items()]))
     top = max(lcms, default=0)
 
@@ -407,26 +410,54 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
     return sum_of_products(f.order, shared)
 
 
-def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> WreathSeries:
-    # s_lam[phi_j] in closed form (see the convention note), one pass over the labels,
-    # each coefficient one Cyclotomic: chi zeta^(j turns) over z_sigma.
-    terms = {}
-    for sigma, cycle_type, turns in _class_structure(sum(lam), order):
-        chi = partitions.symmetric_group_character(lam, cycle_type)
-        if chi:
-            terms[sigma] = Cyclotomic(order, tuple(a * chi for a in zeta(order, j * turns).nums), centralizer_order(sigma))
-    return WreathSeries(order, terms)
+def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[WreathLabel, int, int]]:
+    # s_lam[phi_j] in closed form (see the convention note), z-scaled, in one pass over
+    # the labels: (sigma, chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns) != 0.
+    return [
+        (sigma, chi, j * turns) for sigma, cycle_type, turns in _class_structure(sum(lam), order)
+        if (chi := partitions.symmetric_group_character(lam, cycle_type))
+    ]
+
+
+def characters(rho: WreathLabel) -> dict[WreathLabel, tuple[int, ...]]:
+    """chi^rho at each class where it is nonzero, as integer power-basis
+    numerators: the ring product of the z-scaled slot factors, where z_c [P_c] fg
+    gains (z_c / (z_a z_b)) (z_a [P_a] f)(z_b [P_b] g) for c = a u b, an integer,
+    kept as sparse maps exponent -> integer until one reduction at the end."""
+    m = rho.order
+    first, *rest = [_schur_isotypic_factor(m, j, part) for j, part in rho.slots] or [[(WreathLabel(m, ()), 1, 0)]]
+    values = {sigma: {turn % m: chi} for sigma, chi, turn in first}
+    for factor in rest:
+        factor = [(b, centralizer_order(b), chi, turn) for b, chi, turn in factor]
+        merged = {}
+        for a, monomials in values.items():
+            za = centralizer_order(a)
+            for b, zb, chi, turn in factor:
+                c = merge_labels(a, b)
+                scale = chi * (centralizer_order(c) // (za * zb))
+                out = merged.setdefault(c, {})
+                for e, x in monomials.items():
+                    k = (e + turn) % m
+                    out[k] = out.get(k, 0) + scale * x
+        values = merged
+    result, phi = {}, euler_phi(m)
+    for sigma, monomials in values.items():
+        nums = [0] * phi
+        for e, x in monomials.items():
+            for i, a in enumerate(zeta(m, e).nums):
+                if a:
+                    nums[i] += a * x
+        if any(nums):
+            result[sigma] = tuple(nums)
+    return result
 
 
 def frobenius_characteristic(rho: WreathLabel) -> WreathSeries:
     """P-basis expansion of the characteristic of the irreducible labelled rho:
-    the ring product of its closed-form slot factors s_{rho_j}[phi_j].
-
-    The coefficient at a class label sigma, multiplied by sigma's centralizer
-    order, is the irreducible character value on that class.
-    """
-    factors = [_schur_isotypic_factor(rho.order, j, part) for j, part in rho.slots]
-    return reduce(WreathSeries.__mul__, factors) if factors else WreathSeries.one(rho.order)
+    its coefficient at a class label sigma is the character value there over
+    sigma's centralizer order."""
+    values = characters(rho).items()
+    return WreathSeries(rho.order, {sigma: Cyclotomic(rho.order, nums, centralizer_order(sigma)) for sigma, nums in values})
 
 
 def irreducible_character(rho: WreathLabel, sigma: WreathLabel) -> Cyclotomic:
@@ -435,11 +466,8 @@ def irreducible_character(rho: WreathLabel, sigma: WreathLabel) -> Cyclotomic:
         raise OrderMismatchError("labels of different orders")
     if rho.size != sigma.size:
         raise ValueError("labels index different groups")
-    coeff = frobenius_characteristic(rho).coefficient(sigma)
-    value = centralizer_order(sigma) * coeff
-    if isinstance(value, Fraction):
-        value = Cyclotomic.from_rational(value, rho.order)
-    return value
+    nums = characters(rho).get(sigma)
+    return Cyclotomic(rho.order, nums, 1) if nums else Cyclotomic.from_rational(0, rho.order)
 
 
 def irreducible_dimension(rho: WreathLabel) -> int:

@@ -15,7 +15,7 @@ from wreathlitt.oracle import (
     numeric_branching_estimate,
     numeric_matrix_check,
     reproducing_kernel_check,
-    restriction_characteristic,
+    restriction_characteristics,
     restriction_formula_check,
     run_identity_suite,
     run_numeric_suite,
@@ -46,15 +46,15 @@ def lab(order, mapping):
 def test_restriction_characteristic_examples():
     # trivial representation: coefficient 1/Z at every class
     for order, n in [(1, 3), (2, 2), (3, 1)]:
-        series = restriction_characteristic((), n, order)
+        series = restriction_characteristics([()], n, order)[()]
         for rho in wreath_class_labels(n, order):
             assert series.coefficient(rho) == Fraction(1, centralizer_order(rho))
     # defining representation of GL_2 over the symmetric group S_2
-    series = restriction_characteristic((1,), 2, 1)
+    series = restriction_characteristics([(1,)], 2, 1)[(1,)]
     assert series.coefficient(lab(1, {0: (1, 1)})) == 1
     assert series.coefficient(lab(1, {0: (2,)})) == 0
     with pytest.raises(HypothesisViolationError):
-        restriction_characteristic((1, 1), 1, 2)
+        restriction_characteristics([(1, 1)], 1, 2)[(1, 1)]
 
 
 def test_pairing_path_examples():
@@ -440,14 +440,14 @@ def test_verification_builds_one_schur_evaluator_per_check(monkeypatch):
 
 
 def test_suites_build_each_row_once(monkeypatch):
-    # Paths A and B each build a label's conjugated characteristic once, when
+    # Paths A and B each build a label's conjugated characters once, when
     # its row starts, and path C its complex characters once; each suite reads
     # the main path's rows from one run of the series builder.
     import wreathlitt.branching as branching_module
     import wreathlitt.oracle as oracle_module
 
     characteristics, builders = [], []
-    true_characteristic, true_series = oracle_module.frobenius_characteristic, branching_module.table_series
+    true_characteristic, true_series = oracle_module.characters, branching_module.table_series
 
     def counted_characteristic(rho):
         characteristics.append(rho)
@@ -457,7 +457,7 @@ def test_suites_build_each_row_once(monkeypatch):
         builders.append(scope)
         return true_series(*scope)
 
-    monkeypatch.setattr(oracle_module, "frobenius_characteristic", counted_characteristic)
+    monkeypatch.setattr(oracle_module, "characters", counted_characteristic)
     monkeypatch.setattr(branching_module, "table_series", counted_series)
     labels = wreath_class_labels(3, 3)
     assert run_verification(3, 3, 5).passed
@@ -469,19 +469,19 @@ def test_suites_build_each_row_once(monkeypatch):
 
 
 def test_arithmetic_error_in_a_row_builder_is_reported_at_its_first_cell(monkeypatch):
-    # Paths A, B and C read a label's characteristic when they build its row,
+    # Paths A, B and C read a label's characters when they build its row,
     # before any of its cells, so the error belongs to the row's first cell.
     import wreathlitt.oracle as oracle_module
 
     labels, lambdas = wreath_class_labels(2, 2), _grid(2, 3)
-    true_characteristic = oracle_module.frobenius_characteristic
+    true_characteristic = oracle_module.characters
 
     def failing(rho):
         if rho == labels[2]:
             raise ZeroDivisionError("no characteristic")
         return true_characteristic(rho)
 
-    monkeypatch.setattr(oracle_module, "frobenius_characteristic", failing)
+    monkeypatch.setattr(oracle_module, "characters", failing)
     expected = ({"rho": format_label(labels[2]), "lambda": "[]", "error": "no characteristic"}, 2 * len(lambdas) + 1)
     for report in (run_verification(2, 2, 3), run_numeric_suite(2, 2, 3)):
         check = report.checks[0]
@@ -510,15 +510,15 @@ def _cyclic_product_with_difference_exponent(a, b):
 
 
 def _isotypic_factor_with_twist(twist):
-    # the closed-form slot factor s_lam[phi_j], with zeta^twist(j, sigma) at sigma
+    # the z-scaled closed-form slot factor s_lam[phi_j], with zeta^twist(j, sigma) at sigma
     def factor(order, j, lam):
-        terms = {}
+        terms = []
         for sigma in wreath_class_labels(sum(lam), order):
             cycle_type = tuple(sorted((c for _, part in sigma.slots for c in part), reverse=True))
             chi = partitions.symmetric_group_character(lam, cycle_type)
             if chi:
-                terms[sigma] = zeta(order, twist(j, sigma)) * Fraction(chi, centralizer_order(sigma))
-        return WreathSeries(order, terms)
+                terms.append((sigma, chi, twist(j, sigma)))
+        return terms
 
     return factor
 

@@ -18,6 +18,7 @@ from wreathlitt.wreath import (
     WreathLabel,
     WreathSeries,
     centralizer_order,
+    characters,
     evaluation_kernel,
     evaluation_kernel_product_form,
     format_label,
@@ -545,6 +546,13 @@ def _isotypic_factor_reference(order, j, lam):
     return total
 
 
+def _factor_series(order, factor):
+    # a z-scaled integer slot factor [(sigma, chi, exponent)] as a WreathSeries
+    return WreathSeries(order, {
+        sigma: zeta(order, exponent) * Fraction(chi, centralizer_order(sigma)) for sigma, chi, exponent in factor
+    })
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_isotypic_factor_matches_power_sum_products(order):
     from wreathlitt.wreath import _schur_isotypic_factor
@@ -553,8 +561,34 @@ def test_isotypic_factor_matches_power_sum_products(order):
     for lam in lambdas:
         for j in range(order):
             factor = _schur_isotypic_factor(order, j, lam)
-            assert factor == _isotypic_factor_reference(order, j, lam), (j, lam)
-            assert all(isinstance(c, Cyclotomic) for c in factor.terms.values()), (j, lam)
+            assert all(type(chi) is int and chi and type(e) is int for _, chi, e in factor), (j, lam)
+            assert _factor_series(order, factor) == _isotypic_factor_reference(order, j, lam), (j, lam)
+
+
+@pytest.mark.parametrize("order, n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
+def test_characters_are_z_times_the_product_of_reference_factors(order, n):
+    for rho in wreath_class_labels(n, order):
+        product = WreathSeries.one(order)
+        for j, part in rho.slots:
+            product = product * _isotypic_factor_reference(order, j, part)
+        expected = {sigma: centralizer_order(sigma) * coeff for sigma, coeff in product.terms.items()}
+        values = characters(rho)
+        assert values.keys() == expected.keys(), rho
+        for sigma, nums in values.items():
+            assert type(nums) is tuple and all(type(a) is int for a in nums), (rho, sigma)
+            assert Cyclotomic(order, nums, 1) == expected[sigma], (rho, sigma)
+
+
+def test_characters_at_n_1_are_single_roots():
+    # the irreducible j:1 at the class t:1 is zeta^(jt), one monomial
+    order = 150
+    for rho in wreath_class_labels(1, order):
+        (j, _), = rho.slots
+        values = characters(rho)
+        assert len(values) == order
+        for sigma, nums in values.items():
+            (t, _), = sigma.slots
+            assert nums == zeta(order, j * t).nums, (j, t)
 
 
 def _compositions_reference(total, slots):

@@ -12,9 +12,10 @@ x^(-i mod m) and reduces once, and no computation path calls it.
 Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic; ``sum_of_products`` instead accumulates unreduced
 integer numerators over a common denominator and reduces once per sum, and
-``packed_dot`` does the same for two vectors that ``pack`` converted once.
-``packed_numerators`` stops before the ``Cyclotomic``, so that a caller can
-test its sum for an integer with one ``divmod`` and build no number at all.
+``packed_dot`` does the same for two vectors packed as integer columns over
+one denominator.  ``packed_numerators`` stops before the ``Cyclotomic``, so
+that a caller can test its sum for an integer with one ``divmod`` and build
+no number at all.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "NotRationalError",
     "cyclotomic_polynomial",
     "euler_phi",
-    "pack",
     "packed_dot",
     "packed_numerators",
     "reduce_mod_cyclotomic",
@@ -286,22 +286,6 @@ def sum_of_products(order: int, terms) -> Cyclotomic:
                 for j, v in enumerate(b):
                     work[i + j] += u * v
     return Cyclotomic(order, _reduce(work, order), den)
-
-
-def pack(order: int, values) -> tuple[list[list[int]], int]:
-    """(columns, den): int, Fraction or Cyclotomic values in Q(zeta_order) as
-    integer columns, column i holding each value's numerator of zeta^i, over
-    one common denominator.  Trailing zero columns are dropped, so a rational
-    vector packs to one column."""
-    entries = [_numerators(value, order) for value in values]
-    den = lcm(*(d for _, d in entries))
-    columns = [[0] * len(entries) for _ in range(euler_phi(order))]
-    for k, (nums, d) in enumerate(entries):
-        for column, a in zip(columns, nums):
-            column[k] = a * (den // d)
-    while len(columns) > 1 and not any(columns[-1]):
-        columns.pop()
-    return columns, den
 
 
 def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:

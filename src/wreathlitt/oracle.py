@@ -6,10 +6,11 @@ classical character average over conjugacy classes, with its own Schur
 values and its own call of wreath.characters, as in (A); (C) floating-point
 brute force over the actual monomial matrices at tiny sizes.  A bug in any
 single layer cannot produce silent three-way agreement.  Paths A and B pack
-their vectors as integer columns, the characters straight from their
-integer numerators, and read each cell in one integer pass: the column
-dots, one reduction mod Phi_m and one divmod; only a cell that fails builds
-a Cyclotomic, to report itself.
+integer numerators straight into integer columns, the Schur values from
+their own evaluator, one gcd per lambda, and the characters from their own
+call of wreath.characters, and read each cell in one integer pass: the
+column dots, one reduction mod Phi_m and one divmod; only a cell that fails
+builds a Cyclotomic, to report itself.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -27,12 +28,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from . import branching, partitions
 from .branching import HypothesisViolationError, branching_coefficient
-from .exactnum import NotRationalError, euler_phi, pack, packed_dot, packed_numerators, to_rational, zeta
+from .exactnum import Cyclotomic, NotRationalError, euler_phi, packed_dot, packed_numerators, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, h_basis, hall_inner_product, omega_at_root, s_basis, stretch
 # frobenius_characteristic and wreath_inner_product are not called here but
@@ -144,20 +145,46 @@ def _check(name: str, cells) -> CheckResult:
 # Path A: pairing inside the wreath ring
 # ----------------------------------------------------------------------
 
+def _require_rows(lambdas, n: int) -> None:
+    if (rows := max(map(len, lambdas), default=0)) > n:
+        raise HypothesisViolationError(f"need len(lambda) <= n, got {rows} > {n}")
+
+
 def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, WreathSeries]:
     """Characteristic of each restricted highest-weight representation: the
     class-basis series whose coefficient at rho is s_lam at rho's eigenvalues,
     from one Schur evaluator for every lambda, over rho's centralizer order."""
-    if (rows := max(map(len, lambdas), default=0)) > n:
-        raise HypothesisViolationError(f"need len(lambda) <= n, got {rows} > {n}")
-    terms = {lam: {} for lam in lambdas}
-    schur = schur_evaluator(lambdas)
-    for rho in wreath_class_labels(n, order):
-        weight = Fraction(1, centralizer_order(rho))
-        for lam, value in zip(lambdas, schur(rho)):
-            if value:
-                terms[lam][rho] = value * weight
-    return {lam: WreathSeries(order, series) for lam, series in terms.items()}
+    _require_rows(lambdas, n)
+    classes = wreath_class_labels(n, order)
+    return {
+        lam: WreathSeries(order, {
+            rho: Cyclotomic(order, nums, den * centralizer_order(rho)) for rho, nums in zip(classes, values)
+        })
+        for lam, (den, values) in zip(lambdas, _schur_values(classes, lambdas))
+    }
+
+
+def _schur_values(classes, lambdas):
+    # Per lambda, (den, its numerators at each class), from one Schur evaluator.
+    dens, schur = schur_evaluator(lambdas)
+    return zip(dens, zip(*map(schur, classes)))
+
+
+def _packed(values, den: int) -> tuple[list[list[int]], int]:
+    # Per-class numerators over den as integer columns, column i holding those of
+    # zeta^i, without trailing zero columns, so a rational vector keeps one column.
+    columns = [list(column) for column in zip(*values)]
+    while len(columns) > 1 and not any(columns[-1]):
+        columns.pop()
+    return columns, den
+
+
+def _lowest_terms(values, den: int) -> tuple[list[list[int]], int]:
+    # _packed, then put in lowest terms with one gcd.
+    columns, den = _packed(values, den)
+    if (g := gcd(den, *itertools.chain.from_iterable(columns))) > 1:
+        columns, den = [[a // g for a in column] for column in columns], den // g
+    return columns, den
 
 
 def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Partition) -> int:
@@ -173,22 +200,18 @@ def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Par
 
 
 def _conjugated_characters(order: int, classes):
-    # rho -> its conjugated characters over z_sigma, packed over the classes like
-    # exactnum.pack: chi(sigma^-1) * (L / z_sigma) over L = lcm(z_sigma), as conj
+    # rho -> its conjugated characters over z_sigma, packed over the classes as
+    # the Schur values are: chi(sigma^-1) * (L / z_sigma) over L = lcm(z_sigma), as conj
     # chi(g) = chi(g^-1) and z_sigma is the same for sigma and its inverse.
     inverses, den = [sigma.inverse() for sigma in classes], lcm(*map(centralizer_order, classes))
     weights, zero = [den // centralizer_order(sigma) for sigma in classes], (0,) * euler_phi(order)
 
-    def packed(rho: WreathLabel):
+    def conjugated(rho: WreathLabel):
         values = characters(rho)
-        columns = [list(column) for column in zip(*(
-            [a * weight for a in values.get(inverse, zero)] for inverse, weight in zip(inverses, weights)
-        ))]
-        while len(columns) > 1 and not any(columns[-1]):
-            columns.pop()
-        return columns, den
+        scaled = [[a * weight for a in values.get(inverse, zero)] for inverse, weight in zip(inverses, weights)]
+        return _packed(scaled, den)
 
-    return packed
+    return conjugated
 
 
 # Each path is built for one group, and is a row builder: path(rho) returns
@@ -198,16 +221,21 @@ def _conjugated_characters(order: int, classes):
 # reads a value another path computed.
 
 def _pairing_path(order: int, n: int, lambdas):
-    """Path A: each lambda's restriction characteristic packed over the
-    classes, its integer columns times the pairing norm z_sigma; per row,
-    rho's conjugated characters over z_sigma, packed over the classes; one
-    integer pass per cell."""
+    """Path A: each lambda's restriction characteristic s_lam(sigma) / z_sigma,
+    from its own Schur evaluator, packed over the classes times the pairing
+    norm z_sigma; per row, rho's conjugated characters over z_sigma, packed
+    over the classes; one integer pass per cell."""
+    _require_rows(lambdas, n)
     classes = wreath_class_labels(n, order)
     norms = [centralizer_order(sigma) for sigma in classes]
-    restricted = {}
-    for lam, series in restriction_characteristics(lambdas, n, order).items():
-        columns, scale = pack(order, map(series.coefficient, classes))
-        restricted[lam] = [list(map(mul, column, norms)) for column in columns], scale
+    den = lcm(*norms)
+    # s_lam(sigma) / z_sigma is its numerators times den / z_sigma over den_lam * den,
+    # and the pairing weighs each class by its norm z_sigma
+    scales = [den // z * z for z in norms]
+    restricted = {
+        lam: _lowest_terms([[a * scale for a in nums] for nums, scale in zip(values, scales)], den_lam * den)
+        for lam, (den_lam, values) in zip(lambdas, _schur_values(classes, lambdas))
+    }
     conjugated_characters = _conjugated_characters(order, classes)
 
     def row(rho: WreathLabel):
@@ -232,8 +260,7 @@ def _character_average_path(order: int, n: int, lambdas):
     lambda over the classes; per row, its own conjugated characters of rho,
     packed as in path A; one integer pass per cell."""
     classes = wreath_class_labels(n, order)
-    by_class = list(map(schur_evaluator(lambdas), classes))
-    schur = {lam: pack(order, values) for lam, values in zip(lambdas, zip(*by_class))}
+    schur = {lam: _lowest_terms(values, den) for lam, (den, values) in zip(lambdas, _schur_values(classes, lambdas))}
     conjugated_characters = _conjugated_characters(order, classes)
 
     def row(rho: WreathLabel):
@@ -620,9 +647,9 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
         yield from _suite_cells(order, n, degree_cap, lambdas, paths, compare)
 
     def dimension_sums():
-        at_identity = schur_evaluator(lambdas)(identity_label(n, order))
-        for lam, value in zip(lambdas, at_identity):
-            expected = to_rational(value)
+        dens, schur = schur_evaluator(lambdas)
+        for lam, den, nums in zip(lambdas, dens, schur(identity_label(n, order))):
+            expected = to_rational(Cyclotomic(order, nums, den))
             yield None if weighted[lam] == expected else {
                 "lambda": format_partition(lam),
                 "weighted_sum": weighted[lam],

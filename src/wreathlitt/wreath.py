@@ -9,12 +9,12 @@ orthogonal for the wreath pairing with norm the centralizer order.
 
 Eigenvalue data is never materialized: an l-cycle with cycle product z
 contributes the l-th roots of z, so all power sums of eigenvalues lie in
-Z[zeta_m] and come from a divisor sum; Schur values at them stay integer
-polynomials mod x^m - 1 until one reduction mod Phi_m.  Irreducible
-characters are integers too: each value is a sparse map exponent -> integer
-until one reduction, with no Cyclotomic per class.  Labels hash once, at
-construction, and a series product reduces each cyclotomic coefficient once;
-merging labels is memoised, as it reads label structure alone.
+Z[zeta_m] and come from a divisor sum; Schur values at them are integer
+numerators mod Phi_m over one denominator per degree.  Irreducible
+characters are integers too, merged by class position through a table of
+(position of a u b, z_(a u b) / (z_a z_b)); each value is a sparse map
+exponent -> integer until one reduction.  Labels hash once, at construction;
+merges and merge tables are memoised, as they read label structure alone.
 
 Convention note: the isotypic alphabet map phi_j = (1/m) sum_t zeta^(jt) X_t
 is a linear change of alphabets; its root-of-unity weights are coefficients,
@@ -235,46 +235,49 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
 
 def schur_evaluator(lambdas):
     """The values of the Schur polynomials s_lam, lam in lambdas, at the
-    eigenvalues of a class: a function of the class, from the power-sum
-    expansion of s_lam.
+    eigenvalues of a class, on integers: (dens, at), where at(rho) lists each
+    lam's power-basis numerators, reduced mod Phi_m, over dens[i] = lcm(z_mu)
+    over the partitions mu of |lam|, not in lowest terms.
 
-    Each lam's character row is read once, here, scaled to lcm(z_mu) over
-    its degree.  Per class, its traces p_r and each p_mu are built once, as
-    integer polynomials mod x^m - 1, p_mu as p_mu without its last part times
-    that part's trace; each value is then one integer dot of lam's row per
-    power of x and one reduction mod Phi_m.  A lam with more rows than there
-    are eigenvalues gives 0 (the zero specialization, not an error).
+    Each lam's character row is read once, here, scaled to that lcm.  Per
+    class, its traces p_r and each p_mu are built once, as integer
+    polynomials mod x^m - 1, p_mu as p_mu without its last part times that
+    part's trace, and reduced mod Phi_m once; each value is then one integer
+    dot of lam's row per power-basis column.  A lam with more rows than
+    there are eigenvalues gives 0 (the zero specialization, not an error).
     """
     # |lam| -> lcm(z_mu) over the partitions mu of |lam|, once per degree
     lcms = {k: lcm(*map(partitions.centralizer_order, partitions.partitions_of(k))) for k in set(map(sum, lambdas))}
-    rows = []
+    rows, dens = [], []
     for lam in lambdas:
         k = sum(lam)
         row, den = partitions.character_table(k)[lam], lcms[k]
-        rows.append((len(lam), k, den, [chi * (den // partitions.centralizer_order(mu)) for mu, chi in row.items()]))
+        rows.append((len(lam), k, [chi * (den // partitions.centralizer_order(mu)) for mu, chi in row.items()]))
+        dens.append(den)
     top = max(lcms, default=0)
 
-    def at(rho: WreathLabel) -> list[Cyclotomic]:
-        m = rho.order
+    def at(rho: WreathLabel) -> list[tuple[int, ...]]:
+        m, size = rho.order, rho.size
         traces = [None] + [_cyclic_trace(rho, r) for r in range(1, top + 1)]
         products = {(): [1] + [0] * (m - 1)}
         for k in range(1, top + 1):
             for mu in partitions.partitions_of(k):
                 products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]])
-        # |lam| -> its p_mu as m integer columns over mu
-        columns = {k: list(zip(*map(products.__getitem__, partitions.partitions_of(k)))) for k in lcms}
+        # |lam| -> its p_mu reduced mod Phi_m (in place: every product is built), as columns over mu
+        columns = {k: list(zip(*(_reduce(products[mu], m) for mu in partitions.partitions_of(k)))) for k in lcms}
+        zero = (0,) * euler_phi(m)
         return [
-            Cyclotomic(m, _reduce([sum(map(mul, row, col)) for col in columns[k]], m), den)
-            if length <= rho.size else Cyclotomic.from_rational(0, m)
-            for length, k, den, row in rows
+            tuple([sum(map(mul, row, column)) for column in columns[k]]) if length <= size else zero
+            for length, k, row in rows
         ]
 
-    return at
+    return dens, at
 
 
 def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
     """s_lam at the eigenvalues of rho: the one-lambda case of schur_evaluator."""
-    return schur_evaluator([lam])(rho)[0]
+    (den,), at = schur_evaluator([lam])
+    return Cyclotomic(rho.order, at(rho)[0], den)
 
 
 def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:
@@ -363,7 +366,7 @@ class WreathSeries:
                 for lb, cb in other.terms.items():
                     if trunc is None or la.size + lb.size <= trunc:
                         pairs.setdefault(merge_labels(la, lb), []).append((ca, cb))
-            out = {key: _sum_of_pair_products(self.order, pair) for key, pair in pairs.items()}
+            out = {key: sum(a * b for a, b in pair) for key, pair in pairs.items()}
             return WreathSeries(self.order, out, trunc)
         return WreathSeries(
             self.order,
@@ -386,13 +389,6 @@ class WreathSeries:
             )
         )
         return f"WreathSeries[m={self.order}; D={self.truncation}]({body or '0'})"
-
-
-def _sum_of_pair_products(order: int, pairs: list):
-    # One reduction mod Phi_m if a factor is cyclotomic; else each type's own sum.
-    if any(isinstance(a, Cyclotomic) or isinstance(b, Cyclotomic) for a, b in pairs):
-        return sum_of_products(order, ((1, a, b) for a, b in pairs))
-    return sum(a * b for a, b in pairs)
 
 
 def wreath_inner_product(f: WreathSeries, g: WreathSeries):
@@ -419,36 +415,62 @@ def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[Wre
     ]
 
 
+# Label structure only, like _class_structure: each label's position in wreath_class_labels.
+@lru_cache(maxsize=1 << 6)
+def _class_index(n: int, order: int) -> dict[WreathLabel, int]:
+    return {sigma: i for i, (sigma, _, _) in enumerate(_class_structure(n, order))}
+
+
+# Label structure only, like merge_labels: for labels a and b of sizes k1 and k2, by
+# position, (the position of c = a u b among the labels of size k1 + k2, z_c / (z_a z_b)).
+@lru_cache(maxsize=1 << 6)
+def _merge_table(k1: int, k2: int, order: int) -> list[list[tuple[int, int]]]:
+    position = _class_index(k1 + k2, order)
+    return [
+        [(position[c := merge_labels(a, b)], centralizer_order(c) // (centralizer_order(a) * centralizer_order(b)))
+         for b in _class_index(k2, order)]
+        for a in _class_index(k1, order)
+    ]
+
+
+# zeta^e in the power basis, as its nonzero (index, numerator) pairs, for e in 0..m-1
+@lru_cache(maxsize=1 << 4)
+def _power_basis(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(tuple((i, a) for i, a in enumerate(zeta(order, e).nums) if a) for e in range(order))
+
+
 def characters(rho: WreathLabel) -> dict[WreathLabel, tuple[int, ...]]:
     """chi^rho at each class where it is nonzero, as integer power-basis
     numerators: the ring product of the z-scaled slot factors, where z_c [P_c] fg
-    gains (z_c / (z_a z_b)) (z_a [P_a] f)(z_b [P_b] g) for c = a u b, an integer,
-    kept as sparse maps exponent -> integer until one reduction at the end."""
+    gains (z_c / (z_a z_b)) (z_a [P_a] f)(z_b [P_b] g) for c = a u b, an integer.
+    Classes are keyed by position, merged through _merge_table, and each value
+    is kept as a sparse map exponent -> integer until one reduction at the end."""
     m = rho.order
-    first, *rest = [_schur_isotypic_factor(m, j, part) for j, part in rho.slots] or [[(WreathLabel(m, ()), 1, 0)]]
-    values = {sigma: {turn % m: chi} for sigma, chi, turn in first}
-    for factor in rest:
-        factor = [(b, centralizer_order(b), chi, turn) for b, chi, turn in factor]
+    factors = [(sum(part), _schur_isotypic_factor(m, j, part)) for j, part in rho.slots]
+    (size, first), *rest = factors or [(0, [(WreathLabel(m, ()), 1, 0)])]
+    position = _class_index(size, m)
+    values = {position[sigma]: {turn % m: chi} for sigma, chi, turn in first}
+    for k, factor in rest:
+        table, position = _merge_table(size, k, m), _class_index(k, m)
+        factor = [(position[b], chi, turn) for b, chi, turn in factor]
         merged = {}
         for a, monomials in values.items():
-            za = centralizer_order(a)
-            for b, zb, chi, turn in factor:
-                c = merge_labels(a, b)
-                scale = chi * (centralizer_order(c) // (za * zb))
-                out = merged.setdefault(c, {})
+            row = table[a]
+            for b, chi, turn in factor:
+                c, ratio = row[b]
+                scale, out = chi * ratio, merged.setdefault(c, {})
                 for e, x in monomials.items():
-                    k = (e + turn) % m
-                    out[k] = out.get(k, 0) + scale * x
-        values = merged
-    result, phi = {}, euler_phi(m)
-    for sigma, monomials in values.items():
+                    t = (e + turn) % m
+                    out[t] = out.get(t, 0) + scale * x
+        values, size = merged, size + k
+    result, phi, basis, structure = {}, euler_phi(m), _power_basis(m), _class_structure(size, m)
+    for c, monomials in values.items():
         nums = [0] * phi
         for e, x in monomials.items():
-            for i, a in enumerate(zeta(m, e).nums):
-                if a:
-                    nums[i] += a * x
+            for i, a in basis[e]:
+                nums[i] += a * x
         if any(nums):
-            result[sigma] = tuple(nums)
+            result[structure[c][0]] = tuple(nums)
     return result
 
 

@@ -8,16 +8,19 @@ primitive roots of unity for cyclotomic polynomials, and counting fixed
 points for permutation characters.  Two helpers on wreath class labels,
 which no computation path needs, live here too and use the library's
 labels and cyclotomic arithmetic: the class size (group order over
-centralizer order) and the characteristic polynomial det(Id - t*g).
+centralizer order) and the characteristic polynomial det(Id - t*g).  So
+does ``pack``, the reference for the integer columns that oracle paths A
+and B build, which packs a vector of exact scalars one lowest-terms number
+at a time.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
-from wreathlitt.exactnum import Cyclotomic, zeta
+from wreathlitt.exactnum import Cyclotomic, _numerators, euler_phi, zeta
 from wreathlitt.wreath import WreathLabel, centralizer_order
 
 Mono = dict  # exponent tuple -> coefficient
@@ -239,3 +242,19 @@ def characteristic_polynomial(rho: WreathLabel) -> tuple[Cyclotomic, ...]:
                 for i in range(len(poly) + ell)
             ]
     return tuple(poly)
+
+
+def pack(order: int, values) -> tuple[list[list[int]], int]:
+    """(columns, den): int, Fraction or Cyclotomic values in Q(zeta_order) as
+    integer columns, column i holding each value's numerator of zeta^i, over
+    one common denominator.  Trailing zero columns are dropped, so a rational
+    vector packs to one column."""
+    entries = [_numerators(value, order) for value in values]
+    den = lcm(*(d for _, d in entries))
+    columns = [[0] * len(entries) for _ in range(euler_phi(order))]
+    for k, (nums, d) in enumerate(entries):
+        for column, a in zip(columns, nums):
+            column[k] = a * (den // d)
+    while len(columns) > 1 and not any(columns[-1]):
+        columns.pop()
+    return columns, den

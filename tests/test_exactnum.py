@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import cyclotomic_from_roots
+from bruteforce import cyclotomic_from_roots, pack
 from wreathlitt.exactnum import (
     Cyclotomic,
     NotRationalError,
     cyclotomic_polynomial,
     euler_phi,
-    pack,
     packed_dot,
     reduce_mod_cyclotomic,
     sum_of_products,
@@ -250,7 +249,7 @@ def test_sum_of_products_coerces_only_rational_values_of_other_orders():
         sum_of_products(3, [(1, zeta(4), zeta(3))])
 
 
-# pack and packed_dot: two vectors packed once, dotted with one reduction.
+# The tests' pack and packed_dot: two vectors packed once, dotted with one reduction.
 
 PACKED_ORDERS = [1, 2, 3, 4, 5, 6, 12]
 

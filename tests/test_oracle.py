@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import conjugacy_class_size
+from bruteforce import conjugacy_class_size, pack
 from wreathlitt import partitions
 from wreathlitt.branching import HypothesisViolationError, branching_coefficient
 from wreathlitt.oracle import (
@@ -23,11 +23,10 @@ from wreathlitt.oracle import (
     eigenvalue_substitution_check,
     _omega_composite_xy,
 )
-from wreathlitt.exactnum import NotRationalError, to_rational, zeta
+from wreathlitt.exactnum import Cyclotomic, NotRationalError, to_rational, zeta
 from wreathlitt.symfunc import hall_inner_product, omega_at_root, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
-    WreathSeries,
     centralizer_order,
     evaluation_kernel,
     format_label,
@@ -366,6 +365,18 @@ PATH_A_FAULT = ({"rho": "0:1;1:2", "lambda": "2,1", "main": 0, "pairing": 1, "ch
 PATH_B_FAULT = ({"rho": "0:3", "lambda": "2,1", "main": 0, "pairing": 0, "character_average": 1}, 6)
 
 
+@pytest.mark.parametrize("order, n, degree_cap", [(1, 3, 4), (2, 3, 4), (3, 3, 5), (12, 2, 3)])
+def test_integer_schur_columns_equal_the_packed_values(order, n, degree_cap):
+    # Path B's columns, put in lowest terms with one gcd per lambda, against
+    # the reference packing of each class's Cyclotomic value.
+    import wreathlitt.oracle as oracle_module
+
+    classes, lambdas = wreath_class_labels(n, order), _grid(n, degree_cap)
+    for lam, (den, values) in zip(lambdas, oracle_module._schur_values(classes, lambdas)):
+        reference = pack(order, [schur_at_eigenvalues(lam, sigma) for sigma in classes])
+        assert oracle_module._lowest_terms(values, den) == reference, lam
+
+
 def test_corrupted_pairing_fails_only_path_a(monkeypatch):
     # One more than the true pairing in path A's cell at one (label, lambda).
     import wreathlitt.oracle as oracle_module
@@ -389,34 +400,30 @@ def test_corrupted_pairing_fails_only_path_a(monkeypatch):
 
 
 def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
-    # The corruption is in the evaluator that path B builds.  Path A's
-    # restriction characteristics are rebuilt from the true values, and the
-    # dimension sums read theirs at the identity class only, so only the
-    # character average sees the corrupted Schur evaluation.
+    # The corruption is in the evaluator that path B builds: the evaluator is
+    # corrupted only while path B is built.  Path A's restriction
+    # characteristics come from the true values, and the dimension sums read
+    # theirs at the identity class only, so only the character average sees
+    # the corrupted Schur evaluation.
     import wreathlitt.oracle as oracle_module
 
-    true_evaluator = oracle_module.schur_evaluator
+    true_evaluator, true_path = oracle_module.schur_evaluator, oracle_module._character_average_path
     target_sigma = lab(2, {0: (1,), 1: (2,)})
 
     def corrupted(lambdas):
-        schur = true_evaluator(lambdas)
+        dens, schur = true_evaluator(lambdas)
         # shifts a character average by the conjugated character value at sigma
-        return lambda sigma: [
-            value + centralizer_order(sigma) if lam == (2, 1) and sigma == target_sigma else value
-            for lam, value in zip(lambdas, schur(sigma))
+        return dens, lambda sigma: [
+            (nums[0] + den * centralizer_order(sigma), *nums[1:]) if (lam, sigma) == ((2, 1), target_sigma) else nums
+            for lam, den, nums in zip(lambdas, dens, schur(sigma))
         ]
 
-    def restriction_from_true_values(lambdas, n, order):
-        return {
-            lam: WreathSeries(order, {
-                sigma: schur_at_eigenvalues(lam, sigma) * Fraction(1, centralizer_order(sigma))
-                for sigma in wreath_class_labels(n, order)
-            })
-            for lam in lambdas
-        }
+    def path_on_corrupted_values(order, n, lambdas):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_module, "schur_evaluator", corrupted)
+            return true_path(order, n, lambdas)
 
-    monkeypatch.setattr(oracle_module, "schur_evaluator", corrupted)
-    monkeypatch.setattr(oracle_module, "restriction_characteristics", restriction_from_true_values)
+    monkeypatch.setattr(oracle_module, "_character_average_path", path_on_corrupted_values)
     check = run_verification(2, 3, 4).checks[0]
     assert check.name == "triple_agreement"
     assert (check.counterexample, check.cells) == PATH_B_FAULT
@@ -548,6 +555,22 @@ def test_corrupted_schur_kernel_fails_main_against_both_oracles(helper, corrupte
     assert (check.counterexample, check.cells) == SCHUR_KERNEL_FAULT
 
 
+@pytest.mark.parametrize("helper, corrupted", [
+    ("_cyclic_trace", _trace_with_conjugate_exponent),
+    ("_schur_isotypic_factor", _factor_with_conjugate_twist),
+])
+def test_schur_kernel_faults_are_caught_after_a_clean_run(helper, corrupted, monkeypatch):
+    # A clean run first fills the label-structure tables of the Schur values
+    # and the characters; a fault patched in after it still reaches both
+    # oracles, so those tables hold no value either computes.
+    import wreathlitt.wreath as wreath_module
+
+    assert run_verification(3, 3, 5).passed
+    monkeypatch.setattr(wreath_module, helper, corrupted)
+    check = run_verification(3, 3, 5).checks[0]
+    assert (check.counterexample, check.cells) == SCHUR_KERNEL_FAULT
+
+
 def test_unconjugated_characters_fail_paths_a_and_b(monkeypatch):
     # Reading each label's characteristic at sigma, not at its inverse class,
     # pairs with the unconjugated character: paths A and B fail alike, at the
@@ -595,10 +618,17 @@ def test_a_failing_integer_cell_raises_the_error_of_its_cyclotomic(factor, messa
     import wreathlitt.oracle as oracle_module
 
     true_evaluator = oracle_module.schur_evaluator
+    factor = factor * zeta(3, 0)
+
+    def times(nums):
+        # the numerators of lambda = (1)'s value times factor's, reduced once
+        return (Cyclotomic(3, nums, 1) * Cyclotomic(3, factor.nums, 1)).nums
 
     def scaled(lambdas):
-        schur = true_evaluator(lambdas)
-        return lambda sigma: [value * factor if lam == (1,) else value for lam, value in zip(lambdas, schur(sigma))]
+        dens, schur = true_evaluator(lambdas)
+        return [den * factor.den if lam == (1,) else den for lam, den in zip(lambdas, dens)], lambda sigma: [
+            times(nums) if lam == (1,) else nums for lam, nums in zip(lambdas, schur(sigma))
+        ]
 
     monkeypatch.setattr(oracle_module, "schur_evaluator", scaled)
     rho = lab(3, {0: (1,), 1: (1,)})

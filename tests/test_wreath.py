@@ -4,13 +4,13 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from bruteforce import characteristic_polynomial, conjugacy_class_size, newton_power_sums_from_poly
 from wreathlitt import partitions
-from wreathlitt.exactnum import Cyclotomic, reduce_mod_cyclotomic, zeta
+from wreathlitt.exactnum import Cyclotomic, euler_phi, reduce_mod_cyclotomic, zeta
 from wreathlitt.oracle import _class_label
 from wreathlitt.symfunc import constant, h_basis, omega_at_root, s_basis
 from wreathlitt.wreath import (
@@ -452,17 +452,30 @@ def test_schur_values_at_class_match_power_sum_reference(order):
     lambdas = [lam for k in range(6) for lam in partitions.partitions_of(k)]
     lambdas += rng.sample(lambdas, 10)
     rng.shuffle(lambdas)
-    schur = schur_evaluator(lambdas)
+    dens, schur = schur_evaluator(lambdas)
+    assert dens == [lcm(*map(partitions.centralizer_order, partitions.partitions_of(sum(lam)))) for lam in lambdas]
     for n in range(5):
         for rho in wreath_class_labels(n, order):
             values = schur(rho)
             assert len(values) == len(lambdas)
-            for lam, value in zip(lambdas, values):
-                assert isinstance(value, Cyclotomic) and value.order == order
-                reference = _schur_reference(lam, rho)
+            for lam, den, nums in zip(lambdas, dens, values):
+                assert type(nums) is tuple and len(nums) == euler_phi(order) and all(type(a) is int for a in nums)
+                value, reference = Cyclotomic(order, nums, den), _schur_reference(lam, rho)
                 assert (value.nums, value.den) == (reference.nums, reference.den), (lam, rho)
                 assert value == 0 or len(lam) <= n, (lam, rho)
-    assert schur_evaluator([])(wreath_class_labels(2, order)[0]) == []
+    assert schur_evaluator([])[0] == [] and schur_evaluator([])[1](wreath_class_labels(2, order)[0]) == []
+
+
+@pytest.mark.parametrize("order, n, degree_cap", [(1, 4, 6), (2, 3, 5), (3, 3, 5), (5, 2, 4), (12, 2, 3)])
+def test_integer_schur_values_equal_schur_at_eigenvalues(order, n, degree_cap):
+    # One evaluator for every lambda up to degree_cap, rows beyond n included,
+    # against the one-lambda evaluation at every class of size n.
+    lambdas = [lam for k in range(degree_cap + 1) for lam in partitions.partitions_of(k)]
+    dens, schur = schur_evaluator(lambdas)
+    for rho in wreath_class_labels(n, order):
+        for lam, den, nums in zip(lambdas, dens, schur(rho)):
+            assert Cyclotomic(order, nums, den) == schur_at_eigenvalues(lam, rho), (lam, rho)
+            assert len(lam) <= n or nums == (0,) * euler_phi(order), (lam, rho)
 
 
 # ----------------------------------------------------------------------
@@ -565,7 +578,7 @@ def test_isotypic_factor_matches_power_sum_products(order):
             assert _factor_series(order, factor) == _isotypic_factor_reference(order, j, lam), (j, lam)
 
 
-@pytest.mark.parametrize("order, n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
+@pytest.mark.parametrize("order, n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2), (12, 2), (4, 4)])
 def test_characters_are_z_times_the_product_of_reference_factors(order, n):
     for rho in wreath_class_labels(n, order):
         product = WreathSeries.one(order)

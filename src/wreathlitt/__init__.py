@@ -9,14 +9,12 @@ from .branching import (
     branching_coefficient,
     branching_series,
     branching_table,
-    littlewood_coefficient,
 )
 from .exactnum import (
     Cyclotomic,
     NotRationalError,
     cyclotomic_polynomial,
     euler_phi,
-    reduce_mod_cyclotomic,
     to_rational,
     zeta,
 )
@@ -24,7 +22,6 @@ from .oracle import (
     VerificationReport,
     branching_by_character_average,
     branching_by_pairing,
-    numeric_matrix_check,
     run_identity_suite,
     run_numeric_suite,
     run_verification,
@@ -55,7 +52,6 @@ from .wreath import (
     evaluation_kernel,
     format_label,
     frobenius_characteristic,
-    irreducible_character,
     irreducible_dimension,
     parse_label,
     power_trace,

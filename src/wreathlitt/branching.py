@@ -38,7 +38,6 @@ __all__ = [
     "branching_series",
     "branching_table",
     "coefficient_and_series",
-    "littlewood_coefficient",
     "table_series",
 ]
 
@@ -129,14 +128,6 @@ def branching_coefficient(rho: WreathLabel, lam: Partition) -> int:
     """Multiplicity of the irreducible labelled rho in the restriction of
     the highest-weight representation indexed by lam."""
     return coefficient_and_series(rho, lam)[0]
-
-
-def littlewood_coefficient(mu: Partition, lam: Partition, n: int) -> int:
-    """The classical m = 1 case: multiplicity of the Specht module mu in the
-    restriction of V^lambda from GL_n to the symmetric group."""
-    if sum(mu) != n:
-        raise ValueError(f"|mu| = {sum(mu)} must equal n = {n}")
-    return branching_coefficient(WreathLabel.from_mapping(1, {0: mu}), lam)
 
 
 @dataclass

@@ -10,12 +10,12 @@ add, multiply and conjugate; conjugation moves the numerator of zeta^i to
 x^(-i mod m) and reduces once, and no computation path calls it.
 
 Each operation reduces and normalises its result, and so does the wreath
-ring's series arithmetic; ``sum_of_products`` instead accumulates unreduced
-integer numerators over a common denominator and reduces once per sum, and
-``packed_dot`` does the same for two vectors packed as integer columns over
-one denominator.  ``packed_numerators`` stops before the ``Cyclotomic``, so
-that a caller can test its sum for an integer with one ``divmod`` and build
-no number at all.
+ring's series arithmetic.  ``Cyclotomic(order, coeffs)`` is the reduction:
+it takes the rational coordinates of any polynomial in zeta and reduces them
+mod Phi_order once.  ``packed_numerators`` dots two vectors packed as integer
+columns over one denominator with one reduction, and stops before the
+``Cyclotomic``, so that a caller can test its sum for an integer with one
+``divmod`` and build no number at all.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ __all__ = [
     "NotRationalError",
     "cyclotomic_polynomial",
     "euler_phi",
-    "packed_dot",
     "packed_numerators",
-    "reduce_mod_cyclotomic",
-    "sum_of_products",
     "to_rational",
     "zeta",
 ]
@@ -93,11 +90,6 @@ def _reduce(work: list[int], order: int) -> tuple[int, ...]:
             for k in range(d):
                 work[i - d + k] -= c * phi[k]
     return tuple(work[:d]) + (0,) * (d - len(work))
-
-
-def reduce_mod_cyclotomic(coeffs, order: int) -> "Cyclotomic":
-    """Remainder of sum(coeffs[i] * x^i) modulo Phi_order(x)."""
-    return Cyclotomic(order, coeffs)
 
 
 class Cyclotomic:
@@ -253,41 +245,6 @@ def _zeta_cached(order: int, power: int) -> Cyclotomic:
     return Cyclotomic(order, _reduce(mono, order), 1)
 
 
-def _numerators(value, order: int) -> tuple[tuple[int, ...], int]:
-    # (nums, den) of an int, Fraction or Cyclotomic, as a Q(zeta_order) element.
-    if not isinstance(value, Cyclotomic):
-        return (value.numerator,), value.denominator
-    if value.order != order and not value.is_rational():
-        raise ValueError(f"cannot mix Q(zeta_{order}) and Q(zeta_{value.order})")
-    return (value.nums if value.order == order else value.nums[:1]), value.den
-
-
-def sum_of_products(order: int, terms) -> Cyclotomic:
-    """Exact sum of weight * x * y over (weight, x, y) triples in Q(zeta_order).
-
-    weight is an int or Fraction; x and y are int, Fraction or Cyclotomic.
-    The integer products accumulate unreduced over a running common
-    denominator, and the sum is reduced mod Phi_order once, at the end.
-    """
-    work = [0] * (2 * euler_phi(order) - 1)
-    den = 1
-    for weight, x, y in terms:
-        a, da = _numerators(x, order)
-        b, db = _numerators(y, order)
-        d = weight.denominator * da * db
-        if den % d:
-            grow = d // gcd(den, d)
-            work = [c * grow for c in work]
-            den *= grow
-        scale = weight.numerator * (den // d)
-        for i, u in enumerate(a):
-            if u:
-                u *= scale
-                for j, v in enumerate(b):
-                    work[i + j] += u * v
-    return Cyclotomic(order, _reduce(work, order), den)
-
-
 def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:
     """(nums, den) of the exact sum of x_k * y_k over two packed vectors of one
     length, not in lowest terms: one integer dot per pair of columns, one reduction."""
@@ -297,11 +254,6 @@ def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:
         for j, b in enumerate(ys):
             work[i + j] += sum(map(mul, a, b))
     return _reduce(work, order), dx * dy
-
-
-def packed_dot(order: int, x, y) -> Cyclotomic:
-    """packed_numerators' sum as a Cyclotomic, in lowest terms."""
-    return Cyclotomic(order, *packed_numerators(order, x, y))
 
 
 def to_rational(value) -> Fraction:

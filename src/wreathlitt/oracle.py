@@ -32,12 +32,14 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import branching, partitions
-from .branching import HypothesisViolationError, branching_coefficient
-from .exactnum import Cyclotomic, NotRationalError, euler_phi, packed_dot, packed_numerators, to_rational, zeta
+
+# branching_coefficient, frobenius_characteristic and wreath_inner_product are
+# not called here but stay bound: perfbench/layertrace.py patches each by name
+# in this module.
+from .branching import HypothesisViolationError, branching_coefficient  # noqa: F401
+from .exactnum import Cyclotomic, NotRationalError, euler_phi, packed_numerators, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, h_basis, hall_inner_product, omega_at_root, s_basis, stretch
-# frobenius_characteristic and wreath_inner_product are not called here but
-# stay bound: perfbench/layertrace.py patches them by name in this module.
 from .wreath import (  # noqa: F401
     WreathLabel,
     WreathSeries,
@@ -57,7 +59,6 @@ from .wreath import (  # noqa: F401
 
 __all__ = [
     "CheckResult",
-    "ToleranceExceededError",
     "VerificationReport",
     "alphabet_transform_check",
     "branching_by_character_average",
@@ -66,7 +67,6 @@ __all__ = [
     "evaluation_kernel_agreement_check",
     "kernel_identity_check",
     "numeric_branching_estimate",
-    "numeric_matrix_check",
     "reproducing_kernel_check",
     "restriction_characteristics",
     "restriction_formula_check",
@@ -76,17 +76,6 @@ __all__ = [
 ]
 
 NUMERIC_TOLERANCE = 1e-9
-
-
-class ToleranceExceededError(ArithmeticError):
-    """Numeric brute force disagreed with the exact value."""
-
-    def __init__(self, detail: dict):
-        super().__init__(
-            f"numeric/exact mismatch at ({detail['rho']}, {detail['lambda']}): "
-            f"{detail['numeric']} vs {detail['exact']}"
-        )
-        self.detail = detail
 
 
 @dataclass
@@ -193,7 +182,7 @@ def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Par
     nums, den = packed_numerators(order, x, y)
     value, rest = divmod(nums[0], den)
     if rest or value < 0 or any(nums[1:]):
-        rational = to_rational(packed_dot(order, x, y))
+        rational = to_rational(Cyclotomic(order, nums, den))
         where = f"{path} at ({format_label(rho)}, {format_partition(lam)})"
         raise NotRationalError(f"{where}: expected a non-negative integer, got {rational}")
     return value
@@ -395,19 +384,6 @@ def _numeric_detail(rho: WreathLabel, lam: Partition, exact: int, numeric: compl
         "numeric": [numeric.real, numeric.imag],
         "error": abs(numeric - exact),
     }
-
-
-def numeric_matrix_check(rho: WreathLabel, lam: Partition) -> dict:
-    """Compare the numeric estimate with the exact multiplicity; they must
-    differ by less than the tolerance and round to the same integer.
-
-    Returns the comparison detail, raising ToleranceExceededError on failure.
-    """
-    exact, numeric = branching_coefficient(rho, lam), numeric_branching_estimate(rho, lam)
-    detail = _numeric_detail(rho, lam, exact, numeric)
-    if _numeric_fails(exact, numeric):
-        raise ToleranceExceededError(detail)
-    return detail
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ def partitions_of(n: int) -> list[Partition]:
     return list(_partitions(n, n))
 
 
-def is_partition(seq) -> bool:
+def _is_partition(seq) -> bool:
     return all(
         isinstance(x, int) and x >= 1 and (i == 0 or seq[i - 1] >= x)
         for i, x in enumerate(seq)
@@ -167,7 +167,7 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"not a partition: {text!r}") from None
-    if not is_partition(parts):
+    if not _is_partition(parts):
         raise ValueError(f"parts must be weakly decreasing positive integers: {text!r}")
     return parts
 

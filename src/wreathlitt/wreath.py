@@ -37,7 +37,7 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from . import partitions
-from .exactnum import Cyclotomic, _reduce, euler_phi, reduce_mod_cyclotomic, sum_of_products, zeta
+from .exactnum import Cyclotomic, _reduce, euler_phi, zeta
 from .partitions import Partition, format_partition, parse_partition
 from .symfunc import SymSeries, _min_trunc, constant, omega_at_root, stretch
 
@@ -53,7 +53,6 @@ __all__ = [
     "format_label",
     "frobenius_characteristic",
     "identity_label",
-    "irreducible_character",
     "irreducible_dimension",
     "merge_labels",
     "parse_label",
@@ -63,9 +62,6 @@ __all__ = [
     "wreath_class_labels",
     "wreath_inner_product",
 ]
-
-_ZERO = Fraction(0)  # the coefficient of every absent label: a Fraction is immutable
-
 
 class OrderMismatchError(ValueError):
     """Two wreath values built over different root-of-unity orders."""
@@ -230,7 +226,7 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     """
     if r < 1:
         raise ValueError("power index must be >= 1")
-    return reduce_mod_cyclotomic(_cyclic_trace(rho, r), rho.order)
+    return Cyclotomic(rho.order, _cyclic_trace(rho, r))
 
 
 def schur_evaluator(lambdas):
@@ -336,9 +332,6 @@ class WreathSeries:
     def one(cls, order: int) -> "WreathSeries":
         return cls(order, {WreathLabel(order, ()): Fraction(1)})
 
-    def coefficient(self, label: WreathLabel):
-        return self.terms.get(label, _ZERO)
-
     def __add__(self, other: "WreathSeries") -> "WreathSeries":
         if not isinstance(other, WreathSeries):
             return NotImplemented
@@ -393,17 +386,17 @@ class WreathSeries:
 
 def wreath_inner_product(f: WreathSeries, g: WreathSeries):
     """Bilinear pairing, diagonal on the P-basis with norm the centralizer
-    order; an element of Q(zeta_m), summed with one reduction mod Phi_m."""
+    order; an element of Q(zeta_m)."""
     if f.order != g.order:
         raise OrderMismatchError("pairing requires equal orders")
     if len(g.terms) < len(f.terms):
         f, g = g, f
     shared = (
-        (centralizer_order(label), cf, cg)
+        centralizer_order(label) * cf * cg
         for label, cf in f.terms.items()
         if (cg := g.terms.get(label)) is not None
     )
-    return sum_of_products(f.order, shared)
+    return sum(shared, Cyclotomic.from_rational(0, f.order))
 
 
 def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[WreathLabel, int, int]]:
@@ -480,16 +473,6 @@ def frobenius_characteristic(rho: WreathLabel) -> WreathSeries:
     sigma's centralizer order."""
     values = characters(rho).items()
     return WreathSeries(rho.order, {sigma: Cyclotomic(rho.order, nums, centralizer_order(sigma)) for sigma, nums in values})
-
-
-def irreducible_character(rho: WreathLabel, sigma: WreathLabel) -> Cyclotomic:
-    """Character of the irreducible rho on the class sigma."""
-    if rho.order != sigma.order:
-        raise OrderMismatchError("labels of different orders")
-    if rho.size != sigma.size:
-        raise ValueError("labels index different groups")
-    nums = characters(rho).get(sigma)
-    return Cyclotomic(rho.order, nums, 1) if nums else Cyclotomic.from_rational(0, rho.order)
 
 
 def irreducible_dimension(rho: WreathLabel) -> int:

@@ -20,7 +20,7 @@ import cmath
 import itertools
 from math import factorial, gcd, lcm
 
-from wreathlitt.exactnum import Cyclotomic, _numerators, euler_phi, zeta
+from wreathlitt.exactnum import Cyclotomic, euler_phi, zeta
 from wreathlitt.wreath import WreathLabel, centralizer_order
 
 Mono = dict  # exponent tuple -> coefficient
@@ -249,7 +249,15 @@ def pack(order: int, values) -> tuple[list[list[int]], int]:
     integer columns, column i holding each value's numerator of zeta^i, over
     one common denominator.  Trailing zero columns are dropped, so a rational
     vector packs to one column."""
-    entries = [_numerators(value, order) for value in values]
+    entries = []
+    for value in values:
+        # (nums, den) of an int, Fraction or Cyclotomic, as a Q(zeta_order) element
+        if not isinstance(value, Cyclotomic):
+            entries.append(((value.numerator,), value.denominator))
+        elif value.order == order or value.is_rational():
+            entries.append((value.nums if value.order == order else value.nums[:1], value.den))
+        else:
+            raise ValueError(f"cannot mix Q(zeta_{order}) and Q(zeta_{value.order})")
     den = lcm(*(d for _, d in entries))
     columns = [[0] * len(entries) for _ in range(euler_phi(order))]
     for k, (nums, d) in enumerate(entries):

@@ -14,7 +14,8 @@ import pytest
 
 from bruteforce import young_permutation_character
 from wreathlitt import branching, partitions
-from wreathlitt.branching import littlewood_coefficient
+from wreathlitt.branching import branching_coefficient
+from wreathlitt.exactnum import Cyclotomic
 from wreathlitt.oracle import (
     alphabet_transform_check,
     evaluation_kernel_agreement_check,
@@ -35,8 +36,9 @@ from wreathlitt.symfunc import (
     s_basis,
 )
 from wreathlitt.wreath import (
+    WreathLabel,
     centralizer_order,
-    irreducible_character,
+    characters,
     wreath_class_labels,
 )
 
@@ -94,16 +96,17 @@ def test_triple_agreement_and_dimension_sums_wide(order, n, degree_cap):
 
 
 def test_criterion_2_littlewood_classical_decompositions():
+    # m = 1: the multiplicity of the Specht module mu in V^lambda restricted to S_n
     failures = []
     for n in range(2, 6):
         for mu in partitions_of(n):
             expected = 1 if mu in ((n,), (n - 1, 1)) else 0
-            if littlewood_coefficient(mu, (1,), n) != expected:
+            if branching_coefficient(WreathLabel.from_mapping(1, {0: mu}), (1,)) != expected:
                 failures.append(("defining", n, mu))
     for n in range(2, 5):
         for mu in partitions_of(n):
             expected = 1 if mu == (1,) * n else 0
-            if littlewood_coefficient(mu, (1,) * n, n) != expected:
+            if branching_coefficient(WreathLabel.from_mapping(1, {0: mu}), (1,) * n) != expected:
                 failures.append(("alternating", n, mu))
     _report("criterion 2: classical decompositions of V^(1) and V^(1^n)", not failures, failures)
 
@@ -202,16 +205,14 @@ def test_criterion_6_symmetric_function_kernel_properties():
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             labels = wreath_class_labels(n, m)
-            chars = {
-                rho: {s: irreducible_character(rho, s) for s in labels} for rho in labels
-            }
+            zero = Cyclotomic.from_rational(0, m)
+            chars = {rho: {s: Cyclotomic(m, nums, 1) for s, nums in characters(rho).items()} for rho in labels}
             for a in labels:
                 for b in labels:
                     total = 0
                     for s in labels:
-                        total = total + Fraction(1, centralizer_order(s)) * chars[a][
-                            s
-                        ] * chars[b][s].conjugate()
+                        pair = chars[a].get(s, zero) * chars[b].get(s, zero).conjugate()
+                        total = total + Fraction(1, centralizer_order(s)) * pair
                     if total != (1 if a == b else 0):
                         failures.append(("wreath_orthogonality", m, n, a, b))
 

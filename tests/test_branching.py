@@ -9,7 +9,6 @@ from wreathlitt.branching import (
     branching_coefficient,
     branching_series,
     branching_table,
-    littlewood_coefficient,
     table_series,
 )
 from wreathlitt.oracle import branching_by_pairing
@@ -62,30 +61,30 @@ def test_branching_examples():
 def test_hypothesis_guard():
     with pytest.raises(HypothesisViolationError):
         branching_coefficient(lab(2, {1: (1,)}), (1, 1))
-    with pytest.raises(ValueError):
-        littlewood_coefficient((2,), (1,), 3)
 
 
 def test_littlewood_examples():
+    # m = 1: the multiplicity of the Specht module mu in V^lambda restricted to S_n
     for n in range(1, 6):
-        assert littlewood_coefficient((n,), (1,), n) == 1
+        assert branching_coefficient(lab(1, {0: (n,)}), (1,)) == 1
     for n in range(2, 6):
-        assert littlewood_coefficient((n - 1, 1), (1,), n) == 1
+        assert branching_coefficient(lab(1, {0: (n - 1, 1)}), (1,)) == 1
     for n in range(3, 6):
-        assert littlewood_coefficient((1,) * n, (1,), n) == 0
-    assert littlewood_coefficient((1, 1), (1, 1), 2) == 1
+        assert branching_coefficient(lab(1, {0: (1,) * n}), (1,)) == 0
+    assert branching_coefficient(lab(1, {0: (1, 1)}), (1, 1)) == 1
 
 
 def test_littlewood_agrees_with_general_path():
+    # Littlewood's formula: the multiplicity is <s_mu[1 + h_1 + h_2 + ...], s_lam>
+    alphabet = omega_at_root(0, 1, 6)
     for n in range(1, 6):
         for mu in partitions_of(n):
+            littlewood = plethysm(s_basis(mu), alphabet, 6)
             for size in range(7):
                 for lam in partitions_of(size):
                     if len(lam) > n:
                         continue
-                    assert littlewood_coefficient(mu, lam, n) == branching_coefficient(
-                        lab(1, {0: mu}), lam
-                    )
+                    assert branching_coefficient(lab(1, {0: mu}), lam) == hall_inner_product(littlewood, s_basis(lam))
 
 
 def test_stability_in_truncation():

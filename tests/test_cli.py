@@ -201,17 +201,15 @@ def test_coeff_m_zero_has_no_traceback():
     assert code == 1 and out == b"" and b"Traceback" not in err
 
 
-@pytest.mark.parametrize("error", ["NonIntegralError", "NotRationalError", "ToleranceExceededError"])
+@pytest.mark.parametrize("error", ["NonIntegralError", "NotRationalError"])
 def test_arithmetic_errors_exit_2_with_json_line(error, capsys, monkeypatch):
-    from wreathlitt import cli, exactnum, oracle, wreath
+    from wreathlitt import cli, exactnum, wreath
 
     cls = {
         "NonIntegralError": wreath.NonIntegralError,
         "NotRationalError": exactnum.NotRationalError,
-        "ToleranceExceededError": oracle.ToleranceExceededError,
     }[error]
-    detail = {"rho": "0:1", "lambda": "1", "numeric": "0.5", "exact": "1"}
-    exc = cls(detail) if cls is oracle.ToleranceExceededError else cls("boom")
+    exc = cls("boom")
 
     def failing(*args, **kwargs):
         raise exc
@@ -279,6 +277,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         (["verify", "--m", "12", "--n", "2", "--max-deg", "3"], "verify_m12_n2_d3.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
+        (["identities", "--m", "6", "--dx", "3", "--dy", "3"], "identities_m6_dx3_dy3.json"),
         (["table", "--m", "3", "--n", "3", "--max-deg", "5"], "table_m3_n3_d5.json"),
     ],
     ids=[
@@ -293,6 +292,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         "verify-order-12",
         "identities",
         "identities-dx-above-dy",
+        "identities-non-prime-power-order",
         "table",
     ],
 )

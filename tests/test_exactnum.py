@@ -11,12 +11,11 @@ from wreathlitt.exactnum import (
     NotRationalError,
     cyclotomic_polynomial,
     euler_phi,
-    packed_dot,
-    reduce_mod_cyclotomic,
-    sum_of_products,
+    packed_numerators,
     to_rational,
     zeta,
 )
+from wreathlitt.wreath import WreathSeries, wreath_inner_product
 
 
 def test_cyclotomic_polynomial_small():
@@ -36,11 +35,11 @@ def test_euler_phi():
 
 def test_reduce_examples():
     # zeta_2 squared is 1
-    assert reduce_mod_cyclotomic([0, 0, 1], 2) == 1
+    assert Cyclotomic(2, [0, 0, 1]) == 1
     # zeta_4 squared is -1
-    assert reduce_mod_cyclotomic([0, 0, 1], 4) == -1
+    assert Cyclotomic(4, [0, 0, 1]) == -1
     # 1 + zeta_3 + zeta_3^2 = 0
-    assert not reduce_mod_cyclotomic([1, 1, 1], 3)
+    assert not Cyclotomic(3, [1, 1, 1])
 
 
 def test_conjugation_examples():
@@ -83,16 +82,16 @@ def test_reduction_is_multiplicative(m, p, q):
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             prod[i + j] += a * b
-    direct = reduce_mod_cyclotomic(prod, m)
-    split = reduce_mod_cyclotomic(p, m) * reduce_mod_cyclotomic(q, m)
+    direct = Cyclotomic(m, prod)
+    split = Cyclotomic(m, p) * Cyclotomic(m, q)
     assert direct == split
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 10), p=_coeff_lists(9), q=_coeff_lists(9))
 def test_conjugation_is_multiplicative_and_involutive(m, p, q):
-    a = reduce_mod_cyclotomic(p, m)
-    b = reduce_mod_cyclotomic(q, m)
+    a = Cyclotomic(m, p)
+    b = Cyclotomic(m, q)
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a.conjugate().conjugate() == a
 
@@ -150,7 +149,7 @@ def test_equal_values_have_equal_representations(a, extra):
     for i, e in enumerate(extra):
         for k, c in enumerate(phi):
             coeffs[i + k] += e * c
-    for b in (reduce_mod_cyclotomic(coeffs, a.order), (a * 3) * Fraction(1, 3), a + a - a):
+    for b in (Cyclotomic(a.order, coeffs), (a * 3) * Fraction(1, 3), a + a - a):
         assert a == b and a.nums == b.nums and a.den == b.den and hash(a) == hash(b)
     # same numerators over another denominator is another number
     assert (a * 2 == a) == (a * Fraction(1, 2) == a) == (not a)
@@ -203,7 +202,7 @@ def test_mixing_non_rational_orders_raises(a, b):
             op(b, a)
 
 
-# sum_of_products: integer accumulation, one reduction per sum.
+# Sums of products: one value, one representation, whatever the route.
 
 def _scalars(order):
     return st.one_of(
@@ -221,35 +220,40 @@ def _product_terms(draw):
     return order, draw(st.lists(triples, max_size=8))
 
 
+def _naive_sum(order, terms):
+    total = Cyclotomic.from_rational(0, order)
+    for weight, x, y in terms:
+        total = total + weight * x * y
+    return total
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_product_terms())
 def test_sum_of_products_equals_naive_sum(case):
     order, terms = case
-    naive = Cyclotomic.from_rational(0, order)
-    for weight, x, y in terms:
-        naive = naive + weight * x * y
-    total = sum_of_products(order, terms)
-    assert total.order == order and total == naive and _is_canonical(total)
-    # the same value reached by other routes has the same representation
+    total = _naive_sum(order, terms)
+    assert total.order == order and _is_canonical(total)
+    # the same value reached by other routes has the same representation: the
+    # terms reversed, cancelling terms, and the packed integer dot
     cancelling = [(-w, x, y) for w, x, y in terms]
-    for other in (naive, sum_of_products(order, terms[::-1]), sum_of_products(order, cancelling + terms + terms)):
+    xs, ys = pack(order, [w * x for w, x, _ in terms]), pack(order, [y for _, _, y in terms])
+    for other in (
+        _naive_sum(order, terms[::-1]),
+        _naive_sum(order, cancelling + terms + terms),
+        Cyclotomic(order, *packed_numerators(order, xs, ys)),
+    ):
         assert (other.nums, other.den, hash(other)) == (total.nums, total.den, hash(total))
 
 
 @pytest.mark.parametrize("order", range(1, 13))
 def test_sum_of_products_of_nothing_is_zero(order):
-    total = sum_of_products(order, [])
+    # the wreath pairing of series that share no label sums no products
+    total = wreath_inner_product(WreathSeries.one(order), WreathSeries(order, {}))
     assert total.order == order and total.nums == (0,) * euler_phi(order) and total.den == 1
     assert total == 0 and hash(total) == hash(0)
 
 
-def test_sum_of_products_coerces_only_rational_values_of_other_orders():
-    assert sum_of_products(3, [(2, zeta(3), Cyclotomic.from_rational(Fraction(1, 2), 12))]) == zeta(3)
-    with pytest.raises(ValueError):
-        sum_of_products(3, [(1, zeta(4), zeta(3))])
-
-
-# The tests' pack and packed_dot: two vectors packed once, dotted with one reduction.
+# The tests' pack and packed_numerators: two vectors packed once, dotted with one reduction.
 
 PACKED_ORDERS = [1, 2, 3, 4, 5, 6, 12]
 
@@ -275,14 +279,14 @@ def test_packed_dot_equals_sum_of_products(case):
     order, pairs = case
     x, y = pack(order, [a for a, _ in pairs]), pack(order, [b for _, b in pairs])
     assert 1 <= len(x[0]) <= euler_phi(order) and all(len(column) == len(pairs) for column in x[0])
-    dot = packed_dot(order, x, y)
-    expected = sum_of_products(order, [(1, a, b) for a, b in pairs])
+    dot = Cyclotomic(order, *packed_numerators(order, x, y))
+    expected = _naive_sum(order, [(1, a, b) for a, b in pairs])
     assert dot.order == order and (dot.nums, dot.den) == (expected.nums, expected.den)
 
 
 @pytest.mark.parametrize("order", PACKED_ORDERS)
 def test_packed_dot_of_empty_vectors_is_zero(order):
-    dot = packed_dot(order, pack(order, []), pack(order, []))
+    dot = Cyclotomic(order, *packed_numerators(order, pack(order, []), pack(order, [])))
     assert dot.order == order and dot.nums == (0,) * euler_phi(order) and dot.den == 1
 
 
@@ -294,6 +298,6 @@ def test_pack_drops_trailing_zero_columns():
 
 def test_pack_coerces_only_rational_values_of_other_orders():
     x = pack(3, [2, Cyclotomic.from_rational(Fraction(1, 2), 12)])
-    assert packed_dot(3, x, pack(3, [zeta(3), 1])) == 2 * zeta(3) + Fraction(1, 2)
+    assert Cyclotomic(3, *packed_numerators(3, x, pack(3, [zeta(3), 1]))) == 2 * zeta(3) + Fraction(1, 2)
     with pytest.raises(ValueError):
         pack(3, [1, zeta(4)])

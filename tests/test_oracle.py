@@ -6,14 +6,12 @@ from bruteforce import conjugacy_class_size, pack
 from wreathlitt import partitions
 from wreathlitt.branching import HypothesisViolationError, branching_coefficient
 from wreathlitt.oracle import (
-    ToleranceExceededError,
     alphabet_transform_check,
     branching_by_character_average,
     branching_by_pairing,
     evaluation_kernel_agreement_check,
     kernel_identity_check,
     numeric_branching_estimate,
-    numeric_matrix_check,
     reproducing_kernel_check,
     restriction_characteristics,
     restriction_formula_check,
@@ -47,11 +45,11 @@ def test_restriction_characteristic_examples():
     for order, n in [(1, 3), (2, 2), (3, 1)]:
         series = restriction_characteristics([()], n, order)[()]
         for rho in wreath_class_labels(n, order):
-            assert series.coefficient(rho) == Fraction(1, centralizer_order(rho))
+            assert series.terms[rho] == Fraction(1, centralizer_order(rho))
     # defining representation of GL_2 over the symmetric group S_2
     series = restriction_characteristics([(1,)], 2, 1)[(1,)]
-    assert series.coefficient(lab(1, {0: (1, 1)})) == 1
-    assert series.coefficient(lab(1, {0: (2,)})) == 0
+    assert series.terms[lab(1, {0: (1, 1)})] == 1
+    assert lab(1, {0: (2,)}) not in series.terms
     with pytest.raises(HypothesisViolationError):
         restriction_characteristics([(1, 1)], 1, 2)[(1, 1)]
 
@@ -84,7 +82,7 @@ def test_triple_agreement_small():
 def test_numeric_path():
     for rho in wreath_class_labels(2, 2):
         for lam in [(), (1,), (2,), (1, 1)]:
-            numeric_matrix_check(rho, lam)
+            assert abs(numeric_branching_estimate(rho, lam) - branching_coefficient(rho, lam)) < 1e-9, (rho, lam)
     assert run_numeric_suite(1, 3, 3).passed
     assert run_numeric_suite(4, 1, 4).passed
     value = numeric_branching_estimate(lab(2, {0: (1,)}), (2,))
@@ -184,18 +182,9 @@ def test_numeric_mismatch_reports_cell(monkeypatch):
     import wreathlitt.oracle as oracle_module
 
     monkeypatch.setattr(oracle_module, "NUMERIC_TOLERANCE", 0.0)
-    with pytest.raises(ToleranceExceededError) as info:
-        numeric_matrix_check(lab(1, {0: (2,)}), (2,))
-    assert info.value.detail["rho"] == "0:2"
-
-
-def test_numeric_matrix_check_returns_the_detail_of_a_passing_cell():
-    # the detail a passing cell returns, which run_numeric_suite no longer builds
-    detail = numeric_matrix_check(lab(3, {0: (1,), 1: (1,)}), (1,))
-    assert list(detail) == ["rho", "lambda", "exact", "numeric", "error"]
-    assert (detail["rho"], detail["lambda"], detail["exact"]) == ("0:1;1:1", "1", 1)
-    assert detail["numeric"] == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert detail["error"] == abs(complex(*detail["numeric"]) - 1) < 1e-9
+    check = run_numeric_suite(1, 2, 2).checks[0]
+    assert not check.passed and check.cells == 1
+    assert (check.counterexample["rho"], check.counterexample["lambda"]) == ("0:2", "[]")
 
 
 def test_kernel_identity_trivia():
@@ -328,15 +317,17 @@ def test_run_verification_matches_per_cell_reference(order, n, degree_cap):
 
 
 def _per_cell_numeric(order, n, degree_cap):
-    """run_numeric_suite's report, rebuilt from numeric_matrix_check."""
+    """run_numeric_suite's report, rebuilt cell by cell from branching_coefficient
+    and numeric_branching_estimate."""
+    import wreathlitt.oracle as oracle_module
+
     cells, counterexample = 0, None
     for rho in wreath_class_labels(n, order):
         for lam in _grid(n, degree_cap):
             cells += 1
-            try:
-                numeric_matrix_check(rho, lam)
-            except ToleranceExceededError as exc:
-                counterexample = exc.detail
+            exact, numeric = branching_coefficient(rho, lam), numeric_branching_estimate(rho, lam)
+            if oracle_module._numeric_fails(exact, numeric):
+                counterexample = oracle_module._numeric_detail(rho, lam, exact, numeric)
                 break
         if counterexample:
             break

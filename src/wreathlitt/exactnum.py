@@ -12,10 +12,9 @@ x^(-i mod m) and reduces once, and no computation path calls it.
 Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic.  ``Cyclotomic(order, coeffs)`` is the reduction:
 it takes the rational coordinates of any polynomial in zeta and reduces them
-mod Phi_order once.  ``packed_numerators`` dots two vectors packed as integer
-columns over one denominator with one reduction, and stops before the
-``Cyclotomic``, so that a caller can test its sum for an integer with one
-``divmod`` and build no number at all.
+mod Phi_order once.  The exact oracles reduce their integer work
+polynomials with ``_reduce``, once per cell, and build a ``Cyclotomic`` only
+for a cell that fails.
 """
 
 from __future__ import annotations
@@ -24,14 +23,13 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 
 __all__ = [
     "Cyclotomic",
     "NotRationalError",
     "cyclotomic_polynomial",
     "euler_phi",
-    "packed_numerators",
     "to_rational",
     "zeta",
 ]
@@ -243,17 +241,6 @@ def _zeta_cached(order: int, power: int) -> Cyclotomic:
     mono = [0] * (power + 1)
     mono[power] = 1
     return Cyclotomic(order, _reduce(mono, order), 1)
-
-
-def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:
-    """(nums, den) of the exact sum of x_k * y_k over two packed vectors of one
-    length, not in lowest terms: one integer dot per pair of columns, one reduction."""
-    (xs, dx), (ys, dy) = x, y
-    work = [0] * (len(xs) + len(ys) - 1)
-    for i, a in enumerate(xs):
-        for j, b in enumerate(ys):
-            work[i + j] += sum(map(mul, a, b))
-    return _reduce(work, order), dx * dy
 
 
 def to_rational(value) -> Fraction:

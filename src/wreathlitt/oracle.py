@@ -5,12 +5,13 @@ against the conjugated irreducible character inside the wreath ring; (B) a
 classical character average over conjugacy classes, with its own Schur
 values and its own call of wreath.characters, as in (A); (C) floating-point
 brute force over the actual monomial matrices at tiny sizes.  A bug in any
-single layer cannot produce silent three-way agreement.  Paths A and B pack
-integer numerators straight into integer columns, the Schur values from
-their own evaluator, one gcd per lambda, and the characters from their own
-call of wreath.characters, and read each cell in one integer pass: the
-column dots, one reduction mod Phi_m and one divmod; only a cell that fails
-builds a Cyclotomic, to report itself.
+single layer cannot produce silent three-way agreement.  Paths A and B keep
+their values mod x^m - 1 as big integers (Kronecker substitution): per class
+one integer holds every lambda's Schur value, from their own evaluator, and
+per row one dot per power of zeta with the characters from their own call of
+wreath.characters yields every cell's work polynomial, which the cell reduces
+mod Phi_m once and tests with one divmod; only a cell that fails builds a
+Cyclotomic, to report itself.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -28,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, gcd, lcm
-from operator import mul
+from math import factorial, lcm
+from operator import mul, neg
 
 from . import branching, partitions
 
@@ -37,12 +38,14 @@ from . import branching, partitions
 # not called here but stay bound: perfbench/layertrace.py patches each by name
 # in this module.
 from .branching import HypothesisViolationError, branching_coefficient  # noqa: F401
-from .exactnum import Cyclotomic, NotRationalError, euler_phi, packed_numerators, to_rational, zeta
+from .exactnum import Cyclotomic, NotRationalError, _reduce, euler_phi, to_rational, zeta
 from .partitions import Partition, format_partition
 from .symfunc import SymSeries, constant, h_basis, hall_inner_product, omega_at_root, s_basis, stretch
 from .wreath import (  # noqa: F401
     WreathLabel,
     WreathSeries,
+    _digit_bits,
+    _unpack,
     centralizer_order,
     characters,
     evaluation_kernel,
@@ -53,6 +56,7 @@ from .wreath import (  # noqa: F401
     irreducible_dimension,
     schur_at_eigenvalues,
     schur_evaluator,
+    schur_numerators,
     wreath_class_labels,
     wreath_inner_product,
 )
@@ -145,41 +149,20 @@ def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, 
     from one Schur evaluator for every lambda, over rho's centralizer order."""
     _require_rows(lambdas, n)
     classes = wreath_class_labels(n, order)
+    evaluator = schur_evaluator(lambdas, n)
+    by_class = [schur_numerators(evaluator, rho) for rho in classes]
     return {
         lam: WreathSeries(order, {
             rho: Cyclotomic(order, nums, den * centralizer_order(rho)) for rho, nums in zip(classes, values)
         })
-        for lam, (den, values) in zip(lambdas, _schur_values(classes, lambdas))
+        for lam, den, values in zip(lambdas, evaluator[0], zip(*by_class))
     }
 
 
-def _schur_values(classes, lambdas):
-    # Per lambda, (den, its numerators at each class), from one Schur evaluator.
-    dens, schur = schur_evaluator(lambdas)
-    return zip(dens, zip(*map(schur, classes)))
-
-
-def _packed(values, den: int) -> tuple[list[list[int]], int]:
-    # Per-class numerators over den as integer columns, column i holding those of
-    # zeta^i, without trailing zero columns, so a rational vector keeps one column.
-    columns = [list(column) for column in zip(*values)]
-    while len(columns) > 1 and not any(columns[-1]):
-        columns.pop()
-    return columns, den
-
-
-def _lowest_terms(values, den: int) -> tuple[list[list[int]], int]:
-    # _packed, then put in lowest terms with one gcd.
-    columns, den = _packed(values, den)
-    if (g := gcd(den, *itertools.chain.from_iterable(columns))) > 1:
-        columns, den = [[a // g for a in column] for column in columns], den // g
-    return columns, den
-
-
-def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Partition) -> int:
-    # One cell of path A or B: the packed dot's numerators and one divmod.  Only a
-    # failing cell builds its Cyclotomic, for the value its error reports.
-    nums, den = packed_numerators(order, x, y)
+def _packed_multiplicity(order: int, work: list[int], den: int, path: str, rho: WreathLabel, lam: Partition) -> int:
+    # One cell of path A or B: its work polynomial reduced mod Phi_m once, and one
+    # divmod.  Only a failing cell builds its Cyclotomic, for the value its error reports.
+    nums = _reduce(work, order)
     value, rest = divmod(nums[0], den)
     if rest or value < 0 or any(nums[1:]):
         rational = to_rational(Cyclotomic(order, nums, den))
@@ -188,50 +171,81 @@ def _packed_multiplicity(order: int, x, y, path: str, rho: WreathLabel, lam: Par
     return value
 
 
-def _conjugated_characters(order: int, classes):
-    # rho -> its conjugated characters over z_sigma, packed over the classes as
-    # the Schur values are: chi(sigma^-1) * (L / z_sigma) over L = lcm(z_sigma), as conj
-    # chi(g) = chi(g^-1) and z_sigma is the same for sigma and its inverse.
-    inverses, den = [sigma.inverse() for sigma in classes], lcm(*map(centralizer_order, classes))
-    weights, zero = [den // centralizer_order(sigma) for sigma in classes], (0,) * euler_phi(order)
+def _conjugated_characters(classes):
+    # rho -> chi^rho(sigma^-1) per class, as power-basis numerators, as conj chi(g) =
+    # chi(g^-1).  Each inverse is the class list's own label object, so every lookup
+    # hits by identity.
+    own = dict(zip(classes, classes))
+    inverses = [own[sigma.inverse()] for sigma in classes]
+    zero = (0,) * euler_phi(classes[0].order)
 
     def conjugated(rho: WreathLabel):
         values = characters(rho)
-        scaled = [[a * weight for a in values.get(inverse, zero)] for inverse, weight in zip(inverses, weights)]
-        return _packed(scaled, den)
+        return [values.get(inverse, zero) for inverse in inverses]
 
     return conjugated
 
 
+def _packed_path(order: int, n: int, lambdas, classes, factors, den: int, path: str):
+    """The row builder of paths A and B, on Kronecker-packed integers.  Per
+    class sigma, the path's own Schur evaluator packs every lambda's value
+    times sigma's factor over den and w_sigma = L / z_sigma over L =
+    lcm(z_sigma), one slot of m + phi(m) - 1 digits per lambda.  Per row, one
+    integer dot per power of zeta, of those values with that power's column
+    of rho's conjugated characters, gives every lambda's work polynomial, the
+    sum over the classes of s_lam(sigma) conj chi(sigma) / z_sigma times the
+    factors; each cell reduces its own mod Phi_m once.  As the w_sigma sum
+    to L, a work digit is at most the Schur bound times the largest factor
+    and the sum over sigma of w_sigma times rho's largest |numerator| at
+    sigma.  A row whose digits need more bits repacks the Schur values at its
+    width, so each width is packed at most once."""
+    dens, bound, schur = schur_evaluator(lambdas, n)
+    conjugated_characters = _conjugated_characters(classes)
+    norms = [centralizer_order(sigma) for sigma in classes]
+    common = lcm(*norms)
+    weights, bound = [common // z for z in norms], bound * max(factors)
+    spacing, index = order + euler_phi(order) - 1, {lam: i for i, lam in enumerate(lambdas)}
+    packed = 0, []
+
+    def row(rho: WreathLabel):
+        nonlocal packed
+        conjugated = conjugated_characters(rho)
+        tops = map(max, map(max, conjugated), map(neg, map(min, conjugated)))
+        bits = _digit_bits(bound * sum(map(mul, tops, weights)))
+        if bits > packed[0]:
+            scaled = zip(classes, map(mul, factors, weights))
+            packed = bits, [schur(sigma, bits, spacing) * scale for sigma, scale in scaled]
+        bits, values = packed
+        total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*conjugated)))
+        digits = _unpack(total, bits, len(lambdas) * spacing)
+
+        def cell(lam: Partition) -> int:
+            i = index[lam]
+            work = digits[i * spacing:(i + 1) * spacing]
+            return _packed_multiplicity(order, work, dens[i] * den * common, path, rho, lam)
+
+        return cell
+
+    return row
+
+
 # Each path is built for one group, and is a row builder: path(rho) returns
 # rho's cell function lam -> value.  A path builds its per-lambda values when
-# it is built, and a label's values when its row is built, so the suites,
-# which read the cells row by row, build each label's values once; no path
-# reads a value another path computed.
+# it is built or at its first row, and a label's values when its row is
+# built, so the suites, which read the cells row by row, build each label's
+# values once; no path reads a value another path computed.
 
 def _pairing_path(order: int, n: int, lambdas):
     """Path A: each lambda's restriction characteristic s_lam(sigma) / z_sigma,
-    from its own Schur evaluator, packed over the classes times the pairing
-    norm z_sigma; per row, rho's conjugated characters over z_sigma, packed
-    over the classes; one integer pass per cell."""
+    from its own Schur evaluator, times the pairing norm z_sigma, against
+    rho's conjugated characters over z_sigma."""
     _require_rows(lambdas, n)
     classes = wreath_class_labels(n, order)
     norms = [centralizer_order(sigma) for sigma in classes]
     den = lcm(*norms)
-    # s_lam(sigma) / z_sigma is its numerators times den / z_sigma over den_lam * den,
-    # and the pairing weighs each class by its norm z_sigma
-    scales = [den // z * z for z in norms]
-    restricted = {
-        lam: _lowest_terms([[a * scale for a in nums] for nums, scale in zip(values, scales)], den_lam * den)
-        for lam, (den_lam, values) in zip(lambdas, _schur_values(classes, lambdas))
-    }
-    conjugated_characters = _conjugated_characters(order, classes)
-
-    def row(rho: WreathLabel):
-        conjugated = conjugated_characters(rho)
-        return lambda lam: _packed_multiplicity(order, restricted[lam], conjugated, "pairing", rho, lam)
-
-    return row
+    # s_lam(sigma) / z_sigma is its value times den / z_sigma over den, and the
+    # pairing weighs each class by its norm z_sigma
+    return _packed_path(order, n, lambdas, classes, [den // z * z for z in norms], den, "pairing")
 
 
 def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
@@ -245,18 +259,10 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
 
 
 def _character_average_path(order: int, n: int, lambdas):
-    """Path B: its own Schur values, from its own evaluator, packed per
-    lambda over the classes; per row, its own conjugated characters of rho,
-    packed as in path A; one integer pass per cell."""
+    """Path B: its own Schur values, from its own evaluator, against its own
+    conjugated characters of rho over z_sigma, as in path A."""
     classes = wreath_class_labels(n, order)
-    schur = {lam: _lowest_terms(values, den) for lam, (den, values) in zip(lambdas, _schur_values(classes, lambdas))}
-    conjugated_characters = _conjugated_characters(order, classes)
-
-    def row(rho: WreathLabel):
-        conjugated = conjugated_characters(rho)
-        return lambda lam: _packed_multiplicity(order, schur[lam], conjugated, "character average", rho, lam)
-
-    return row
+    return _packed_path(order, n, lambdas, classes, [1] * len(classes), 1, "character average")
 
 
 def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
@@ -623,13 +629,14 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
         yield from _suite_cells(order, n, degree_cap, lambdas, paths, compare)
 
     def dimension_sums():
-        dens, schur = schur_evaluator(lambdas)
-        for lam, den, nums in zip(lambdas, dens, schur(identity_label(n, order))):
-            expected = to_rational(Cyclotomic(order, nums, den))
+        evaluator = schur_evaluator(lambdas, n)
+        for lam, den, nums in zip(lambdas, evaluator[0], schur_numerators(evaluator, identity_label(n, order))):
+            # a wrong value at the identity may not even be rational, and is reported as it is
+            expected = Cyclotomic(order, nums, den)
             yield None if weighted[lam] == expected else {
                 "lambda": format_partition(lam),
                 "weighted_sum": weighted[lam],
-                "schur_at_identity": str(expected),
+                "schur_at_identity": str(expected.to_rational()) if expected.is_rational() else repr(expected),
             }
 
     agreed = _check("triple_agreement", agreement())

@@ -10,7 +10,8 @@ orthogonal for the wreath pairing with norm the centralizer order.
 Eigenvalue data is never materialized: an l-cycle with cycle product z
 contributes the l-th roots of z, so all power sums of eigenvalues lie in
 Z[zeta_m] and come from a divisor sum; Schur values at them are integer
-numerators mod Phi_m over one denominator per degree.  Irreducible
+polynomials mod x^m - 1 over one denominator per degree, read at x = 2^b so
+that one big-integer product does a polynomial product.  Irreducible
 characters are integers too, merged by class position through a table of
 (position of a u b, z_(a u b) / (z_a z_b)); each value is a sparse map
 exponent -> integer until one reduction.  Labels hash once, at construction;
@@ -34,7 +35,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import factorial, lcm, prod
-from operator import mul
 
 from . import partitions
 from .exactnum import Cyclotomic, _reduce, euler_phi, zeta
@@ -59,6 +59,7 @@ __all__ = [
     "power_trace",
     "schur_at_eigenvalues",
     "schur_evaluator",
+    "schur_numerators",
     "wreath_class_labels",
     "wreath_inner_product",
 ]
@@ -163,15 +164,22 @@ def _compositions(total: int, slots: int):
 
 def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
     """All labels of size n, in a fixed order: slot loads descending-first,
-    then partitions slotwise in reverse-lexicographic order."""
+    then partitions slotwise in reverse-lexicographic order.  Every call
+    lists the same label objects, so dicts keyed by them hit by identity."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    return list(_class_labels(n, order))
+
+
+# Label structure only, like merge_labels; a run asks for few (size, order) pairs.
+@lru_cache(maxsize=1 << 6)
+def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
     by_load = [partitions.partitions_of(c) for c in range(n + 1)]
-    return [
+    return tuple(
         WreathLabel(order, tuple(zip(slots, parts)))
         for slots, loads in _compositions(n, order)
         for parts in product(*map(by_load.__getitem__, loads))
-    ]
+    )
 
 
 # Label structure only, like merge_labels; a run asks for few (size, order) pairs.
@@ -181,7 +189,7 @@ def _class_structure(n: int, order: int) -> tuple[tuple[WreathLabel, Partition, 
     return tuple(
         (sigma, tuple(sorted(chain.from_iterable(part for _, part in sigma.slots), reverse=True)),
          sum(t * len(part) for t, part in sigma.slots))
-        for sigma in wreath_class_labels(n, order)
+        for sigma in _class_labels(n, order)
     )
 
 
@@ -195,26 +203,31 @@ def centralizer_order(rho: WreathLabel) -> int:
     return out
 
 
-def _cyclic_trace(rho: WreathLabel, r: int) -> list[int]:
-    # Integer coefficients of p_r at rho's eigenvalues, mod x^m - 1.
+def _cyclic_trace(rho: WreathLabel, r: int, bits: int) -> int:
+    # p_r at rho's eigenvalues, an integer polynomial mod x^m - 1, packed at x = 2^bits.
     m = rho.order
-    work = [0] * m
-    for j, part in rho.slots:
-        for ell in part:
-            if r % ell == 0:
-                work[j * (r // ell) % m] += ell
-    return work
+    return sum(ell << bits * (j * (r // ell) % m) for j, part in rho.slots for ell in part if r % ell == 0)
 
 
-def _cyclic_product(a: list[int], b: list[int]) -> list[int]:
-    # Product of two integer polynomials mod x^m - 1, m = len(a) = len(b).
-    m = len(a)
-    out = [0] * m
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[(i + j) % m] += x * y
-    return out
+def _cyclic_product(a: int, b: int, m: int, bits: int) -> int:
+    # Product of two packed polynomials mod x^m - 1: x^m = 1 folds the high m digits
+    # onto the low ones, exact while the digits are non-negative and below 2^bits - 1.
+    c = a * b
+    return (c & (1 << m * bits) - 1) + (c >> m * bits)
+
+
+def _digit_bits(bound: int) -> int:
+    # The width of a signed packed digit that holds every integer of absolute value <= bound.
+    return bound.bit_length() + 1
+
+
+def _unpack(packed: int, bits: int, count: int) -> list[int]:
+    # The count signed digits of packed at x = 2^bits, lowest first: an offset of
+    # 2^(bits-1) per digit makes each one a non-negative bit field.
+    half, width = 1 << bits - 1, bits * count
+    offset = ((1 << width) - 1) // ((1 << bits) - 1) * half
+    text = format(packed + offset & (1 << width) - 1, f"0{width}b")
+    return [int(text[i - bits:i], 2) - half for i in range(width, 0, -bits)]
 
 
 def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
@@ -226,54 +239,72 @@ def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
     """
     if r < 1:
         raise ValueError("power index must be >= 1")
-    return Cyclotomic(rho.order, _cyclic_trace(rho, r))
+    # the trace's coefficients are non-negative and sum to at most |rho|
+    bits = _digit_bits(rho.size)
+    return Cyclotomic(rho.order, _unpack(_cyclic_trace(rho, r, bits), bits, rho.order))
 
 
-def schur_evaluator(lambdas):
-    """The values of the Schur polynomials s_lam, lam in lambdas, at the
-    eigenvalues of a class, on integers: (dens, at), where at(rho) lists each
-    lam's power-basis numerators, reduced mod Phi_m, over dens[i] = lcm(z_mu)
-    over the partitions mu of |lam|, not in lowest terms.
+def schur_evaluator(lambdas, n: int):
+    """The Schur polynomials s_lam, lam in lambdas, at the eigenvalues of a
+    class of size at most n, one integer per class: (dens, bound, at).
 
-    Each lam's character row is read once, here, scaled to that lcm.  Per
-    class, its traces p_r and each p_mu are built once, as integer
-    polynomials mod x^m - 1, p_mu as p_mu without its last part times that
-    part's trace, and reduced mod Phi_m once; each value is then one integer
-    dot of lam's row per power-basis column.  A lam with more rows than
-    there are eigenvalues gives 0 (the zero specialization, not an error).
+    Kronecker substitution: at(rho, bits, spacing) is, at x = 2^bits, the sum
+    over i of x^(i * spacing) times S_i, where S_i, an integer polynomial mod
+    x^m - 1 (spacing >= m), is lambdas[i]'s value at rho times dens[i] =
+    lcm(z_mu) over the partitions mu of |lam|.  bound bounds the sum of
+    |coefficients| of every S_i, so any bits >= _digit_bits(bound) keeps
+    them apart.
+
+    Each lam's character row is read once, here, scaled to that lcm, and each
+    mu's coefficients over the lambdas are packed once per (bits, spacing).
+    Per class, its traces p_r are packed once, each p_mu is p_mu without its
+    last part times that part's trace, one product mod x^m - 1, and every S_i
+    comes from one sum of p_mu times mu's packed coefficients.  The traces'
+    coefficients are non-negative and those of p_mu sum to at most
+    n^len(mu), so every product is exact.  A lam with more rows than there
+    are eigenvalues gives 0.
     """
     # |lam| -> lcm(z_mu) over the partitions mu of |lam|, once per degree
     lcms = {k: lcm(*map(partitions.centralizer_order, partitions.partitions_of(k))) for k in set(map(sum, lambdas))}
-    rows, dens = [], []
-    for lam in lambdas:
+    rows, dens, bound = {}, [], 0
+    for i, lam in enumerate(lambdas):
         k = sum(lam)
         row, den = partitions.character_table(k)[lam], lcms[k]
-        rows.append((len(lam), k, [chi * (den // partitions.centralizer_order(mu)) for mu, chi in row.items()]))
+        scaled = [(mu, chi * (den // partitions.centralizer_order(mu))) for mu, chi in row.items()]
+        for mu, c in scaled:
+            rows.setdefault(mu, []).append((i, c))
+        bound = max(bound, sum(abs(c) * n ** len(mu) for mu, c in scaled))
         dens.append(den)
-    top = max(lcms, default=0)
+    top, packed_rows = max(lcms, default=0), {}
 
-    def at(rho: WreathLabel) -> list[tuple[int, ...]]:
-        m, size = rho.order, rho.size
-        traces = [None] + [_cyclic_trace(rho, r) for r in range(1, top + 1)]
-        products = {(): [1] + [0] * (m - 1)}
+    def at(rho: WreathLabel, bits: int, spacing: int) -> int:
+        m = rho.order
+        if (bits, spacing) not in packed_rows:
+            step = bits * spacing
+            packed_rows[bits, spacing] = [(mu, sum(c << step * i for i, c in row)) for mu, row in rows.items()]
+        traces = [None] + [_cyclic_trace(rho, r, bits) for r in range(1, top + 1)]
+        products = {(): 1}
         for k in range(1, top + 1):
             for mu in partitions.partitions_of(k):
-                products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]])
-        # |lam| -> its p_mu reduced mod Phi_m (in place: every product is built), as columns over mu
-        columns = {k: list(zip(*(_reduce(products[mu], m) for mu in partitions.partitions_of(k)))) for k in lcms}
-        zero = (0,) * euler_phi(m)
-        return [
-            tuple([sum(map(mul, row, column)) for column in columns[k]]) if length <= size else zero
-            for length, k, row in rows
-        ]
+                products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]], m, bits)
+        return sum(products[mu] * row for mu, row in packed_rows[bits, spacing])
 
-    return dens, at
+    return dens, bound, at
+
+
+def schur_numerators(evaluator, rho: WreathLabel) -> list[tuple[int, ...]]:
+    """Each lam's value from evaluator = schur_evaluator(lambdas, n) at rho,
+    as its power-basis numerators reduced mod Phi_m, over dens[i]."""
+    dens, bound, at = evaluator
+    m, bits = rho.order, _digit_bits(bound)
+    digits = _unpack(at(rho, bits, m), bits, len(dens) * m)
+    return [_reduce(digits[i:i + m], m) for i in range(0, len(digits), m)]
 
 
 def schur_at_eigenvalues(lam: Partition, rho: WreathLabel) -> Cyclotomic:
     """s_lam at the eigenvalues of rho: the one-lambda case of schur_evaluator."""
-    (den,), at = schur_evaluator([lam])
-    return Cyclotomic(rho.order, at(rho)[0], den)
+    evaluator = schur_evaluator([lam], rho.size)
+    return Cyclotomic(rho.order, schur_numerators(evaluator, rho)[0], evaluator[0][0])
 
 
 def evaluation_kernel(rho: WreathLabel, max_degree: int) -> SymSeries:
@@ -401,11 +432,11 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
 
 def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[WreathLabel, int, int]]:
     # s_lam[phi_j] in closed form (see the convention note), z-scaled, in one pass over
-    # the labels: (sigma, chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns) != 0.
-    return [
-        (sigma, chi, j * turns) for sigma, cycle_type, turns in _class_structure(sum(lam), order)
-        if (chi := partitions.symmetric_group_character(lam, cycle_type))
-    ]
+    # the labels: (sigma, chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns) != 0,
+    # with chi read once per distinct cycle type.
+    structure = _class_structure(sum(lam), order)
+    chis = {mu: partitions.symmetric_group_character(lam, mu) for mu in dict.fromkeys(mu for _, mu, _ in structure)}
+    return [(sigma, chi, j * turns) for sigma, cycle_type, turns in structure if (chi := chis[cycle_type])]
 
 
 # Label structure only, like _class_structure: each label's position in wreath_class_labels.
@@ -458,6 +489,10 @@ def characters(rho: WreathLabel) -> dict[WreathLabel, tuple[int, ...]]:
         values, size = merged, size + k
     result, phi, basis, structure = {}, euler_phi(m), _power_basis(m), _class_structure(size, m)
     for c, monomials in values.items():
+        if len(monomials) == 1 and 1 in monomials.values():
+            # one root of unity, as every value is at n = 1: its numerators are cached
+            result[structure[c][0]] = zeta(m, *monomials).nums
+            continue
         nums = [0] * phi
         for e, x in monomials.items():
             for i, a in basis[e]:

@@ -9,9 +9,10 @@ points for permutation characters.  Two helpers on wreath class labels,
 which no computation path needs, live here too and use the library's
 labels and cyclotomic arithmetic: the class size (group order over
 centralizer order) and the characteristic polynomial det(Id - t*g).  So
-does ``pack``, the reference for the integer columns that oracle paths A
-and B build, which packs a vector of exact scalars one lowest-terms number
-at a time.
+do ``pack``, which packs a vector of exact scalars as integer columns one
+lowest-terms number at a time, and ``packed_numerators``, which dots two
+such vectors with one reduction: the integer dot that oracle paths A and B
+took per cell before they read whole rows off Kronecker-packed integers.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import cmath
 import itertools
 from math import factorial, gcd, lcm
+from operator import mul
 
-from wreathlitt.exactnum import Cyclotomic, euler_phi, zeta
+from wreathlitt.exactnum import Cyclotomic, _reduce, euler_phi, zeta
 from wreathlitt.wreath import WreathLabel, centralizer_order
 
 Mono = dict  # exponent tuple -> coefficient
@@ -266,3 +268,15 @@ def pack(order: int, values) -> tuple[list[list[int]], int]:
     while len(columns) > 1 and not any(columns[-1]):
         columns.pop()
     return columns, den
+
+
+def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of the exact sum of x_k * y_k over two vectors packed by
+    pack, not in lowest terms: one integer dot per pair of columns, then one
+    reduction mod Phi_order."""
+    (xs, dx), (ys, dy) = x, y
+    work = [0] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            work[i + j] += sum(map(mul, a, b))
+    return _reduce(work, order), dx * dy

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import cyclotomic_from_roots, pack
+from bruteforce import cyclotomic_from_roots, pack, packed_numerators
 from wreathlitt.exactnum import (
     Cyclotomic,
     NotRationalError,
     cyclotomic_polynomial,
     euler_phi,
-    packed_numerators,
     to_rational,
     zeta,
 )

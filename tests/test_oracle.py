@@ -25,6 +25,7 @@ from wreathlitt.exactnum import Cyclotomic, NotRationalError, to_rational, zeta
 from wreathlitt.symfunc import hall_inner_product, omega_at_root, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
+    _unpack,
     centralizer_order,
     evaluation_kernel,
     format_label,
@@ -358,14 +359,13 @@ PATH_B_FAULT = ({"rho": "0:3", "lambda": "2,1", "main": 0, "pairing": 0, "charac
 
 @pytest.mark.parametrize("order, n, degree_cap", [(1, 3, 4), (2, 3, 4), (3, 3, 5), (12, 2, 3)])
 def test_integer_schur_columns_equal_the_packed_values(order, n, degree_cap):
-    # Path B's columns, put in lowest terms with one gcd per lambda, against
-    # the reference packing of each class's Cyclotomic value.
-    import wreathlitt.oracle as oracle_module
-
+    # The restriction characteristics, decoded from one evaluator's packed
+    # integers, times z_sigma and packed as integer columns, against the
+    # reference packing of each class's one-lambda value.
     classes, lambdas = wreath_class_labels(n, order), _grid(n, degree_cap)
-    for lam, (den, values) in zip(lambdas, oracle_module._schur_values(classes, lambdas)):
-        reference = pack(order, [schur_at_eigenvalues(lam, sigma) for sigma in classes])
-        assert oracle_module._lowest_terms(values, den) == reference, lam
+    for lam, series in restriction_characteristics(lambdas, n, order).items():
+        values = [series.terms.get(sigma, 0) * centralizer_order(sigma) for sigma in classes]
+        assert pack(order, values) == pack(order, [schur_at_eigenvalues(lam, sigma) for sigma in classes]), lam
 
 
 def test_corrupted_pairing_fails_only_path_a(monkeypatch):
@@ -401,13 +401,15 @@ def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
     true_evaluator, true_path = oracle_module.schur_evaluator, oracle_module._character_average_path
     target_sigma = lab(2, {0: (1,), 1: (2,)})
 
-    def corrupted(lambdas):
-        dens, schur = true_evaluator(lambdas)
-        # shifts a character average by the conjugated character value at sigma
-        return dens, lambda sigma: [
-            (nums[0] + den * centralizer_order(sigma), *nums[1:]) if (lam, sigma) == ((2, 1), target_sigma) else nums
-            for lam, den, nums in zip(lambdas, dens, schur(sigma))
-        ]
+    def corrupted(lambdas, n):
+        dens, bound, schur = true_evaluator(lambdas, n)
+        # shifts a character average by the conjugated character value at sigma:
+        # the constant digit of (2, 1)'s slot, which the bound now also covers
+        i = lambdas.index((2, 1))
+        shift = dens[i] * centralizer_order(target_sigma)
+        return dens, bound + shift, lambda sigma, bits, spacing: schur(sigma, bits, spacing) + (
+            shift << bits * spacing * i if sigma == target_sigma else 0
+        )
 
     def path_on_corrupted_values(order, n, lambdas):
         with monkeypatch.context() as patch:
@@ -428,13 +430,57 @@ def test_verification_builds_one_schur_evaluator_per_check(monkeypatch):
     true_evaluator = oracle_module.schur_evaluator
     built = []
 
-    def counted(lambdas):
+    def counted(lambdas, n):
         built.append(list(lambdas))
-        return true_evaluator(lambdas)
+        return true_evaluator(lambdas, n)
 
     monkeypatch.setattr(oracle_module, "schur_evaluator", counted)
     assert run_verification(3, 3, 5).passed
     assert built == [_grid(3, 5)] * 3
+
+
+def test_a_digit_one_bit_narrower_fails_verification(monkeypatch):
+    # Every packed digit is as wide as _digit_bits of a checked bound.  One bit
+    # fewer must fail a check, never pass: at the identity class, where the
+    # dimension sums decode their Schur values at the narrowest width, some
+    # coefficient needs the bound's top bit.  The cells' widths add a row's
+    # whole character bound, so they keep a few bits to spare.
+    import wreathlitt.oracle as oracle_module
+    import wreathlitt.wreath as wreath_module
+
+    true = wreath_module._digit_bits
+    for module in (oracle_module, wreath_module):
+        monkeypatch.setattr(module, "_digit_bits", lambda bound: true(bound) - 1)
+    report = run_verification(3, 3, 5)
+    assert not report.passed and report.first_failure().name == "dimension_sums"
+
+
+def test_a_row_needing_wider_digits_repacks_the_schur_values(monkeypatch):
+    # At (3, 3, 5) the tenth label's row needs fewer bits than the second, and
+    # the second fewer than the first.  Read in that order, each wider row
+    # repacks the Schur values once, at its own width, a narrower row reuses
+    # the wider ones, and every cell keeps the value it has in table order.
+    import wreathlitt.oracle as oracle_module
+
+    labels, lambdas = wreath_class_labels(3, 3), _grid(3, 5)
+    path = oracle_module._character_average_path(3, 3, lambdas)
+    expected = [[path(rho)(lam) for lam in lambdas] for rho in labels]
+    true_evaluator, widths = oracle_module.schur_evaluator, []
+
+    def recorded(lambdas, n):
+        dens, bound, at = true_evaluator(lambdas, n)
+
+        def at_recorded(sigma, bits, spacing):
+            widths.append(bits)
+            return at(sigma, bits, spacing)
+
+        return dens, bound, at_recorded
+
+    monkeypatch.setattr(oracle_module, "schur_evaluator", recorded)
+    path = oracle_module._character_average_path(3, 3, lambdas)
+    for i in [9, 1, 0, 9, 1]:
+        assert [path(labels[i])(lam) for lam in lambdas] == expected[i], i
+    assert len(widths) == 3 * len(labels) and widths[::len(labels)] == sorted(set(widths))
 
 
 def test_suites_build_each_row_once(monkeypatch):
@@ -486,25 +532,17 @@ def test_arithmetic_error_in_a_row_builder_is_reported_at_its_first_cell(monkeyp
         assert (check.counterexample, check.cells) == expected
 
 
-def _trace_with_conjugate_exponent(rho, r):
+def _trace_with_conjugate_exponent(rho, r, bits):
     # p_r with zeta^(-j*r/l) for zeta^(j*r/l): a sign slip in the exponent
     m = rho.order
-    work = [0] * m
-    for j, part in rho.slots:
-        for ell in part:
-            if r % ell == 0:
-                work[-j * (r // ell) % m] += ell
-    return work
+    return sum(ell << bits * (-j * (r // ell) % m) for j, part in rho.slots for ell in part if r % ell == 0)
 
 
-def _cyclic_product_with_difference_exponent(a, b):
-    # x^(i-j) for x^i * x^j
-    m = len(a)
-    out = [0] * m
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[(i - j) % m] += x * y
-    return out
+def _cyclic_product_with_difference_exponent(a, b, m, bits):
+    # x^(i-j) for x^i * x^j, on the packed operands' non-negative digits
+    mask = (1 << bits) - 1
+    xs, ys = ([(v >> bits * i) & mask for i in range(m)] for v in (a, b))
+    return sum(x * y << bits * ((i - j) % m) for i, x in enumerate(xs) for j, y in enumerate(ys))
 
 
 def _isotypic_factor_with_twist(twist):
@@ -611,15 +649,23 @@ def test_a_failing_integer_cell_raises_the_error_of_its_cyclotomic(factor, messa
     true_evaluator = oracle_module.schur_evaluator
     factor = factor * zeta(3, 0)
 
-    def times(nums):
-        # the numerators of lambda = (1)'s value times factor's, reduced once
-        return (Cyclotomic(3, nums, 1) * Cyclotomic(3, factor.nums, 1)).nums
+    def scaled(lambdas, n):
+        # lambda = (1)'s polynomial times factor's numerators, mod x^3 - 1, in its slot
+        dens, bound, schur = true_evaluator(lambdas, n)
+        i = lambdas.index((1,))
 
-    def scaled(lambdas):
-        dens, schur = true_evaluator(lambdas)
-        return [den * factor.den if lam == (1,) else den for lam, den in zip(lambdas, dens)], lambda sigma: [
-            times(nums) if lam == (1,) else nums for lam, nums in zip(lambdas, schur(sigma))
-        ]
+        def at(sigma, bits, spacing):
+            packed = schur(sigma, bits, spacing)
+            slot = _unpack(packed, bits, (i + 1) * spacing)[i * spacing:i * spacing + 3]
+            times = [0] * 3
+            for k, c in enumerate(slot):
+                for j, a in enumerate(factor.nums):
+                    times[(k + j) % 3] += c * a
+            change = sum(c - d << bits * e for e, (c, d) in enumerate(zip(times, slot)))
+            return packed + (change << bits * spacing * i)
+
+        dens = [den * factor.den if lam == (1,) else den for lam, den in zip(lambdas, dens)]
+        return dens, bound * sum(map(abs, factor.nums)), at
 
     monkeypatch.setattr(oracle_module, "schur_evaluator", scaled)
     rho = lab(3, {0: (1,), 1: (1,)})

@@ -36,6 +36,7 @@ ALLOWLIST = {
     "oracle.VerificationReport.first_failure": _FAILURE,
     "oracle._numeric_detail": _FAILURE,
     "exactnum.Cyclotomic.__repr__": _FAILURE,
+    "exactnum.Cyclotomic.to_rational": _FAILURE,
     "symfunc.SymSeries.__repr__": _FAILURE,
     "wreath.WreathLabel.__repr__": _FAILURE,
     "wreath.WreathSeries.__repr__": _FAILURE,

@@ -10,13 +10,15 @@ import pytest
 
 from bruteforce import characteristic_polynomial, conjugacy_class_size, newton_power_sums_from_poly
 from wreathlitt import partitions
-from wreathlitt.exactnum import Cyclotomic, euler_phi, zeta
+from wreathlitt.exactnum import Cyclotomic, _reduce, euler_phi, zeta
 from wreathlitt.oracle import _class_label
 from wreathlitt.symfunc import constant, h_basis, omega_at_root, s_basis
 from wreathlitt.wreath import (
     OrderMismatchError,
     WreathLabel,
     WreathSeries,
+    _digit_bits,
+    _unpack,
     centralizer_order,
     characters,
     evaluation_kernel,
@@ -30,6 +32,7 @@ from wreathlitt.wreath import (
     power_trace,
     schur_at_eigenvalues,
     schur_evaluator,
+    schur_numerators,
     wreath_class_labels,
     wreath_inner_product,
 )
@@ -443,24 +446,26 @@ def test_schur_at_eigenvalues_matches_power_sum_reference(order):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_schur_values_at_class_match_power_sum_reference(order):
-    # One evaluator for every class, its lambdas shuffled across sizes and
-    # repeated; those with more rows than the class has eigenvalues give 0.
+    # One evaluator for every class up to size 4, its lambdas shuffled across
+    # sizes and repeated; those with more rows than the class has eigenvalues give 0.
     rng = random.Random(order)
     lambdas = [lam for k in range(6) for lam in partitions.partitions_of(k)]
     lambdas += rng.sample(lambdas, 10)
     rng.shuffle(lambdas)
-    dens, schur = schur_evaluator(lambdas)
+    evaluator = schur_evaluator(lambdas, 4)
+    dens = evaluator[0]
     assert dens == [lcm(*map(partitions.centralizer_order, partitions.partitions_of(sum(lam)))) for lam in lambdas]
     for n in range(5):
         for rho in wreath_class_labels(n, order):
-            values = schur(rho)
+            values = schur_numerators(evaluator, rho)
             assert len(values) == len(lambdas)
             for lam, den, nums in zip(lambdas, dens, values):
                 assert type(nums) is tuple and len(nums) == euler_phi(order) and all(type(a) is int for a in nums)
                 value, reference = Cyclotomic(order, nums, den), _schur_reference(lam, rho)
                 assert (value.nums, value.den) == (reference.nums, reference.den), (lam, rho)
                 assert value == 0 or len(lam) <= n, (lam, rho)
-    assert schur_evaluator([])[0] == [] and schur_evaluator([])[1](wreath_class_labels(2, order)[0]) == []
+    empty = schur_evaluator([], 2)
+    assert empty[0] == [] and schur_numerators(empty, wreath_class_labels(2, order)[0]) == []
 
 
 @pytest.mark.parametrize("order, n, degree_cap", [(1, 4, 6), (2, 3, 5), (3, 3, 5), (5, 2, 4), (12, 2, 3)])
@@ -468,11 +473,38 @@ def test_integer_schur_values_equal_schur_at_eigenvalues(order, n, degree_cap):
     # One evaluator for every lambda up to degree_cap, rows beyond n included,
     # against the one-lambda evaluation at every class of size n.
     lambdas = [lam for k in range(degree_cap + 1) for lam in partitions.partitions_of(k)]
-    dens, schur = schur_evaluator(lambdas)
+    evaluator = schur_evaluator(lambdas, n)
     for rho in wreath_class_labels(n, order):
-        for lam, den, nums in zip(lambdas, dens, schur(rho)):
+        for lam, den, nums in zip(lambdas, evaluator[0], schur_numerators(evaluator, rho)):
             assert Cyclotomic(order, nums, den) == schur_at_eigenvalues(lam, rho), (lam, rho)
             assert len(lam) <= n or nums == (0,) * euler_phi(order), (lam, rho)
+
+
+@pytest.mark.parametrize("order, n", [(1, 5), (2, 4), (3, 3), (12, 2), (150, 1)])
+def test_packed_schur_values_decode_to_power_sum_reference(order, n):
+    # Packed as paths A and B pack them, one slot of m + phi(m) - 1 digits per
+    # lambda and wider digits than the bound needs: each slot's first m digits
+    # are lambda's polynomial mod x^m - 1, the rest are 0, and reduced mod Phi_m
+    # over dens[i] they are the power-sum reference.
+    lambdas = [lam for k in range(min(n + 2, 5)) for lam in partitions.partitions_of(k)]
+    dens, bound, at = schur_evaluator(lambdas, n)
+    spacing = order + euler_phi(order) - 1
+    bits = _digit_bits(bound) + 3
+    for rho in wreath_class_labels(n, order):
+        digits = _unpack(at(rho, bits, spacing), bits, len(lambdas) * spacing)
+        for i, (lam, den) in enumerate(zip(lambdas, dens)):
+            slot = digits[i * spacing:(i + 1) * spacing]
+            assert not any(slot[order:]) and sum(map(abs, slot)) <= bound, (lam, rho)
+            reference = _schur_reference(lam, rho)
+            value = Cyclotomic(order, _reduce(slot[:order], order), den)
+            assert (value.nums, value.den) == (reference.nums, reference.den), (lam, rho)
+
+
+def test_unpack_reads_signed_digits():
+    digits = [5, -7, 0, 7, -1, 1]
+    packed = sum(d << 4 * i for i, d in enumerate(digits))
+    assert _unpack(packed, 4, 6) == digits and _unpack(0, 3, 0) == []
+    assert _digit_bits(7) == 4 and _digit_bits(8) == 5 and _digit_bits(0) == 1
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 # A label stores only its nonempty slots, so a coeff query at the cap still
 # answers in under a second; but a table at --n 1 has m labels, about 1 KB
-# and 40 us each, so the cap keeps the smallest table near a gigabyte.
+# and 20 us each, so the cap keeps the smallest table near a gigabyte.
 MAX_ORDER = 10**6
 
 # Sizes and degrees have a cap too, as memory grows about threefold per two

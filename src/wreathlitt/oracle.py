@@ -173,37 +173,31 @@ def _packed_multiplicity(order: int, work: list[int], den: int, path: str, rho: 
 
 def _conjugated_characters(classes):
     # rho -> chi^rho(sigma^-1) per class, as power-basis numerators, as conj chi(g) =
-    # chi(g^-1).  Each inverse is the class list's own label object, so every lookup
-    # hits by identity.
-    own = dict(zip(classes, classes))
-    inverses = [own[sigma.inverse()] for sigma in classes]
-    zero = (0,) * euler_phi(classes[0].order)
-
-    def conjugated(rho: WreathLabel):
-        values = characters(rho)
-        return [values.get(inverse, zero) for inverse in inverses]
-
-    return conjugated
+    # chi(g^-1): characters lists by class position, so each row is read through
+    # one list of the inverse classes' positions.
+    position = {sigma: i for i, sigma in enumerate(classes)}
+    inverses = [position[sigma.inverse()] for sigma in classes]
+    return lambda rho: list(map(characters(rho).__getitem__, inverses))
 
 
-def _packed_path(order: int, n: int, lambdas, classes, factors, den: int, path: str):
+def _packed_path(order: int, n: int, lambdas, path: str):
     """The row builder of paths A and B, on Kronecker-packed integers.  Per
     class sigma, the path's own Schur evaluator packs every lambda's value
-    times sigma's factor over den and w_sigma = L / z_sigma over L =
-    lcm(z_sigma), one slot of m + phi(m) - 1 digits per lambda.  Per row, one
-    integer dot per power of zeta, of those values with that power's column
-    of rho's conjugated characters, gives every lambda's work polynomial, the
-    sum over the classes of s_lam(sigma) conj chi(sigma) / z_sigma times the
-    factors; each cell reduces its own mod Phi_m once.  As the w_sigma sum
-    to L, a work digit is at most the Schur bound times the largest factor
-    and the sum over sigma of w_sigma times rho's largest |numerator| at
-    sigma.  A row whose digits need more bits repacks the Schur values at its
-    width, so each width is packed at most once."""
+    times w_sigma = L / z_sigma over L = lcm(z_sigma), one slot of
+    m + phi(m) - 1 digits per lambda.  Per row, one integer dot per power of
+    zeta, of those values with that power's column of rho's conjugated
+    characters, gives every lambda's work polynomial, the sum over the
+    classes of s_lam(sigma) conj chi(sigma) / z_sigma; each cell reduces its
+    own mod Phi_m once.  As the w_sigma sum to L, a work digit is at most
+    the Schur bound times the sum over sigma of w_sigma times rho's largest
+    |numerator| at sigma.  A row whose digits need more bits repacks the
+    Schur values at its width, so each width is packed at most once."""
+    classes = wreath_class_labels(n, order)
     dens, bound, schur = schur_evaluator(lambdas, n)
     conjugated_characters = _conjugated_characters(classes)
     norms = [centralizer_order(sigma) for sigma in classes]
     common = lcm(*norms)
-    weights, bound = [common // z for z in norms], bound * max(factors)
+    weights = [common // z for z in norms]
     spacing, index = order + euler_phi(order) - 1, {lam: i for i, lam in enumerate(lambdas)}
     packed = 0, []
 
@@ -213,8 +207,7 @@ def _packed_path(order: int, n: int, lambdas, classes, factors, den: int, path: 
         tops = map(max, map(max, conjugated), map(neg, map(min, conjugated)))
         bits = _digit_bits(bound * sum(map(mul, tops, weights)))
         if bits > packed[0]:
-            scaled = zip(classes, map(mul, factors, weights))
-            packed = bits, [schur(sigma, bits, spacing) * scale for sigma, scale in scaled]
+            packed = bits, [schur(sigma, bits, spacing) * w for sigma, w in zip(classes, weights)]
         bits, values = packed
         total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*conjugated)))
         digits = _unpack(total, bits, len(lambdas) * spacing)
@@ -222,7 +215,7 @@ def _packed_path(order: int, n: int, lambdas, classes, factors, den: int, path: 
         def cell(lam: Partition) -> int:
             i = index[lam]
             work = digits[i * spacing:(i + 1) * spacing]
-            return _packed_multiplicity(order, work, dens[i] * den * common, path, rho, lam)
+            return _packed_multiplicity(order, work, dens[i] * common, path, rho, lam)
 
         return cell
 
@@ -238,14 +231,11 @@ def _packed_path(order: int, n: int, lambdas, classes, factors, den: int, path: 
 def _pairing_path(order: int, n: int, lambdas):
     """Path A: each lambda's restriction characteristic s_lam(sigma) / z_sigma,
     from its own Schur evaluator, times the pairing norm z_sigma, against
-    rho's conjugated characters over z_sigma."""
+    rho's conjugated characters over z_sigma.  The norm cancels the
+    characteristic's 1 / z_sigma, so the path packs the same integers as path
+    B, from its own evaluator and its own characters."""
     _require_rows(lambdas, n)
-    classes = wreath_class_labels(n, order)
-    norms = [centralizer_order(sigma) for sigma in classes]
-    den = lcm(*norms)
-    # s_lam(sigma) / z_sigma is its value times den / z_sigma over den, and the
-    # pairing weighs each class by its norm z_sigma
-    return _packed_path(order, n, lambdas, classes, [den // z * z for z in norms], den, "pairing")
+    return _packed_path(order, n, lambdas, "pairing")
 
 
 def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
@@ -261,8 +251,7 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
 def _character_average_path(order: int, n: int, lambdas):
     """Path B: its own Schur values, from its own evaluator, against its own
     conjugated characters of rho over z_sigma, as in path A."""
-    classes = wreath_class_labels(n, order)
-    return _packed_path(order, n, lambdas, classes, [1] * len(classes), 1, "character average")
+    return _packed_path(order, n, lambdas, "character average")
 
 
 def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
@@ -359,14 +348,12 @@ def _numeric_path(order: int, n: int, max_power: int):
     arithmetic, not read at the inverse classes), once per lambda its
     numeric class sums, and per cell one dot over the classes.  max_power,
     the highest traced power, must be >= 1 and >= every |lambda|."""
-    classes = wreath_class_labels(n, order)
     roots = [cmath.exp(2j * cmath.pi * k / order) for k in range(euler_phi(order))]
     sums = _numeric_class_sums(order, n, max_power)
     group_order = order**n * factorial(n)
 
     def row(rho: WreathLabel):
-        values = characters(rho)
-        conjugated = [sum(map(mul, roots, values.get(sigma, ())), 0j).conjugate() for sigma in classes]
+        conjugated = [sum(map(mul, roots, nums), 0j).conjugate() for nums in characters(rho)]
         return lambda lam: sum(map(mul, conjugated, sums(lam))) / group_order
 
     return row

@@ -14,8 +14,9 @@ polynomials mod x^m - 1 over one denominator per degree, read at x = 2^b so
 that one big-integer product does a polynomial product.  Irreducible
 characters are integers too, merged by class position through a table of
 (position of a u b, z_(a u b) / (z_a z_b)); each value is a sparse map
-exponent -> integer until one reduction.  Labels hash once, at construction;
-merges and merge tables are memoised, as they read label structure alone.
+exponent -> integer until one reduction, and handed back as a list by class
+position, so that no reader hashes a label per class; merges and merge tables
+are memoised, as they read label structure alone.
 
 Convention note: the isotypic alphabet map phi_j = (1/m) sum_t zeta^(jt) X_t
 is a linear change of alphabets; its root-of-unity weights are coefficients,
@@ -30,7 +31,7 @@ paths agree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -81,7 +82,6 @@ class WreathLabel:
 
     order: int
     slots: tuple[tuple[int, Partition], ...]
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -91,17 +91,6 @@ class WreathLabel:
             if not last < j < self.order or not part:
                 raise ValueError(f"expected nonempty slots at rising j in 0..{self.order - 1}, got {self.slots!r}")
             last = j
-        object.__setattr__(self, "_hash", hash((self.order, self.slots)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not WreathLabel:
-            return NotImplemented
-        return self._hash == other._hash and self.order == other.order and self.slots == other.slots
 
     @property
     def size(self) -> int:
@@ -184,10 +173,10 @@ def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
 
 # Label structure only, like merge_labels; a run asks for few (size, order) pairs.
 @lru_cache(maxsize=1 << 6)
-def _class_structure(n: int, order: int) -> tuple[tuple[WreathLabel, Partition, int], ...]:
-    # Per label: its cycle type, and the sum over its cycles of each one's slot t.
+def _class_structure(n: int, order: int) -> tuple[tuple[Partition, int], ...]:
+    # Per label, by position: its cycle type, and the sum over its cycles of each one's slot t.
     return tuple(
-        (sigma, tuple(sorted(chain.from_iterable(part for _, part in sigma.slots), reverse=True)),
+        (tuple(sorted(chain.from_iterable(part for _, part in sigma.slots), reverse=True)),
          sum(t * len(part) for t, part in sigma.slots))
         for sigma in _class_labels(n, order)
     )
@@ -430,30 +419,24 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
     return sum(shared, Cyclotomic.from_rational(0, f.order))
 
 
-def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[WreathLabel, int, int]]:
+def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[int, int, int]]:
     # s_lam[phi_j] in closed form (see the convention note), z-scaled, in one pass over
-    # the labels: (sigma, chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns) != 0,
-    # with chi read once per distinct cycle type.
+    # the labels: (position of sigma, chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns)
+    # != 0, with chi read once per distinct cycle type.
     structure = _class_structure(sum(lam), order)
-    chis = {mu: partitions.symmetric_group_character(lam, mu) for mu in dict.fromkeys(mu for _, mu, _ in structure)}
-    return [(sigma, chi, j * turns) for sigma, cycle_type, turns in structure if (chi := chis[cycle_type])]
-
-
-# Label structure only, like _class_structure: each label's position in wreath_class_labels.
-@lru_cache(maxsize=1 << 6)
-def _class_index(n: int, order: int) -> dict[WreathLabel, int]:
-    return {sigma: i for i, (sigma, _, _) in enumerate(_class_structure(n, order))}
+    chis = {mu: partitions.symmetric_group_character(lam, mu) for mu in dict.fromkeys(mu for mu, _ in structure)}
+    return [(i, chi, j * turns) for i, (cycle_type, turns) in enumerate(structure) if (chi := chis[cycle_type])]
 
 
 # Label structure only, like merge_labels: for labels a and b of sizes k1 and k2, by
 # position, (the position of c = a u b among the labels of size k1 + k2, z_c / (z_a z_b)).
 @lru_cache(maxsize=1 << 6)
 def _merge_table(k1: int, k2: int, order: int) -> list[list[tuple[int, int]]]:
-    position = _class_index(k1 + k2, order)
+    position = {c: i for i, c in enumerate(_class_labels(k1 + k2, order))}
     return [
         [(position[c := merge_labels(a, b)], centralizer_order(c) // (centralizer_order(a) * centralizer_order(b)))
-         for b in _class_index(k2, order)]
-        for a in _class_index(k1, order)
+         for b in _class_labels(k2, order)]
+        for a in _class_labels(k1, order)
     ]
 
 
@@ -463,21 +446,19 @@ def _power_basis(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((i, a) for i, a in enumerate(zeta(order, e).nums) if a) for e in range(order))
 
 
-def characters(rho: WreathLabel) -> dict[WreathLabel, tuple[int, ...]]:
-    """chi^rho at each class where it is nonzero, as integer power-basis
-    numerators: the ring product of the z-scaled slot factors, where z_c [P_c] fg
-    gains (z_c / (z_a z_b)) (z_a [P_a] f)(z_b [P_b] g) for c = a u b, an integer.
-    Classes are keyed by position, merged through _merge_table, and each value
-    is kept as a sparse map exponent -> integer until one reduction at the end."""
+def characters(rho: WreathLabel) -> list[tuple[int, ...]]:
+    """chi^rho at each class of wreath_class_labels(rho.size, rho.order), in
+    that order, as integer power-basis numerators, all zero where it vanishes:
+    the ring product of the z-scaled slot factors, where z_c [P_c] fg gains
+    (z_c / (z_a z_b)) (z_a [P_a] f)(z_b [P_b] g) for c = a u b, an integer.
+    Classes are merged by position through _merge_table, and each value is
+    kept as a sparse map exponent -> integer until one reduction at the end."""
     m = rho.order
     factors = [(sum(part), _schur_isotypic_factor(m, j, part)) for j, part in rho.slots]
-    (size, first), *rest = factors or [(0, [(WreathLabel(m, ()), 1, 0)])]
-    position = _class_index(size, m)
-    values = {position[sigma]: {turn % m: chi} for sigma, chi, turn in first}
+    (size, first), *rest = factors or [(0, [(0, 1, 0)])]
+    values = {a: {turn % m: chi} for a, chi, turn in first}
     for k, factor in rest:
-        table, position = _merge_table(size, k, m), _class_index(k, m)
-        factor = [(position[b], chi, turn) for b, chi, turn in factor]
-        merged = {}
+        table, merged = _merge_table(size, k, m), {}
         for a, monomials in values.items():
             row = table[a]
             for b, chi, turn in factor:
@@ -487,18 +468,18 @@ def characters(rho: WreathLabel) -> dict[WreathLabel, tuple[int, ...]]:
                     t = (e + turn) % m
                     out[t] = out.get(t, 0) + scale * x
         values, size = merged, size + k
-    result, phi, basis, structure = {}, euler_phi(m), _power_basis(m), _class_structure(size, m)
+    phi, basis = euler_phi(m), _power_basis(m)
+    result = [(0,) * phi] * len(_class_labels(size, m))
     for c, monomials in values.items():
         if len(monomials) == 1 and 1 in monomials.values():
             # one root of unity, as every value is at n = 1: its numerators are cached
-            result[structure[c][0]] = zeta(m, *monomials).nums
+            result[c] = zeta(m, *monomials).nums
             continue
         nums = [0] * phi
         for e, x in monomials.items():
             for i, a in basis[e]:
                 nums[i] += a * x
-        if any(nums):
-            result[structure[c][0]] = tuple(nums)
+        result[c] = tuple(nums)
     return result
 
 
@@ -506,7 +487,7 @@ def frobenius_characteristic(rho: WreathLabel) -> WreathSeries:
     """P-basis expansion of the characteristic of the irreducible labelled rho:
     its coefficient at a class label sigma is the character value there over
     sigma's centralizer order."""
-    values = characters(rho).items()
+    values = zip(_class_labels(rho.size, rho.order), characters(rho))
     return WreathSeries(rho.order, {sigma: Cyclotomic(rho.order, nums, centralizer_order(sigma)) for sigma, nums in values})
 
 

@@ -205,13 +205,12 @@ def test_criterion_6_symmetric_function_kernel_properties():
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             labels = wreath_class_labels(n, m)
-            zero = Cyclotomic.from_rational(0, m)
-            chars = {rho: {s: Cyclotomic(m, nums, 1) for s, nums in characters(rho).items()} for rho in labels}
+            chars = {rho: dict(zip(labels, (Cyclotomic(m, nums, 1) for nums in characters(rho)))) for rho in labels}
             for a in labels:
                 for b in labels:
                     total = 0
                     for s in labels:
-                        pair = chars[a].get(s, zero) * chars[b].get(s, zero).conjugate()
+                        pair = chars[a][s] * chars[b][s].conjugate()
                         total = total + Fraction(1, centralizer_order(s)) * pair
                     if total != (1 if a == b else 0):
                         failures.append(("wreath_orthogonality", m, n, a, b))

@@ -276,6 +276,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         (["verify", "--m", "150", "--n", "1", "--max-deg", "0"], "verify_m150_n1_d0.json"),
         (["verify", "--m", "12", "--n", "2", "--max-deg", "3"], "verify_m12_n2_d3.json"),
         (["verify", "--m", "3", "--n", "5", "--max-deg", "8"], "verify_m3_n5_d8.json"),
+        (["verify", "--m", "4", "--n", "4", "--max-deg", "4"], "verify_m4_n4_d4.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
         (["identities", "--m", "6", "--dx", "3", "--dy", "3"], "identities_m6_dx3_dy3.json"),
@@ -292,6 +293,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         "verify-large-order",
         "verify-order-12",
         "verify-two-column-cells",
+        "verify-inverse-classes",
         "identities",
         "identities-dx-above-dy",
         "identities-non-prime-power-order",

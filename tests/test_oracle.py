@@ -512,6 +512,35 @@ def test_suites_build_each_row_once(monkeypatch):
     assert characteristics == labels and builders == [(3, 3, 4)]
 
 
+def test_rows_hash_no_label(monkeypatch):
+    # The characters come as a list by class position, and each path reads
+    # them by position: once the merge tables, which are built from labels,
+    # are filled, building a row and reading its cells hashes no label.
+    import wreathlitt.oracle as oracle_module
+
+    labels = wreath_class_labels(3, 3)
+    for rho in labels:
+        oracle_module.characters(rho)
+    paths = [
+        (oracle_module._pairing_path(3, 3, _grid(3, 5)), _grid(3, 5)),
+        (oracle_module._character_average_path(3, 3, _grid(3, 5)), _grid(3, 5)),
+        (oracle_module._numeric_path(3, 3, 4), _grid(3, 4)),
+    ]
+    hashed, true_hash = [], WreathLabel.__hash__
+
+    def counted_hash(self):
+        hashed.append(self)
+        return true_hash(self)
+
+    monkeypatch.setattr(WreathLabel, "__hash__", counted_hash)
+    for path, lambdas in paths:
+        for rho in labels:
+            row = path(rho)
+            for lam in lambdas:
+                row(lam)
+    assert hashed == []
+
+
 def test_arithmetic_error_in_a_row_builder_is_reported_at_its_first_cell(monkeypatch):
     # Paths A, B and C read a label's characters when they build its row,
     # before any of its cells, so the error belongs to the row's first cell.
@@ -546,14 +575,15 @@ def _cyclic_product_with_difference_exponent(a, b, m, bits):
 
 
 def _isotypic_factor_with_twist(twist):
-    # the z-scaled closed-form slot factor s_lam[phi_j], with zeta^twist(j, sigma) at sigma
+    # the z-scaled closed-form slot factor s_lam[phi_j], with zeta^twist(j, sigma) at
+    # sigma, by sigma's position among the labels of its size
     def factor(order, j, lam):
         terms = []
-        for sigma in wreath_class_labels(sum(lam), order):
+        for i, sigma in enumerate(wreath_class_labels(sum(lam), order)):
             cycle_type = tuple(sorted((c for _, part in sigma.slots for c in part), reverse=True))
             chi = partitions.symmetric_group_character(lam, cycle_type)
             if chi:
-                terms.append((sigma, chi, twist(j, sigma)))
+                terms.append((i, chi, twist(j, sigma)))
         return terms
 
     return factor

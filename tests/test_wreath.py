@@ -224,12 +224,12 @@ def test_wreath_character_orthogonality():
         zero = Cyclotomic.from_rational(0, order)
         for n in range(4):
             labels = wreath_class_labels(n, order)
-            chars = {rho: {s: Cyclotomic(order, nums, 1) for s, nums in characters(rho).items()} for rho in labels}
+            chars = {rho: dict(zip(labels, (Cyclotomic(order, nums, 1) for nums in characters(rho)))) for rho in labels}
             for a in labels:
                 for b in labels:
                     total = zero
                     for s in labels:
-                        pair = chars[a].get(s, zero) * chars[b].get(s, zero).conjugate()
+                        pair = chars[a][s] * chars[b][s].conjugate()
                         total = total + Fraction(1, centralizer_order(s)) * pair
                     assert total == (1 if a == b else 0), (a, b)
 
@@ -238,8 +238,10 @@ def test_character_at_identity_is_dimension():
     for order in (1, 2, 3):
         for n in range(1, 5):
             ident = identity_label(n, order)
-            for rho in wreath_class_labels(n, order):
-                assert Cyclotomic(order, characters(rho)[ident], 1) == irreducible_dimension(rho)
+            labels = wreath_class_labels(n, order)
+            for rho in labels:
+                values = dict(zip(labels, characters(rho)))
+                assert Cyclotomic(order, values[ident], 1) == irreducible_dimension(rho)
 
 
 def test_dimension_formula():
@@ -374,7 +376,7 @@ def test_label_keeps_no_instance_dict():
     # a label holds its fields in slots, so it has no per-instance __dict__
     rho = lab(3, {0: (2, 1), 2: (1,)})
     assert not hasattr(rho, "__dict__")
-    assert WreathLabel.__slots__ == ("order", "slots", "_hash")
+    assert WreathLabel.__slots__ == ("order", "slots")
     with pytest.raises((AttributeError, TypeError)):
         object.__setattr__(rho, "parts", ())
 
@@ -588,10 +590,11 @@ def _isotypic_factor_reference(order, j, lam):
     return total
 
 
-def _factor_series(order, factor):
-    # a z-scaled integer slot factor [(sigma, chi, exponent)] as a WreathSeries
+def _factor_series(order, size, factor):
+    # a z-scaled integer slot factor [(position, chi, exponent)] of labels of one size as a WreathSeries
+    labels = wreath_class_labels(size, order)
     return WreathSeries(order, {
-        sigma: zeta(order, exponent) * Fraction(chi, centralizer_order(sigma)) for sigma, chi, exponent in factor
+        labels[i]: zeta(order, exponent) * Fraction(chi, centralizer_order(labels[i])) for i, chi, exponent in factor
     })
 
 
@@ -604,31 +607,37 @@ def test_isotypic_factor_matches_power_sum_products(order):
         for j in range(order):
             factor = _schur_isotypic_factor(order, j, lam)
             assert all(type(chi) is int and chi and type(e) is int for _, chi, e in factor), (j, lam)
-            assert _factor_series(order, factor) == _isotypic_factor_reference(order, j, lam), (j, lam)
+            assert _factor_series(order, sum(lam), factor) == _isotypic_factor_reference(order, j, lam), (j, lam)
 
 
 @pytest.mark.parametrize("order, n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2), (12, 2), (4, 4)])
 def test_characters_are_z_times_the_product_of_reference_factors(order, n):
-    for rho in wreath_class_labels(n, order):
+    # one entry per class, in wreath_class_labels order, all zero exactly
+    # where the reference product has no term
+    labels, zero = wreath_class_labels(n, order), (0,) * euler_phi(order)
+    for rho in labels:
         product = WreathSeries.one(order)
         for j, part in rho.slots:
             product = product * _isotypic_factor_reference(order, j, part)
-        expected = {sigma: centralizer_order(sigma) * coeff for sigma, coeff in product.terms.items()}
         values = characters(rho)
-        assert values.keys() == expected.keys(), rho
-        for sigma, nums in values.items():
+        assert type(values) is list and len(values) == len(labels), rho
+        for sigma, nums in zip(labels, values):
             assert type(nums) is tuple and all(type(a) is int for a in nums), (rho, sigma)
-            assert Cyclotomic(order, nums, 1) == expected[sigma], (rho, sigma)
+            if sigma not in product.terms:
+                assert nums == zero, (rho, sigma)
+                continue
+            assert Cyclotomic(order, nums, 1) == centralizer_order(sigma) * product.terms[sigma], (rho, sigma)
 
 
 def test_characters_at_n_1_are_single_roots():
     # the irreducible j:1 at the class t:1 is zeta^(jt), one monomial
     order = 150
-    for rho in wreath_class_labels(1, order):
+    labels = wreath_class_labels(1, order)
+    for rho in labels:
         (j, _), = rho.slots
         values = characters(rho)
         assert len(values) == order
-        for sigma, nums in values.items():
+        for sigma, nums in zip(labels, values):
             (t, _), = sigma.slots
             assert nums == zeta(order, j * t).nums, (j, t)
 

@@ -40,11 +40,11 @@ class _Parser(argparse.ArgumentParser):
 # and 20 us each, so the cap keeps the smallest table near a gigabyte.
 MAX_ORDER = 10**6
 
-# Sizes and degrees have a cap too, as memory grows about threefold per two
-# degrees: coeff --m 1 --rho 0:D --lambda D peaks at 112 MB at D = 16 and
-# 334 MB at D = 18 (CPython 3.11), so D = 20 needs about a gigabyte, and
-# larger inputs end in MemoryError.  Before any series, character_table(20)
-# takes about 1.6 s and 59 MB in a fresh process (2-core Xeon VM).
+# Sizes and degrees have a cap too.  coeff --m 1 --rho 0:D --lambda D walks
+# the products of all partitions of D; in a fresh process it takes 1.0 s and
+# 25 MB at D = 16, 2.7 s and 38 MB at D = 18 and 8 s and 66 MB at D = 20
+# (CPython 3.11, 2-core Xeon VM).  Of that, character_table(20) alone takes
+# 1.0-1.5 s and 59 MB, and every command reads these tables.
 MAX_DEGREE = 20
 
 

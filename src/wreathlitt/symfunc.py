@@ -220,8 +220,10 @@ def _quotient(value, den: int):
 def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries]:
     """The substitutions f[g] for every f in fs, on power sums up to max_degree.
 
-    Each p_mu in f maps to the product of stretched copies of g, built once per
-    call and shared by all of fs and by all mu with a common prefix.  When
+    Each p_mu in f maps to the product of the stretched copies p_r[g] over
+    mu's parts.  One depth-first walk builds these products for all of fs,
+    with each mu's parts in ascending order, so that the mu share the dense
+    p_1[g] factors, and it holds only the products on its current path.  When
     max_degree is omitted, the truncation of g is used; an exact g gives an
     exact result for polynomial f."""
     if max_degree is None:
@@ -229,38 +231,36 @@ def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries
     else:
         degree = max_degree
         if g.truncation is not None and g.truncation < max_degree:
-            raise TruncationTooShortError(
-                f"argument known to degree {g.truncation}, need {max_degree}"
-            )
-    stretched: dict[int, dict] = {}
-    prefixes: dict[Partition, dict] = {(): {(): 1}}
-    out = []
-    for f in fs:
-        # f[g] = sum over mu of (F_mu / z_mu) p_mu[g]; over den = lcm(z_mu) the
-        # weights F_mu * den / z_mu are integers when F is.
-        den = lcm(*map(_z, f.terms))
-        total: dict[Partition, object] = {}
+            raise TruncationTooShortError(f"argument known to degree {g.truncation}, need {max_degree}")
+    dens, leaves = [], {}
+    for i, f in enumerate(fs):
+        # f[g] sums (F_mu / z_mu) p_mu[g]; over den = lcm(z_mu), F_mu * den / z_mu is integral when F is.
+        dens.append(lcm(*map(_z, f.terms)))
         for mu, weight in f.terms.items():
-            k = len(mu)
-            while mu[:k] not in prefixes:
-                k -= 1
-            product = prefixes[mu[:k]]
-            for i in range(k, len(mu)):
-                r = mu[i]
-                if r not in stretched:
-                    # p_r[g]: z_(r nu) = r^len(nu) z_nu, so F_(r nu) = r^len(nu) G_nu.
-                    stretched[r] = {
-                        tuple(r * part for part in nu): r ** len(nu) * c
-                        for nu, c in g.terms.items()
-                        if degree is None or r * sum(nu) <= degree
-                    }
-                product = stretched[r] if i == 0 else _graded_product(product, stretched[r], degree)
-                prefixes[mu[: i + 1]] = product
-            weight = weight * (den // _z(mu))
-            for nu, c in product.items():
-                total[nu] = total.get(nu, 0) + weight * c
-        out.append(SymSeries({nu: _quotient(c, den) for nu, c in total.items()}, degree))
-    return out
+            leaves.setdefault(mu[::-1], []).append((i, weight * (dens[i] // _z(mu))))
+    totals: dict[Partition, list] = {}  # nu -> den * F_nu for each f[g], in fs order
+    stretched: dict[int, dict] = {}
+    path, stack = (), [{(): 1}]
+    for parts in sorted(leaves):  # the depth-first order of the ascending mu's trie
+        k = 0
+        while k < min(len(path), len(parts)) and path[k] == parts[k]:
+            k += 1
+        del stack[k + 1 :]
+        for r in parts[k:]:
+            if r not in stretched:
+                # p_r[g]: z_(r nu) = r^len(nu) z_nu, so F_(r nu) = r^len(nu) G_nu.
+                stretched[r] = {
+                    tuple(r * part for part in nu): r ** len(nu) * c
+                    for nu, c in g.terms.items()
+                    if degree is None or r * sum(nu) <= degree
+                }
+            stack.append(stretched[r] if len(stack) == 1 else _graded_product(stack[-1], stretched[r], degree))
+        path = parts
+        for nu, c in stack[-1].items():
+            row = totals.setdefault(nu, [0] * len(dens))
+            for i, weight in leaves[parts]:
+                row[i] += weight * c
+    return [SymSeries({nu: _quotient(row[i], den) for nu, row in totals.items()}, degree) for i, den in enumerate(dens)]
 
 
 def omega_at_root(exponent: int, order: int, max_degree: int) -> SymSeries:

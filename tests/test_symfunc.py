@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from bruteforce import h_k_mono, schur_decompose
+from wreathlitt import symfunc
+from wreathlitt.branching import _progression_alphabet
 from wreathlitt.exactnum import zeta
 from wreathlitt.partitions import centralizer_order, multiplicities, partitions_of
 from wreathlitt.symfunc import (
@@ -17,6 +20,7 @@ from wreathlitt.symfunc import (
     omega_at_root,
     p_basis,
     plethysm,
+    plethysms,
     s_basis,
     series_to_json,
     stretch,
@@ -331,3 +335,36 @@ def test_plethysm_matches_the_plain_loop_on_rational_and_cyclotomic_series():
     for lam in [(3,), (2, 1), (2, 2), (3, 1, 1)]:
         for g in (_random_series(rng, "p", 6, scale=3), _random_cyclotomic_series(rng, "h", 6)):
             assert plethysm(s_basis(lam), g, 6) == _reference_plethysm(s_basis(lam), g, 6)
+
+
+def test_plethysms_match_the_plain_loop_one_series_at_a_time():
+    # The walk merges the mu of all fs into one trie: the constant s_(), Schur
+    # functions that share every mu, and power sums whose parts no other f has.
+    fs = [s_basis(()), s_basis((2, 1)), s_basis((3,)), h_basis((2, 2)), p_basis((2, 2)), p_basis((5,)), p_basis((3, 1))]
+    rng = random.Random(29)
+    for g in (_random_series(rng, "p", 6, scale=3), _random_cyclotomic_series(rng, "h", 6)):
+        assert plethysms(fs, g, 6) == [_reference_plethysm(f, g, 6) for f in fs]
+    # An exact g gives exact results; f of degree <= 5 and g of degree <= 2 stay within degree 10.
+    g = _random_series(rng, "p", 2, exact=True)
+    out = plethysms(fs, g)
+    assert [f.truncation for f in out] == [None] * len(fs)
+    assert out == [_reference_plethysm(f, g.restricted(10), 10) for f in fs]
+
+
+def test_plethysms_walk_builds_each_product_once_with_p1_next_to_the_root(monkeypatch):
+    # Each mu's parts are taken in ascending order, so the mu share their dense
+    # p_1[A] factors: the walk over every s_lam of 7 makes 25 products, 6 of
+    # them by p_1[A], where a walk by descending parts makes 37, 29 of them.
+    alphabet = _progression_alphabet(1, 0, 11)
+    assert len(alphabet.terms) == 195
+    calls = Counter()
+    product = symfunc._graded_product
+
+    def counted(f, g, max_degree):
+        calls[len(g)] += 1
+        return product(f, g, max_degree)
+
+    monkeypatch.setattr(symfunc, "_graded_product", counted)
+    plethysms([s_basis(lam) for lam in partitions_of(7)], alphabet, 11)
+    assert sum(calls.values()) == 25
+    assert calls[195] == 6

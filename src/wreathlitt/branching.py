@@ -6,11 +6,12 @@ product of plethysms: one factor per slot j, substituting the arithmetic-
 progression alphabet h_j + h_{j+m} + h_{j+2m} + ... into the slot's Schur
 function (the j = 0 alphabet includes the constant 1).  Everything on this
 path is exact: every series holds integer z-scaled power-sum coordinates
-F_mu = <f, p_mu>, and the read-off is one integer division per cell.  Since
-s_lam[A] = sum over mu of chi^lam(mu) / z_mu * p_mu[A] (Macdonald, ch. I 7-8),
-one builder makes every series, for a table or for one label: it builds each
-slot's products p_mu[A_j] once and each factor s_lam[A_j] once for all labels,
-and multiplies a label's factors in slot order.
+F_mu = <f, p_mu>, and the read-off is one Kronecker-packed integer dot per
+degree (Harvey, J. Symbolic Comput. 44, 2009), one exact division per cell.
+Since s_lam[A] = sum over mu of chi^lam(mu) / z_mu * p_mu[A] (Macdonald, ch.
+I 7-8), one builder makes every series, for a table or for one label: it
+builds each slot's products p_mu[A_j] once and each factor s_lam[A_j] once
+for all labels, and multiplies a label's factors in slot order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import groupby
+from math import factorial
 from operator import mul
 
 from . import partitions
@@ -86,33 +88,54 @@ def _product(factors, max_degree: int) -> SymSeries:
     return constant(1, truncation=max_degree) if result is None else result
 
 
-def _character_rows(lambdas) -> list[list[int]]:
-    # chi^lam(nu) in partitions_of(|lam|) order, read from the tables on each call.
-    return [list(partitions.character_table(sum(lam))[lam].values()) for lam in lambdas]
+def _reader(lambdas):
+    """read(series) yields <f, s_lam> = sum over nu of F_nu chi^lam(nu) / z_nu for each
+    lam of lambdas, a grid in degree order.  Per degree k it keeps den = k! = lcm(z_nu),
+    the scales den / z_nu and the chi rows; per series, one dot of v_nu = F_nu den / z_nu
+    with the chi columns packed at x = 2^bits holds each lam's sum as a signed digit."""
+    blocks = []
+    for k, block in groupby(lambdas, key=sum):
+        block, shapes, den = list(block), partitions.partitions_of(k), factorial(k)
+        rows = [list(partitions.character_table(k)[lam].values()) for lam in block]
+        scales = [den // z for z in map(partitions.centralizer_order, shapes)]
+        # |chi^lam(nu)| <= chi^lam(1^k), the last entry of each row
+        blocks.append((block, shapes, scales, den, rows, max(row[-1] for row in rows), {}))
 
-
-def _reader(series: SymSeries):
-    """The read-off of one series: (lam, chi) -> <f, s_lam> = sum over nu of
-    F_nu * chi^lam(nu) / z_nu, with chi lam's character row.  The vector of
-    F_nu * den / z_nu over den = lcm(z_nu) is built once per degree, and each
-    cell is one integer dot and one exact integer division."""
-    terms, vectors = series.terms, {}
-
-    def read(lam: Partition, chi) -> int:
-        k = sum(lam)
-        if k not in vectors:
-            shapes = partitions.partitions_of(k)
-            den = lcm(*map(partitions.centralizer_order, shapes))
-            vectors[k] = [terms.get(nu, 0) * (den // partitions.centralizer_order(nu)) for nu in shapes], den
-        vector, den = vectors[k]
-        total = sum(map(mul, chi, vector))
-        value, rem = divmod(total, den)
-        if rem or value < 0:
-            exact = Fraction(total, den)
-            raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {exact}")
-        return value
+    def read(series: SymSeries):
+        for block, shapes, scales, den, rows, top, packed in blocks:
+            vector = [series.terms.get(nu, 0) * scale for nu, scale in zip(shapes, scales)]
+            bound = top * sum(map(abs, vector))  # no digit is larger in absolute value
+            if type(bound) is not int:  # a series off the integers, from a faulty table: a dot per cell
+                totals = [sum(map(mul, vector, row)) for row in rows]
+            elif not bound:  # the series has no terms of degree k
+                totals = [0] * len(block)
+            else:  # a signed field for |digit| <= bound, in whole 64-bit words so that rows share widths
+                bits = 64 * (bound.bit_length() // 64 + 1)
+                if bits not in packed:
+                    packed[bits] = _packed_columns(rows, bits)
+                totals = _signed_digits(sum(map(mul, vector, packed[bits])), bits, len(block))
+            for lam, total in zip(block, totals):
+                value, rem = divmod(total, den)
+                if rem or value < 0:
+                    raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {Fraction(total, den)}")
+                yield value
 
     return read
+
+
+def _packed_columns(rows, bits: int) -> list[int]:
+    # Each nu's column of the chi rows, rows[i] at x^i with x = 2^bits, by Horner.
+    columns = rows[-1]
+    for row in reversed(rows[:-1]):
+        columns = [(c << bits) + chi for c, chi in zip(columns, row)]
+    return columns
+
+
+def _signed_digits(packed: int, bits: int, count: int) -> list[int]:
+    # The count signed digits of packed, bits wide, lowest first, read as fields after adding 2^(bits - 1) to each.
+    half, mask = 1 << bits - 1, (1 << bits) - 1
+    packed += half * ((1 << bits * count) - 1) // mask
+    return [(packed >> i & mask) - half for i in range(0, bits * count, bits)]
 
 
 def coefficient_and_series(rho: WreathLabel, lam: Partition) -> tuple[int, SymSeries]:
@@ -120,8 +143,7 @@ def coefficient_and_series(rho: WreathLabel, lam: Partition) -> tuple[int, SymSe
     if len(lam) > rho.size:
         raise HypothesisViolationError(f"need len(lambda) <= |rho|, got {len(lam)} > {rho.size}")
     series = branching_series(rho, sum(lam))
-    (row,) = _character_rows([lam])
-    return _reader(series)(lam, row), series
+    return next(_reader([lam])(series)), series
 
 
 def branching_coefficient(rho: WreathLabel, lam: Partition) -> int:
@@ -191,11 +213,9 @@ def table_series(order: int, size: int, max_degree: int):
     return _series(order, wreath_class_labels(size, order), max_degree)
 
 
-def _table_row(series: SymSeries, lambdas, rows) -> list[int]:
-    """One row of a table, with chi from rows (a table shares one
-    _character_rows(lambdas) between its rows), under its own name so that a
-    tracer can time each row."""
-    return list(map(_reader(series), lambdas, rows))
+def _table_row(series: SymSeries, read) -> list[int]:
+    """One row of a table, by the reader its rows share, under its own name for a tracer."""
+    return list(read(series))
 
 
 def branching_table(
@@ -204,19 +224,19 @@ def branching_table(
     """Compute every multiplicity for labels of the given size and partitions
     of degree up to max_degree (with at most `size` rows).
 
-    The generating series come from ``table_series``, one per label, and
-    each is read off for all columns at once.  Everything runs in this
-    process: `jobs` has no effect, and stays only because the benchmark's
-    worker (perfbench/worker.py) passes it.
+    The generating series come from ``table_series``, one per label, and one
+    reader over the columns reads each off with one packed dot per degree.
+    Everything runs in this process: `jobs` has no effect, and stays only
+    because the benchmark's worker (perfbench/worker.py) passes it.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     lambdas = _lambda_grid(size, max_degree)
-    chi = _character_rows(lambdas)
+    read = _reader(lambdas)
     table = BranchingTable(order, size, max_degree, [], lambdas, [])
     for rho, series in table_series(order, size, max_degree):
         table.labels.append(rho)
-        table.rows.append(_table_row(series, lambdas, chi))
+        table.rows.append(_table_row(series, read))
     return table

@@ -1,10 +1,10 @@
 """Command-line front end: coefficient queries, tables, verification sweeps.
 
 Exit codes: 0 success, 1 usage or parse error (or a --dump path that cannot
-be written), 2 mathematical mismatch found by a verification command or an
-arithmetic failure (reported as one JSON line on stderr).  All stdout output
-is byte-deterministic for a fixed set of flags (timings go to stderr), so
-identical invocations can be diffed in CI.
+be written, or a run out of memory), 2 mathematical mismatch found by a
+verification command or an arithmetic failure (reported as one JSON line on
+stderr).  All stdout output is byte-deterministic for a fixed set of flags
+(timings go to stderr), so identical invocations can be diffed in CI.
 Nothing but --dump is written to disk: character tables are rebuilt in each
 process, so no persisted file can reach the main path or its checks.
 """
@@ -177,8 +177,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code = args.handler(args)
-    except (ValueError, HypothesisViolationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, HypothesisViolationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         failure = {"command": args.command, "error": type(exc).__name__, "message": str(exc)}

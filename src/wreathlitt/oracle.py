@@ -581,13 +581,13 @@ def _suite_cells(order: int, n: int, degree_cap: int, lambdas, paths, compare):
     reads it, and values holds each path's value from the row that path
     builds for rho.  An ArithmeticError raised in a row, by a row builder or
     at a cell, is reported as that cell's counterexample and ends the cells."""
-    chis = branching._character_rows(lambdas)
+    read = branching._reader(lambdas)
     for rho, series in branching.table_series(order, n, degree_cap):
         lam = lambdas[0]
         try:
-            main, rows = branching._reader(series), [path(rho) for path in paths]
-            for lam, chi in zip(lambdas, chis):
-                yield compare(rho, lam, main(lam, chi), *(row(lam) for row in rows))
+            main, rows = read(series), [path(rho) for path in paths]
+            for lam in lambdas:
+                yield compare(rho, lam, next(main), *(row(lam) for row in rows))
         except ArithmeticError as exc:
             yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
             return

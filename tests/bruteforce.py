@@ -13,17 +13,22 @@ do ``pack``, which packs a vector of exact scalars as integer columns one
 lowest-terms number at a time, and ``packed_numerators``, which dots two
 such vectors with one reduction: the integer dot that oracle paths A and B
 took per cell before they read whole rows off Kronecker-packed integers.
+``plain_read_off`` is the main path's read-off as it was before it packed a
+degree's cells into one integer: one Hall dot per cell.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
+from wreathlitt import partitions
 from wreathlitt.exactnum import Cyclotomic, _reduce, euler_phi, zeta
-from wreathlitt.wreath import WreathLabel, centralizer_order
+from wreathlitt.partitions import format_partition
+from wreathlitt.wreath import NonIntegralError, WreathLabel, centralizer_order
 
 Mono = dict  # exponent tuple -> coefficient
 
@@ -280,3 +285,25 @@ def packed_numerators(order: int, x, y) -> tuple[tuple[int, ...], int]:
         for j, b in enumerate(ys):
             work[i + j] += sum(map(mul, a, b))
     return _reduce(work, order), dx * dy
+
+
+def plain_read_off(series, lambdas) -> list[int]:
+    """<f, s_lam> for each lam in lambdas, one cell at a time: the sum over nu
+    of F_nu * chi^lam(nu) / z_nu, as one integer dot of chi^lam's row with the
+    vector of F_nu * den / z_nu over den = lcm(z_nu), built once per degree,
+    and one exact integer division, which raises NonIntegralError as the
+    main path does."""
+    terms, vectors, values = series.terms, {}, []
+    for lam in lambdas:
+        k = sum(lam)
+        if k not in vectors:
+            shapes = partitions.partitions_of(k)
+            den = lcm(*map(partitions.centralizer_order, shapes))
+            vectors[k] = [terms.get(nu, 0) * (den // partitions.centralizer_order(nu)) for nu in shapes], den
+        vector, den = vectors[k]
+        total = sum(map(mul, partitions.character_table(k)[lam].values(), vector))
+        value, rem = divmod(total, den)
+        if rem or value < 0:
+            raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {Fraction(total, den)}")
+        values.append(value)
+    return values

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from bruteforce import plain_read_off
 from wreathlitt.branching import (
     HypothesisViolationError,
-    _character_rows,
+    _lambda_grid,
     _reader,
+    _signed_digits,
     branching_coefficient,
     branching_series,
     branching_table,
@@ -13,8 +15,8 @@ from wreathlitt.branching import (
 )
 from wreathlitt.oracle import branching_by_pairing
 from wreathlitt.partitions import partitions_of
-from wreathlitt.symfunc import h_basis, hall_inner_product, omega_at_root, plethysm, s_basis
-from wreathlitt.wreath import WreathLabel, wreath_class_labels
+from wreathlitt.symfunc import constant, h_basis, hall_inner_product, omega_at_root, plethysm, s_basis
+from wreathlitt.wreath import NonIntegralError, WreathLabel, wreath_class_labels
 
 
 def lab(order, mapping):
@@ -131,10 +133,78 @@ def test_table_matches_the_per_label_path(order, size, max_degree):
     # read off the label's own series, including labels with empty slots.
     table = branching_table(order, size, max_degree)
     assert table.labels == wreath_class_labels(size, order)
-    assert table.rows == [
-        list(map(_reader(branching_series(rho, max_degree)), table.lambdas, _character_rows(table.lambdas)))
-        for rho in table.labels
-    ]
+    assert table.rows == [plain_read_off(branching_series(rho, max_degree), table.lambdas) for rho in table.labels]
+
+
+@pytest.mark.parametrize("order, size, max_degree", [(1, 10, 14), (2, 6, 10), (4, 4, 8), (5, 1, 3), (2, 4, 0)])
+def test_packed_read_off_matches_the_plain_dot(order, size, max_degree):
+    # The widest digits (m = 1, degree 14), lambda = [] alone (degree 0), and
+    # degrees in which a series has no terms (m = 5 at n = 1, m = 4 at odd degrees).
+    lambdas = _lambda_grid(size, max_degree)
+    read = _reader(lambdas)
+    for rho, series in table_series(order, size, max_degree):
+        assert list(read(series)) == plain_read_off(series, lambdas), rho
+
+
+def test_packed_read_off_of_digits_wider_than_a_word():
+    # c * s_mu reads off as c at mu and 0 elsewhere; at c = 3^100 the degree-6
+    # digits take three words, and -c * s_mu fails at mu in both readers.
+    lambdas, c = _lambda_grid(6, 7), 3**100
+    read = _reader(lambdas)
+    for mu in partitions_of(6):
+        series = s_basis(mu, c, 7)
+        assert list(read(series)) == plain_read_off(series, lambdas) == [c * (lam == mu) for lam in lambdas]
+        for reader in (lambda f: list(read(f)), lambda f: plain_read_off(f, lambdas)):
+            with pytest.raises(NonIntegralError, match=f"came out -{c}$"):
+                reader(s_basis(mu, -c, 7))
+
+
+@pytest.mark.parametrize("words", range(1, 9))
+def test_signed_digits_round_trip_at_every_width(words):
+    # Every width the read-off can choose is a whole number of 64-bit words;
+    # the extreme digits +-(2^(b-1) - 1) of a b-bit field come back as they went in.
+    bits = 64 * words
+    top = (1 << bits - 1) - 1
+    digits = [top, -top, 0, -1, 1, top, -top, top - 1]
+    packed = sum(d << bits * i for i, d in enumerate(digits))
+    assert _signed_digits(packed, bits, len(digits)) == digits
+    assert _signed_digits(-top, bits, 1) == [-top]
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 62, 63, 64, 65, 127, 128, 129, 191, 200])
+def test_read_off_widths_hold_their_bound(exponent, monkeypatch):
+    # The constant c reads off at lambda = [] as c, from a field chosen for the
+    # bound |c|: just below and at each power of two, across the word
+    # boundaries, the field holds c and -c and is a whole number of 64-bit words.
+    import wreathlitt.branching as branching_module
+
+    true, widths = branching_module._packed_columns, []
+    monkeypatch.setattr(branching_module, "_packed_columns", lambda rows, bits: widths.append(bits) or true(rows, bits))
+    read = _reader([()])
+    for c in {(1 << exponent) - 1, 1 << exponent} - {0}:
+        assert list(read(constant(c, truncation=0))) == [c]
+        with pytest.raises(NonIntegralError, match=f"came out -{c}$"):
+            list(read(constant(-c, truncation=0)))
+    assert widths and all(bits % 64 == 0 for bits in widths)
+
+
+def test_each_degree_block_is_packed_once_at_the_table_m1_scope(monkeypatch):
+    # branching_table(1, 7, 11), the benchmark's table: every row's digits fit
+    # one 64-bit word, so each degree's chi columns are packed once, at the
+    # first row, in degree order.  A width that changes from row to row packs
+    # some blocks once per row.
+    import wreathlitt.branching as branching_module
+
+    true, calls = branching_module._packed_columns, []
+
+    def counted(rows, bits):
+        calls.append((len(rows), len(rows[0]), bits))
+        return true(rows, bits)
+
+    monkeypatch.setattr(branching_module, "_packed_columns", counted)
+    branching_table(1, 7, 11)
+    blocks = [len([lam for lam in partitions_of(k) if len(lam) <= 7]) for k in range(12)]
+    assert calls == [(count, len(partitions_of(k)), 64) for k, count in enumerate(blocks)]
 
 
 def test_table_series_equals_branching_series():

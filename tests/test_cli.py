@@ -223,6 +223,20 @@ def test_arithmetic_errors_exit_2_with_json_line(error, capsys, monkeypatch):
     assert json.loads(lines[0]) == {"command": "table", "error": error, "message": str(exc)}
 
 
+def test_memory_error_exits_1_with_one_line(capsys, monkeypatch):
+    # A table within the caps can exhaust memory; it exits 1, not with a traceback.
+    from wreathlitt import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "branching_table", exhausted)
+    assert main(["table", "--m", "3", "--n", "20", "--max-deg", "20", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory"]
+
+
 def test_non_integral_read_off_exits_2(capsys, monkeypatch):
     table = partitions.character_table(3)
     monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)

@@ -4,7 +4,7 @@ import pytest
 
 from bruteforce import conjugacy_class_size, pack
 from wreathlitt import partitions
-from wreathlitt.branching import HypothesisViolationError, branching_coefficient
+from wreathlitt.branching import HypothesisViolationError, branching_coefficient, branching_table
 from wreathlitt.oracle import (
     alphabet_transform_check,
     branching_by_character_average,
@@ -896,6 +896,78 @@ def test_character_rows_are_read_per_run(monkeypatch):
         {"rho": "0:2", "lambda": "2,1", "error": "multiplicity at 2,1 came out 4/3"},
         6,
     )
+
+
+def test_main_read_off_decoder_fault_fails_only_the_main_path(monkeypatch):
+    # Every decoded digit one too high: at lambda = [] (den = 0! = 1) the main
+    # cell is off by one, and paths A and B, which decode with their own code,
+    # still agree with each other.
+    import wreathlitt.branching as branching_module
+
+    true = branching_module._signed_digits
+    monkeypatch.setattr(branching_module, "_signed_digits", lambda *args: [d + 1 for d in true(*args)])
+    check = run_verification(3, 3, 5).checks[0]
+    cell = check.counterexample
+    assert not check.passed and check.cells == 1
+    assert cell == {"rho": "0:3", "lambda": "[]", "main": 2, "pairing": 1, "character_average": 1}
+
+
+def test_main_read_off_reports_cells_in_grid_order(monkeypatch):
+    # In the degree-2 block ([2], [1,1]; den = 2!) the first digit gains den,
+    # a disagreement at [2], and the second gains 1, a remainder at [1,1].  A
+    # block decodes at once, but its cells are checked one at a time, so the
+    # suite reports the disagreement at the earlier cell, not the error.
+    import wreathlitt.branching as branching_module
+
+    true = branching_module._signed_digits
+
+    def faulty(packed, bits, count):
+        digits = true(packed, bits, count)
+        return [digits[0] + 2, digits[1] + 1, *digits[2:]] if count == 2 else digits
+
+    monkeypatch.setattr(branching_module, "_signed_digits", faulty)
+    check = run_verification(2, 3, 3).checks[0]
+    assert not check.passed and check.cells == 3
+    assert check.counterexample == {"rho": "0:3", "lambda": "2", "main": 2, "pairing": 1, "character_average": 1}
+
+
+MAIN_READ_OFF = {"_reader", "_packed_columns", "_signed_digits"}
+
+
+def test_no_oracle_path_uses_the_main_read_off(monkeypatch):
+    import ast
+    import inspect
+
+    import wreathlitt.branching as branching_module
+    import wreathlitt.exactnum as exactnum_module
+    import wreathlitt.oracle as oracle_module
+    import wreathlitt.wreath as wreath_module
+    from wreathlitt.oracle import _character_average_path, _numeric_path, _pairing_path
+
+    # In the source: only the suites' main cells name the read-off, and no
+    # module imports it.
+    for module in (oracle_module, wreath_module, exactnum_module):
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not MAIN_READ_OFF & {alias.name for alias in node.names}, module.__name__
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and function.name != "_suite_cells":
+                names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(function)}
+                assert not MAIN_READ_OFF & names, (module.__name__, function.name)
+    # At run time: paths A, B and C read every cell with the read-off gone.
+    table = branching_table(3, 3, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle path used the main path's read-off")
+
+    for name in MAIN_READ_OFF:
+        monkeypatch.setattr(branching_module, name, refuse)
+    paths = _pairing_path(3, 3, table.lambdas), _character_average_path(3, 3, table.lambdas), _numeric_path(3, 3, 4)
+    for rho, row in zip(table.labels, table.rows):
+        pairing, average, numeric = (path(rho) for path in paths)
+        for lam, d in zip(table.lambdas, row):
+            assert pairing(lam) == average(lam) == d and abs(numeric(lam) - d) < 1e-9, (rho, lam)
 
 
 def test_suites_check_the_series_the_table_builds(monkeypatch):

@@ -96,7 +96,7 @@ def _reader(lambdas):
     blocks = []
     for k, block in groupby(lambdas, key=sum):
         block, shapes, den = list(block), partitions.partitions_of(k), factorial(k)
-        rows = [list(partitions.character_table(k)[lam].values()) for lam in block]
+        rows = [partitions.character_table(k)[partitions.partition_index(k)[lam]] for lam in block]
         scales = [den // z for z in map(partitions.centralizer_order, shapes)]
         # |chi^lam(nu)| <= chi^lam(1^k), the last entry of each row
         blocks.append((block, shapes, scales, den, rows, max(row[-1] for row in rows), {}))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import oracle
 from .branching import HypothesisViolationError, branching_table, coefficient_and_series, table_series
-from .partitions import parse_partition
+from .partitions import parse_integer, parse_partition
 from .symfunc import series_to_json
 from .wreath import format_label, parse_label
 
@@ -41,16 +41,16 @@ class _Parser(argparse.ArgumentParser):
 MAX_ORDER = 10**6
 
 # Sizes and degrees have a cap too.  coeff --m 1 --rho 0:D --lambda D walks
-# the products of all partitions of D; in a fresh process it takes 1.0 s and
-# 25 MB at D = 16, 2.7 s and 38 MB at D = 18 and 8 s and 66 MB at D = 20
+# the products of all partitions of D; in a fresh process it takes 1.2 s and
+# 21 MB at D = 16, 3.1 s and 26 MB at D = 18 and 8-10 s and 41 MB at D = 20
 # (CPython 3.11, 2-core Xeon VM).  Of that, character_table(20) alone takes
-# 1.0-1.5 s and 59 MB, and every command reads these tables.
+# 0.6-1.2 s and 34 MB, and every command reads these tables.
 MAX_DEGREE = 20
 
 
 def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
-        value = int(text)
+        value = parse_integer(text)
         if value < low or (high is not None and value > high):
             bounds = f">= {low}" if high is None else f">= {low} and <= {high}"
             raise argparse.ArgumentTypeError(f"must be {bounds}, got {text}")

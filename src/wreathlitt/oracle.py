@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import factorial, lcm
+from math import factorial
 from operator import mul, neg
 
 from . import branching, partitions
@@ -183,7 +183,7 @@ def _conjugated_characters(classes):
 def _packed_path(order: int, n: int, lambdas, path: str):
     """The row builder of paths A and B, on Kronecker-packed integers.  Per
     class sigma, the path's own Schur evaluator packs every lambda's value
-    times w_sigma = L / z_sigma over L = lcm(z_sigma), one slot of
+    times w_sigma = L / z_sigma over L = m^n n! = lcm(z_sigma), one slot of
     m + phi(m) - 1 digits per lambda.  Per row, one integer dot per power of
     zeta, of those values with that power's column of rho's conjugated
     characters, gives every lambda's work polynomial, the sum over the
@@ -196,7 +196,7 @@ def _packed_path(order: int, n: int, lambdas, path: str):
     dens, bound, schur = schur_evaluator(lambdas, n)
     conjugated_characters = _conjugated_characters(classes)
     norms = [centralizer_order(sigma) for sigma in classes]
-    common = lcm(*norms)
+    common = order**n * factorial(n)
     weights = [common // z for z in norms]
     spacing, index = order + euler_phi(order) - 1, {lam: i for i, lam in enumerate(lambdas)}
     packed = 0, []

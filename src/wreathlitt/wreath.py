@@ -35,11 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from . import partitions
 from .exactnum import Cyclotomic, _reduce, euler_phi, zeta
-from .partitions import Partition, format_partition, parse_partition
+from .partitions import Partition, format_partition, parse_integer, parse_partition
 from .symfunc import SymSeries, _min_trunc, constant, omega_at_root, stretch
 
 __all__ = [
@@ -240,11 +240,11 @@ def schur_evaluator(lambdas, n: int):
     Kronecker substitution: at(rho, bits, spacing) is, at x = 2^bits, the sum
     over i of x^(i * spacing) times S_i, where S_i, an integer polynomial mod
     x^m - 1 (spacing >= m), is lambdas[i]'s value at rho times dens[i] =
-    lcm(z_mu) over the partitions mu of |lam|.  bound bounds the sum of
-    |coefficients| of every S_i, so any bits >= _digit_bits(bound) keeps
+    |lam|! = lcm(z_mu) over the partitions mu of |lam|.  bound bounds the sum
+    of |coefficients| of every S_i, so any bits >= _digit_bits(bound) keeps
     them apart.
 
-    Each lam's character row is read once, here, scaled to that lcm, and each
+    Each lam's character row is read once, here, scaled to that den, and each
     mu's coefficients over the lambdas are packed once per (bits, spacing).
     Per class, its traces p_r are packed once, each p_mu is p_mu without its
     last part times that part's trace, one product mod x^m - 1, and every S_i
@@ -253,18 +253,16 @@ def schur_evaluator(lambdas, n: int):
     n^len(mu), so every product is exact.  A lam with more rows than there
     are eigenvalues gives 0.
     """
-    # |lam| -> lcm(z_mu) over the partitions mu of |lam|, once per degree
-    lcms = {k: lcm(*map(partitions.centralizer_order, partitions.partitions_of(k))) for k in set(map(sum, lambdas))}
     rows, dens, bound = {}, [], 0
     for i, lam in enumerate(lambdas):
         k = sum(lam)
-        row, den = partitions.character_table(k)[lam], lcms[k]
-        scaled = [(mu, chi * (den // partitions.centralizer_order(mu))) for mu, chi in row.items()]
+        row, den = partitions.character_table(k)[partitions.partition_index(k)[lam]], factorial(k)
+        scaled = [(mu, chi * (den // partitions.centralizer_order(mu))) for mu, chi in zip(partitions.partitions_of(k), row)]
         for mu, c in scaled:
             rows.setdefault(mu, []).append((i, c))
         bound = max(bound, sum(abs(c) * n ** len(mu) for mu, c in scaled))
         dens.append(den)
-    top, packed_rows = max(lcms, default=0), {}
+    top, packed_rows = max(map(sum, lambdas), default=0), {}
 
     def at(rho: WreathLabel, bits: int, spacing: int) -> int:
         m = rho.order
@@ -318,7 +316,7 @@ def evaluation_kernel_product_form(rho: WreathLabel, max_degree: int) -> SymSeri
     m = rho.order
     result = constant(1, max_degree)
     for j, part in rho.slots:
-        for ell, mult in partitions.multiplicities(part).items():
+        for ell, mult in Counter(part).items():
             factor = stretch(omega_at_root(j, m, max_degree // ell), ell)
             for _ in range(mult):
                 result = result * factor
@@ -513,7 +511,7 @@ def parse_label(text: str, order: int) -> WreathLabel:
             if ":" not in item:
                 raise ValueError(f"bad label item {item!r}, expected 'j:parts'")
             head, _, tail = item.partition(":")
-            j = int(head)
+            j = parse_integer(head)
             part = parse_partition(tail)
             if j % order in mapping:
                 raise ValueError(f"slot {j % order} assigned twice")

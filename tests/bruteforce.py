@@ -301,7 +301,7 @@ def plain_read_off(series, lambdas) -> list[int]:
             den = lcm(*map(partitions.centralizer_order, shapes))
             vectors[k] = [terms.get(nu, 0) * (den // partitions.centralizer_order(nu)) for nu in shapes], den
         vector, den = vectors[k]
-        total = sum(map(mul, partitions.character_table(k)[lam].values(), vector))
+        total = sum(map(mul, partitions.character_table(k)[partitions.partition_index(k)[lam]], vector))
         value, rem = divmod(total, den)
         if rem or value < 0:
             raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {Fraction(total, den)}")

@@ -193,10 +193,10 @@ def test_criterion_6_symmetric_function_kernel_properties():
     # symmetric group character orthogonality to degree 7
     for n in range(1, 8):
         shapes_n = partitions_of(n)
-        table = partitions.character_table(n)
-        for mu in shapes_n:
-            for nu in shapes_n:
-                total = sum(table[lam][mu] * table[lam][nu] for lam in shapes_n)
+        columns = list(zip(*partitions.character_table(n)))
+        for mu, column_mu in zip(shapes_n, columns):
+            for nu, column_nu in zip(shapes_n, columns):
+                total = sum(a * b for a, b in zip(column_mu, column_nu))
                 want = partitions.centralizer_order(mu) if mu == nu else 0
                 if total != want:
                     failures.append(("character_orthogonality", n, mu, nu))

@@ -245,8 +245,9 @@ def test_read_off_remainder_raises_non_integral(monkeypatch):
 
     rho, lam = lab(1, {0: (2,)}), (2, 1)
     assert branching_coefficient(rho, lam) == 1
-    table = partitions.character_table(3)
-    monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)
+    rows = [list(row) for row in partitions.character_table(3)]
+    rows[1][0] += 1  # chi^(2,1) at (3): rows and entries in partitions_of(3) order
+    monkeypatch.setitem(partitions._TABLES, 3, tuple(map(tuple, rows)))
     with pytest.raises(NonIntegralError, match=re.escape("multiplicity at 2,1 came out 4/3")):
         branching_coefficient(rho, lam)
 

@@ -49,6 +49,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["coeff", "--m", "2", "--rho", "0:x", "--lambda", "1"]) == 1
     capsys.readouterr()
+    # int() would read these as 10, 3, 10, 3 and 10; each is one line of bad input instead
+    for args in (
+        ["coeff", "--m", "2", "--rho", "0:1_0", "--lambda", "10"],
+        ["coeff", "--m", "2", "--rho", "0:\u0663", "--lambda", "3"],
+        ["coeff", "--m", "2", "--rho", "1_0:1", "--lambda", "1"],
+        ["coeff", "--m", "\u0663", "--rho", "0:1", "--lambda", "1"],
+        ["table", "--m", "1", "--n", "1", "--max-deg", "1_0"],
+    ):
+        assert main(args) == 1, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1, (args, captured.err)
+    assert main(["coeff", "--m", " 2 ", "--rho=-1:1", "--lambda", "1"]) == 0  # slot -1 is slot 1 mod 2
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_table_csv_shape(capsys):
@@ -238,8 +251,9 @@ def test_memory_error_exits_1_with_one_line(capsys, monkeypatch):
 
 
 def test_non_integral_read_off_exits_2(capsys, monkeypatch):
-    table = partitions.character_table(3)
-    monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)
+    rows = [list(row) for row in partitions.character_table(3)]
+    rows[1][0] += 1  # chi^(2,1) at (3): rows and entries in partitions_of(3) order
+    monkeypatch.setitem(partitions._TABLES, 3, tuple(map(tuple, rows)))
     assert main(["coeff", "--m", "1", "--rho", "0:2", "--lambda", "2,1"]) == 2
     failure = json.loads(capsys.readouterr().err)
     assert failure["error"] == "NonIntegralError" and "came out 4/3" in failure["message"]

@@ -839,8 +839,9 @@ def _dimension_plus_one_at_21(monkeypatch):
 
 def _character_plus_one_at_21_3(monkeypatch):
     # +1 on chi^(2,1) at a 3-cycle in the shared character table
-    table = partitions.character_table(3)
-    monkeypatch.setitem(table[(2, 1)], (3,), table[(2, 1)][(3,)] + 1)
+    rows = [list(row) for row in partitions.character_table(3)]
+    rows[1][0] += 1  # chi^(2,1) at (3): rows and entries in partitions_of(3) order
+    monkeypatch.setitem(partitions._TABLES, 3, tuple(map(tuple, rows)))
 
 
 # For each corruption: its scope, and each check's first failing cell and

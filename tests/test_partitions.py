@@ -11,7 +11,9 @@ from wreathlitt.partitions import (
     centralizer_order,
     character_table,
     format_partition,
+    parse_integer,
     parse_partition,
+    partition_index,
     partitions_of,
     specht_dimension,
     symmetric_group_character,
@@ -104,11 +106,10 @@ def test_character_at_identity_is_dimension():
 @pytest.mark.parametrize("n", range(9, 13))
 def test_orthogonality_and_dimensions_past_degree_8(n):
     shapes = partitions_of(n)
-    table = character_table(n)
-    rows = [[table[lam][mu] for mu in shapes] for lam in shapes]
+    rows = character_table(n)
     class_sizes = [factorial(n) // centralizer_order(mu) for mu in shapes]
     for lam, row in zip(shapes, rows):
-        assert table[lam][(1,) * n] == specht_dimension(lam)
+        assert row[-1] == specht_dimension(lam)  # (1^n) is the last cycle type
         for nu, other in zip(shapes, rows):
             total = sum(a * b * size for a, b, size in zip(row, other, class_sizes))
             assert total == (factorial(n) if lam == nu else 0), (lam, nu)
@@ -134,44 +135,47 @@ def test_orthogonality_and_dimensions_past_degree_8(n):
     ],
 )
 def test_character_table_digest(n, digest):
-    cells = [((lam, mu), chi) for lam, row in character_table(n).items() for mu, chi in row.items()]
+    shapes = partitions_of(n)
+    cells = [((lam, mu), chi) for lam, row in zip(shapes, character_table(n)) for mu, chi in zip(shapes, row)]
     text = repr(sorted(cells))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_tables_do_not_depend_on_build_order(monkeypatch):
     def tables_after(*degrees):
-        monkeypatch.setattr(partitions, "_TABLES", {0: {(): {(): 1}}})
+        monkeypatch.setattr(partitions, "_TABLES", {0: ((1,),)})
         for n in degrees:
             character_table(n)
-        return [[(lam, list(row.items())) for lam, row in character_table(n).items()] for n in range(12)]
+        return [character_table(n) for n in range(12)]
 
     assert tables_after(5, 11) == tables_after(11)
 
 
-def test_rows_and_row_keys_come_in_partition_order():
-    # The read-offs zip each row's values with partitions_of(n).
+def test_rows_and_entries_are_indexed_by_partition_position():
+    # table[i][j] is chi at (partitions_of(n)[i], partitions_of(n)[j]); the read-offs zip rows with partitions_of(n).
     for n in range(13):
         shapes = partitions_of(n)
+        assert all(partition_index(n)[lam] == i for i, lam in enumerate(shapes))
         table = character_table(n)
-        assert list(table) == shapes
-        for lam, row in table.items():
-            assert list(row) == shapes, lam
+        assert len(table) == len(shapes)
+        assert all(len(row) == len(shapes) for row in table)
 
 
 def test_table_memory(monkeypatch):
-    # Building degrees 1..14 from the seed traces about 2.3 MB (CPython 3.11);
-    # a (shape, cycle type) key tuple per cell would take it to about 4.5 MB.
+    # Building degrees 1..14 from the seed traces about 1.1 MB (CPython 3.11),
+    # half of it freed tuples that CPython keeps for reuse; rows as dicts
+    # {mu: chi} took about 2.3 MB, and a (shape, cycle type) key tuple per
+    # cell about 4.5 MB.
     for n in range(15):
-        partitions_of(n)
-    monkeypatch.setattr(partitions, "_TABLES", {0: {(): {(): 1}}})
+        partition_index(n)
+    monkeypatch.setattr(partitions, "_TABLES", {0: ((1,),)})
     tracemalloc.start()
     try:
         character_table(14)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert current < 3_000_000, current
+    assert current < 1_500_000, current
 
 
 def test_negative_degree_is_a_value_error():
@@ -191,3 +195,11 @@ def test_parse_and_format():
         parse_partition("a,b")
     with pytest.raises(ValueError):
         parse_partition("0")
+    assert parse_partition(" 3, 1 ") == (3, 1)
+    assert parse_integer(" -12 ") == -12
+    # int() takes underscores, a plus sign and non-ASCII digits; these do not
+    for text in ("1_0", "+1", "\u0663", "\uff11", "1.0", "", "-"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_integer(text)
+        with pytest.raises(ValueError, match="not a partition"):
+            parse_partition(text + ",1")

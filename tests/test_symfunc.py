@@ -9,7 +9,7 @@ from bruteforce import h_k_mono, schur_decompose
 from wreathlitt import symfunc
 from wreathlitt.branching import _progression_alphabet
 from wreathlitt.exactnum import zeta
-from wreathlitt.partitions import centralizer_order, multiplicities, partitions_of
+from wreathlitt.partitions import centralizer_order, partitions_of
 from wreathlitt.symfunc import (
     SymSeries,
     TruncationTooShortError,
@@ -276,7 +276,7 @@ def test_scaled_merge_factor_is_a_product_of_binomials():
     for a in shapes:
         for b in shapes:
             merged = tuple(sorted(a + b, reverse=True))
-            ma, mb = multiplicities(a), multiplicities(b)
+            ma, mb = Counter(a), Counter(b)
             factor = 1
             for part in set(ma) | set(mb):
                 factor *= comb(ma.get(part, 0) + mb.get(part, 0), ma.get(part, 0))

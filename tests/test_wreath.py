@@ -446,6 +446,15 @@ def test_schur_at_eigenvalues_matches_power_sum_reference(order):
                 assert value == _schur_reference(lam, rho), (lam, rho)
 
 
+def test_closed_form_denominators_are_the_centralizer_lcms():
+    # schur_evaluator scales by k! and oracle._packed_path by m^n n!, each the lcm of its z's
+    for k in range(21):
+        assert lcm(*map(partitions.centralizer_order, partitions.partitions_of(k))) == factorial(k), k
+    for order in range(1, 7):
+        for n in range(6):
+            assert lcm(*map(centralizer_order, wreath_class_labels(n, order))) == order**n * factorial(n), (order, n)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_schur_values_at_class_match_power_sum_reference(order):
     # One evaluator for every class up to size 4, its lambdas shuffled across

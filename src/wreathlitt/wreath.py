@@ -53,7 +53,6 @@ __all__ = [
     "evaluation_kernel_product_form",
     "format_label",
     "frobenius_characteristic",
-    "identity_label",
     "irreducible_dimension",
     "merge_labels",
     "parse_label",
@@ -123,11 +122,6 @@ class WreathLabel:
 
     def __repr__(self) -> str:
         return f"WreathLabel(m={self.order}, {format_label(self) or 'empty'})"
-
-
-def identity_label(n: int, order: int) -> WreathLabel:
-    """The class of the identity element: n one-cycles with trivial product."""
-    return WreathLabel.from_mapping(order, {0: (1,) * n})
 
 
 # Pure label structure, shared by every caller; bounded, as labels vary per scope.

@@ -305,6 +305,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         (["verify", "--m", "12", "--n", "2", "--max-deg", "3"], "verify_m12_n2_d3.json"),
         (["verify", "--m", "3", "--n", "5", "--max-deg", "8"], "verify_m3_n5_d8.json"),
         (["verify", "--m", "4", "--n", "4", "--max-deg", "4"], "verify_m4_n4_d4.json"),
+        (["verify", "--m", "2", "--n", "8", "--max-deg", "12"], "verify_m2_n8_d12.json"),
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
         (["identities", "--m", "6", "--dx", "3", "--dy", "3"], "identities_m6_dx3_dy3.json"),
@@ -322,6 +323,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         "verify-order-12",
         "verify-two-column-cells",
         "verify-inverse-classes",
+        "verify-widest-gate-scope",
         "identities",
         "identities-dx-above-dy",
         "identities-non-prime-power-order",

@@ -22,14 +22,13 @@ from wreathlitt.oracle import (
     _omega_composite_xy,
 )
 from wreathlitt.exactnum import Cyclotomic, NotRationalError, to_rational, zeta
-from wreathlitt.symfunc import hall_inner_product, omega_at_root, p_basis, s_basis
+from wreathlitt.symfunc import SymSeries, hall_inner_product, omega_at_root, p_basis, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
     _unpack,
     centralizer_order,
     evaluation_kernel,
     format_label,
-    identity_label,
     irreducible_dimension,
     power_trace,
     schur_at_eigenvalues,
@@ -65,6 +64,17 @@ def test_character_average_examples():
     assert branching_by_character_average(lab(1, {0: (1, 1)}), (2,)) == 1
     rho = lab(2, {1: (1, 1)})
     assert branching_by_character_average(rho, (1, 1)) == branching_by_pairing(rho, (1, 1))
+
+
+def test_both_packed_paths_reject_a_lambda_with_more_rows_than_n():
+    from wreathlitt.oracle import _character_average_path, _pairing_path
+
+    for build in (_pairing_path, _character_average_path):
+        with pytest.raises(HypothesisViolationError, match=r"need len\(lambda\) <= n, got 2 > 1"):
+            build(3, 1, [(1,), (1, 1)])
+    for read in (branching_by_pairing, branching_by_character_average):
+        with pytest.raises(HypothesisViolationError, match="got 2 > 1"):
+            read(lab(3, {1: (1,)}), (1, 1))
 
 
 def test_triple_agreement_small():
@@ -206,6 +216,45 @@ def test_identity_checks_pass():
     assert evaluation_kernel_agreement_check(2, 2, 4).passed
 
 
+def _residue_negated(true, order, j, degree):
+    return true(order, -j % order, degree)
+
+
+def _residue_plus_one(true, order, j, degree):
+    return true(order, (j + 1) % order, degree)
+
+
+def _slot_0_without_h_0(true, order, j, degree):
+    series = true(order, j, degree)
+    return SymSeries({mu: c for mu, c in series.terms.items() if mu}, series.truncation)
+
+
+# Faults in the alphabet the main path substitutes into slot j, and at which
+# orders alphabet_transform_check(order, 4) still passes with the fault: at
+# m = 2, -j is j.
+ALPHABET_FAULTS = {
+    "residue -j": (_residue_negated, {2: True, 3: False, 4: False}),
+    "residue j + 1": (_residue_plus_one, {2: False, 3: False, 4: False}),
+    "slot 0 without h_0": (_slot_0_without_h_0, {2: False, 3: False, 4: False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHABET_FAULTS))
+def test_a_wrong_progression_alphabet_fails_alphabet_transform(name, monkeypatch):
+    import functools
+
+    import wreathlitt.branching as branching_module
+
+    fault, passes = ALPHABET_FAULTS[name]
+    true = branching_module._progression_alphabet
+    monkeypatch.setattr(branching_module, "_progression_alphabet", functools.partial(fault, true))
+    assert {order: alphabet_transform_check(order, 4).passed for order in passes} == passes
+    # the main path reads the fault, and of the identity checks only the alphabet transform sees it
+    assert not run_verification(3, 2, 3).passed
+    report = run_identity_suite(3, 3, 4)
+    assert [check.name for check in report.checks if not check.passed] == ["alphabet_transform"]
+
+
 def test_restriction_formula_builds_the_kernel_once(monkeypatch):
     # The kernel at the largest label size holds every smaller size unchanged.
     import wreathlitt.oracle as oracle_module
@@ -297,7 +346,7 @@ def _per_cell_verification(order, n, degree_cap):
             value = branching_coefficient(rho, lam)
             assert branching_by_pairing(rho, lam) == value == branching_by_character_average(rho, lam)
             table[(rho, lam)] = value
-    ident = identity_label(n, order)
+    ident = lab(order, {0: (1,) * n})
     for lam in lambdas:
         weighted = sum(table[(rho, lam)] * irreducible_dimension(rho) for rho in labels)
         assert weighted == to_rational(schur_at_eigenvalues(lam, ident)), lam
@@ -423,8 +472,8 @@ def test_corrupted_schur_values_fail_only_path_b(monkeypatch):
 
 
 def test_verification_builds_one_schur_evaluator_per_check(monkeypatch):
-    # path A, path B and the dimension sums each build their own evaluator,
-    # over the whole lambda grid, and no other evaluator is built
+    # paths A and B each build their own evaluator, over the whole lambda
+    # grid; the dimension sums read the hook-content formula and build none
     import wreathlitt.oracle as oracle_module
 
     true_evaluator = oracle_module.schur_evaluator
@@ -436,23 +485,7 @@ def test_verification_builds_one_schur_evaluator_per_check(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "schur_evaluator", counted)
     assert run_verification(3, 3, 5).passed
-    assert built == [_grid(3, 5)] * 3
-
-
-def test_a_digit_one_bit_narrower_fails_verification(monkeypatch):
-    # Every packed digit is as wide as _digit_bits of a checked bound.  One bit
-    # fewer must fail a check, never pass: at the identity class, where the
-    # dimension sums decode their Schur values at the narrowest width, some
-    # coefficient needs the bound's top bit.  The cells' widths add a row's
-    # whole character bound, so they keep a few bits to spare.
-    import wreathlitt.oracle as oracle_module
-    import wreathlitt.wreath as wreath_module
-
-    true = wreath_module._digit_bits
-    for module in (oracle_module, wreath_module):
-        monkeypatch.setattr(module, "_digit_bits", lambda bound: true(bound) - 1)
-    report = run_verification(3, 3, 5)
-    assert not report.passed and report.first_failure().name == "dimension_sums"
+    assert built == [_grid(3, 5)] * 2
 
 
 def test_a_row_needing_wider_digits_repacks_the_schur_values(monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import tracemalloc
 from math import factorial
@@ -162,20 +163,22 @@ def test_rows_and_entries_are_indexed_by_partition_position():
 
 
 def test_table_memory(monkeypatch):
-    # Building degrees 1..14 from the seed traces about 1.1 MB (CPython 3.11),
-    # half of it freed tuples that CPython keeps for reuse; rows as dicts
-    # {mu: chi} took about 2.3 MB, and a (shape, cycle type) key tuple per
-    # cell about 4.5 MB.
+    # Building degrees 1..14 from the seed keeps about 0.47 MB (CPython 3.11).
+    # The full collection first empties CPython's tuple free lists, which
+    # otherwise hold the build's freed transient tuples, about 0.6 MB more;
+    # rows as dicts {mu: chi} took about 2.3 MB, and a (shape, cycle type)
+    # key tuple per cell about 4.5 MB.
     for n in range(15):
         partition_index(n)
     monkeypatch.setattr(partitions, "_TABLES", {0: ((1,),)})
     tracemalloc.start()
     try:
         character_table(14)
+        gc.collect()
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert current < 1_500_000, current
+    assert current < 750_000, current
 
 
 def test_negative_degree_is_a_value_error():

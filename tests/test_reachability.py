@@ -51,6 +51,7 @@ ALLOWLIST = {
     "symfunc.SymSeries.__neg__": _REFERENCE,
     "symfunc.SymSeries.__rmul__": _REFERENCE,
     "symfunc.p_basis": _REFERENCE,
+    "symfunc.h_basis": _REFERENCE,
 }
 
 # Runs in a fresh interpreter: in the test process, warm lru_caches and the

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import itertools
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ from math import factorial, lcm
 
 import pytest
 
-from bruteforce import characteristic_polynomial, conjugacy_class_size, newton_power_sums_from_poly
+from bruteforce import characteristic_polynomial, conjugacy_class_size, newton_power_sums_from_poly, ssyt_schur_mono
 from wreathlitt import partitions
 from wreathlitt.exactnum import Cyclotomic, _reduce, euler_phi, zeta
 from wreathlitt.oracle import _class_label
@@ -25,7 +26,6 @@ from wreathlitt.wreath import (
     evaluation_kernel_product_form,
     format_label,
     frobenius_characteristic,
-    identity_label,
     irreducible_dimension,
     merge_labels,
     parse_label,
@@ -156,7 +156,7 @@ def test_power_trace_examples():
     assert power_trace(rho, 2) == -2
     for n in (1, 2, 4):
         for r in (1, 2, 3):
-            assert power_trace(identity_label(n, 1), r) == n
+            assert power_trace(lab(1, {0: (1,) * n}), r) == n
     assert power_trace(lab(3, {1: (1,)}), 3) == 1
 
 
@@ -237,7 +237,7 @@ def test_wreath_character_orthogonality():
 def test_character_at_identity_is_dimension():
     for order in (1, 2, 3):
         for n in range(1, 5):
-            ident = identity_label(n, order)
+            ident = lab(order, {0: (1,) * n})
             labels = wreath_class_labels(n, order)
             for rho in labels:
                 values = dict(zip(labels, characters(rho)))
@@ -330,7 +330,6 @@ def _built_labels(order, n):
         shifted = {j + order: dense[j] for j in reversed(range(order))}
         yield "from_mapping (dense)", expected, WreathLabel.from_mapping(order, shifted)
         yield "inverse", _sparse(dense[:1] + dense[:0:-1]), rho.inverse()
-        yield "identity_label", _sparse(((1,) * n,) + ((),) * (order - 1)), identity_label(n, order)
     for k in range(n + 1):
         for a in wreath_class_labels(k, order):
             for b in wreath_class_labels(n - k, order):
@@ -489,6 +488,25 @@ def test_integer_schur_values_equal_schur_at_eigenvalues(order, n, degree_cap):
         for lam, den, nums in zip(lambdas, evaluator[0], schur_numerators(evaluator, rho)):
             assert Cyclotomic(order, nums, den) == schur_at_eigenvalues(lam, rho), (lam, rho)
             assert len(lam) <= n or nums == (0,) * euler_phi(order), (lam, rho)
+
+
+def test_a_digit_one_bit_narrower_misreads_schur_values_at_the_identity(monkeypatch):
+    # Every packed digit is as wide as _digit_bits of a checked bound.  One bit
+    # fewer must misread a value, never pass: at the identity class, where
+    # schur_numerators decodes at the narrowest width, some coefficient needs
+    # the bound's top bit.  s_lam(1^n) counts lam's tableaux with entries 1..n.
+    import wreathlitt.wreath as wreath_module
+
+    true = wreath_module._digit_bits
+    for (order, n, degree_cap), misread in {(3, 3, 5): 2, (1, 5, 6): 3, (12, 2, 3): 1}.items():
+        lambdas = [lam for k in range(degree_cap + 1) for lam in partitions.partitions_of(k) if len(lam) <= n]
+        dimensions = [sum(ssyt_schur_mono(lam, n).values()) for lam in lambdas]
+        ident = lab(order, {0: (1,) * n})
+        for narrower, wrong in ((0, 0), (1, misread)):
+            monkeypatch.setattr(wreath_module, "_digit_bits", lambda bound: true(bound) - narrower)
+            evaluator = schur_evaluator(lambdas, n)
+            values = [Cyclotomic(order, nums, den) for den, nums in zip(evaluator[0], schur_numerators(evaluator, ident))]
+            assert sum(map(operator.ne, values, dimensions)) == wrong, (order, n, narrower)
 
 
 @pytest.mark.parametrize("order, n", [(1, 5), (2, 4), (3, 3), (12, 2), (150, 1)])

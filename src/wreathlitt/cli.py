@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .branching import HypothesisViolationError, branching_table, coefficient_and_series, table_series
+from .branching import branching_table, coefficient_and_series, table_series
 from .partitions import parse_integer, parse_partition
 from .symfunc import series_to_json
 from .wreath import format_label, parse_label
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code = args.handler(args)
-    except (ValueError, HypothesisViolationError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

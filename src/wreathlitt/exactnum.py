@@ -94,8 +94,9 @@ class Cyclotomic:
     """An element of Q(zeta_order): integer numerators ``nums`` of 1, zeta, ...,
     zeta^(phi-1) over one positive denominator ``den``, in lowest terms.
 
-    Supports mixed arithmetic with ``int`` and ``Fraction``; two elements of
-    different orders only interact when at least one of them is rational.
+    Supports mixed arithmetic with ``int`` and ``Fraction``.  Arithmetic never
+    mixes orders: it raises ValueError, rational values included, while ``==``
+    still compares rational values across orders.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -138,24 +139,15 @@ class Cyclotomic:
 
     def _coerced(self, other):
         if isinstance(other, Cyclotomic):
-            if other.order == self.order:
-                return other
-            if other.is_rational():
-                return Cyclotomic.from_rational(other.to_rational(), self.order)
-            if self.is_rational():
-                return None  # caller retries from other's side
-            raise ValueError(
-                f"cannot mix Q(zeta_{self.order}) and Q(zeta_{other.order})"
-            )
+            if other.order != self.order:
+                raise ValueError(f"cannot mix Q(zeta_{self.order}) and Q(zeta_{other.order})")
+            return other
         if isinstance(other, (int, Fraction)):
             return Cyclotomic.from_rational(other, self.order)
         return None
 
     def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            if isinstance(other, Cyclotomic):
-                return other + self.to_rational()
+        if (o := self._coerced(other)) is None:
             return NotImplemented
         da, db = self.den, o.den
         if da == db:
@@ -179,10 +171,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             return Cyclotomic(self.order, tuple(a * p for a in self.nums), self.den * q)
-        o = self._coerced(other)
-        if o is None:
-            if isinstance(other, Cyclotomic):
-                return other * self.to_rational()
+        if (o := self._coerced(other)) is None:
             return NotImplemented
         a, b = self.nums, o.nums
         prod = [0] * (len(a) + len(b) - 1)

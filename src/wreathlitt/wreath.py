@@ -15,8 +15,8 @@ that one big-integer product does a polynomial product.  Irreducible
 characters are integers too, merged by class position through a table of
 (position of a u b, z_(a u b) / (z_a z_b)); each value is a sparse map
 exponent -> integer until one reduction, and handed back as a list by class
-position, so that no reader hashes a label per class; merges and merge tables
-are memoised, as they read label structure alone.
+position, so that no reader hashes a label per class; merge tables are
+memoised, as they read label structure alone.
 
 Convention note: the isotypic alphabet map phi_j = (1/m) sum_t zeta^(jt) X_t
 is a linear change of alphabets; its root-of-unity weights are coefficients,
@@ -97,14 +97,15 @@ class WreathLabel:
 
     @classmethod
     def from_mapping(cls, order: int, mapping: dict[int, Partition]) -> "WreathLabel":
-        # An empty partition occupies no slot: a later one may fill it.
+        # An empty partition occupies no slot, so it never conflicts, in either order.
         slots: dict[int, Partition] = {}
         for j, part in mapping.items():
-            k = j % order
-            if slots.get(k):
+            if not part:
+                continue
+            if (k := j % order) in slots:
                 raise ValueError(f"slot {k} assigned twice")
             slots[k] = tuple(part)
-        return cls(order, tuple(sorted((k, part) for k, part in slots.items() if part)))
+        return cls(order, tuple(sorted(slots.items())))
 
     def sort_key(self):
         # The order of the dense m-tuples of partitions, empty slots included:
@@ -124,8 +125,6 @@ class WreathLabel:
         return f"WreathLabel(m={self.order}, {format_label(self) or 'empty'})"
 
 
-# Pure label structure, shared by every caller; bounded, as labels vary per scope.
-@lru_cache(maxsize=1 << 12)
 def merge_labels(a: WreathLabel, b: WreathLabel) -> WreathLabel:
     if a.order != b.order:
         raise OrderMismatchError(f"orders {a.order} and {b.order} differ")
@@ -154,7 +153,7 @@ def wreath_class_labels(n: int, order: int) -> list[WreathLabel]:
     return list(_class_labels(n, order))
 
 
-# Label structure only, like merge_labels; a run asks for few (size, order) pairs.
+# Label structure only; a run asks for few (size, order) pairs.
 @lru_cache(maxsize=1 << 6)
 def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
     by_load = [partitions.partitions_of(c) for c in range(n + 1)]
@@ -165,7 +164,7 @@ def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
     )
 
 
-# Label structure only, like merge_labels; a run asks for few (size, order) pairs.
+# Label structure only, like _class_labels; a run asks for few (size, order) pairs.
 @lru_cache(maxsize=1 << 6)
 def _class_structure(n: int, order: int) -> tuple[tuple[Partition, int], ...]:
     # Per label, by position: its cycle type, and the sum over its cycles of each one's slot t.
@@ -176,8 +175,6 @@ def _class_structure(n: int, order: int) -> tuple[tuple[Partition, int], ...]:
     )
 
 
-# Bounded like merge_labels: a large-m table would keep one entry per label.
-@lru_cache(maxsize=1 << 12)
 def centralizer_order(rho: WreathLabel) -> int:
     """Centralizer order of the class labelled rho inside the wreath product."""
     out = 1
@@ -420,7 +417,7 @@ def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[int
     return [(i, chi, j * turns) for i, (cycle_type, turns) in enumerate(structure) if (chi := chis[cycle_type])]
 
 
-# Label structure only, like merge_labels: for labels a and b of sizes k1 and k2, by
+# Label structure only, like _class_labels: for labels a and b of sizes k1 and k2, by
 # position, (the position of c = a u b among the labels of size k1 + k2, z_c / (z_a z_b)).
 @lru_cache(maxsize=1 << 6)
 def _merge_table(k1: int, k2: int, order: int) -> list[list[tuple[int, int]]]:
@@ -496,7 +493,8 @@ def parse_label(text: str, order: int) -> WreathLabel:
     """Parse "j:parts" items joined by semicolons, e.g. "0:2,1;1:1".
 
     Slots not mentioned hold the empty partition; exponents are reduced
-    mod the order, and assigning one slot twice is an error.
+    mod the order.  An empty item occupies no slot, so it never conflicts;
+    two nonempty items for one slot are an error.
     """
     mapping: dict[int, Partition] = {}
     text = text.strip()
@@ -506,11 +504,11 @@ def parse_label(text: str, order: int) -> WreathLabel:
                 raise ValueError(f"bad label item {item!r}, expected 'j:parts'")
             head, _, tail = item.partition(":")
             j = parse_integer(head)
-            part = parse_partition(tail)
+            if not (part := parse_partition(tail)):
+                continue
             if j % order in mapping:
                 raise ValueError(f"slot {j % order} assigned twice")
-            if part:
-                mapping[j % order] = part
+            mapping[j % order] = part
     return WreathLabel.from_mapping(order, mapping)
 
 

@@ -42,6 +42,17 @@ def test_coeff_hypothesis_violation(capsys):
     assert "len(lambda) <= |rho|" in err
 
 
+def test_an_empty_rho_item_occupies_no_slot(capsys):
+    # in either order; two nonempty items for one slot still clash, after reduction mod m
+    for rho in ("0:1;0:[]", "0:[];0:1"):
+        assert main(["coeff", "--m", "3", "--rho", rho, "--lambda", "1"]) == 0, rho
+        assert capsys.readouterr().out == "0\n"
+    for m, rho in (("2", "0:1;2:1"), ("3", "0:1;3:1")):
+        assert main(["coeff", "--m", m, "--rho", rho, "--lambda", "1"]) == 1, rho
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1, (rho, captured.err)
+
+
 def test_usage_errors(capsys):
     assert main(["coeff", "--m", "2", "--rho", "0:1"]) == 1  # missing --lambda
     capsys.readouterr()

@@ -132,10 +132,14 @@ def _packed_columns(rows, bits: int) -> list[int]:
 
 
 def _signed_digits(packed: int, bits: int, count: int) -> list[int]:
-    # The count signed digits of packed, bits wide, lowest first, read as fields after adding 2^(bits - 1) to each.
+    # The count signed digits of packed, bits wide, lowest first, read as fields after adding 2^(bits - 1)
+    # to each; split in halves down to at most 48 fields, so that no shift walks the whole integer per field.
     half, mask = 1 << bits - 1, (1 << bits) - 1
-    packed += half * ((1 << bits * count) - 1) // mask
-    return [(packed >> i & mask) - half for i in range(0, bits * count, bits)]
+    pieces = [(packed + half * ((1 << bits * count) - 1) // mask, count)]
+    while pieces[-1][1] > 48:  # the highest piece is a largest one
+        pieces = [part for value, k in pieces for low in [k // 2]
+                  for part in ((value & (1 << bits * low) - 1, low), (value >> bits * low, k - low))]
+    return [(value >> i & mask) - half for value, k in pieces for i in range(0, bits * k, bits)]
 
 
 def coefficient_and_series(rho: WreathLabel, lam: Partition) -> tuple[int, SymSeries]:

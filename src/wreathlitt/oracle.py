@@ -5,14 +5,15 @@ against the conjugated irreducible character inside the wreath ring; (B) a
 classical character average over conjugacy classes, with its own Schur
 values and its own call of wreath.characters, as in (A); (C) floating-point
 brute force over the actual monomial matrices at tiny sizes.  A bug in any
-single layer cannot produce silent three-way agreement.  Paths A and B keep
-their values mod x^m - 1 as big integers (Kronecker substitution): per class
-one integer holds every lambda's Schur value, from their own evaluator, and
-per row one dot per power of zeta with the characters from their own call of
-wreath.characters yields every cell's work polynomial, which the cell reduces
-mod Phi_m once and tests with one divmod; only a cell that fails builds a
-Cyclotomic, to report itself.  The dimension sums weigh each agreed column
-by dim rho against the hook-content formula for s_lam(1^n), which no path uses.
+single layer cannot produce silent three-way agreement.  Each path hands
+back a label's whole row, and a suite compares it with the main row in one
+go.  Paths A and B keep their values mod x^m - 1 as big integers (Kronecker
+substitution): per class one integer holds every lambda's Schur value, from
+their own evaluator, and per row one dot per power of zeta with their own
+characters yields every cell's work polynomial, reduced mod Phi_m once and
+tested with one divmod; a failing cell keeps its error in its place.  The
+dimension sums weigh each agreed row by dim rho against the hook-content
+formula for s_lam(1^n), which no path uses.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -160,15 +161,19 @@ def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, 
     }
 
 
-def _packed_multiplicity(order: int, work: list[int], den: int, path: str, rho: WreathLabel, lam: Partition) -> int:
+def _packed_multiplicity(order: int, work: list[int], den: int, path: str, rho: WreathLabel, lam: Partition):
     # One cell of path A or B: its work polynomial reduced mod Phi_m once, and one
-    # divmod.  Only a failing cell builds its Cyclotomic, for the value its error reports.
+    # divmod.  Only a failing cell builds its Cyclotomic, and returns the error that
+    # value reports, which its row keeps in the cell's place.
     nums = _reduce(work, order)
     value, rest = divmod(nums[0], den)
     if rest or value < 0 or any(nums[1:]):
-        rational = to_rational(Cyclotomic(order, nums, den))
+        try:
+            got = to_rational(Cyclotomic(order, nums, den))
+        except NotRationalError as exc:  # the value's own error: a nonzero zeta-component
+            return exc
         where = f"{path} at ({format_label(rho)}, {format_partition(lam)})"
-        raise NotRationalError(f"{where}: expected a non-negative integer, got {rational}")
+        return NotRationalError(f"{where}: expected a non-negative integer, got {got}")
     return value
 
 
@@ -188,22 +193,22 @@ def _packed_path(order: int, n: int, lambdas, path: str):
     m + phi(m) - 1 digits per lambda.  Per row, one integer dot per power of
     zeta, of those values with that power's column of rho's conjugated
     characters, gives every lambda's work polynomial, the sum over the
-    classes of s_lam(sigma) conj chi(sigma) / z_sigma; each cell reduces its
-    own mod Phi_m once.  As the w_sigma sum to L, a work digit is at most
-    the Schur bound times the sum over sigma of w_sigma times rho's largest
-    |numerator| at sigma.  A row whose digits need more bits repacks the
-    Schur values at its width, so each width is packed at most once."""
+    classes of s_lam(sigma) conj chi(sigma) / z_sigma; the row is their
+    values, each reduced mod Phi_m once, or its NotRationalError.  As the
+    w_sigma sum to L, a work digit is at most the Schur bound times the sum
+    over sigma of w_sigma times rho's largest |numerator| at sigma.  A row
+    whose digits need more bits repacks the Schur values at its width, so
+    each width is packed at most once."""
     _require_rows(lambdas, n)
     classes = wreath_class_labels(n, order)
     dens, bound, schur = schur_evaluator(lambdas, n)
     conjugated_characters = _conjugated_characters(classes)
-    norms = [centralizer_order(sigma) for sigma in classes]
-    common = order**n * factorial(n)
-    weights = [common // z for z in norms]
-    spacing, index = order + euler_phi(order) - 1, {lam: i for i, lam in enumerate(lambdas)}
+    common, spacing = order**n * factorial(n), order + euler_phi(order) - 1
+    weights = [common // centralizer_order(sigma) for sigma in classes]
+    cells = [(i * spacing, den * common) for i, den in enumerate(dens)]
     packed = 0, []
 
-    def row(rho: WreathLabel):
+    def row(rho: WreathLabel) -> list:
         nonlocal packed
         conjugated = conjugated_characters(rho)
         tops = map(max, map(max, conjugated), map(neg, map(min, conjugated)))
@@ -213,22 +218,19 @@ def _packed_path(order: int, n: int, lambdas, path: str):
         bits, values = packed
         total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*conjugated)))
         digits = _unpack(total, bits, len(lambdas) * spacing)
-
-        def cell(lam: Partition) -> int:
-            i = index[lam]
-            work = digits[i * spacing:(i + 1) * spacing]
-            return _packed_multiplicity(order, work, dens[i] * common, path, rho, lam)
-
-        return cell
+        return [
+            _packed_multiplicity(order, digits[start:start + spacing], den, path, rho, lam)
+            for lam, (start, den) in zip(lambdas, cells)
+        ]
 
     return row
 
 
 # Each path is built for one group, and is a row builder: path(rho) returns
-# rho's cell function lam -> value.  A path builds its per-lambda values when
-# it is built or at its first row, and a label's values when its row is
-# built, so the suites, which read the cells row by row, build each label's
-# values once; no path reads a value another path computed.
+# rho's values over the lambda grid, in grid order.  A path builds its
+# per-lambda values when it is built or at its first row, and a label's values
+# when its row is built, so the suites build each label's values once; no
+# path reads a value another path computed.
 
 def _pairing_path(order: int, n: int, lambdas):
     """Path A: each lambda's restriction characteristic s_lam(sigma) / z_sigma,
@@ -242,7 +244,10 @@ def _pairing_path(order: int, n: int, lambdas):
 def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
     """Multiplicity via the wreath pairing of the restriction characteristic
     against the conjugated irreducible characteristic."""
-    return _pairing_path(rho.order, rho.size, [lam])(rho)(lam)
+    (value,) = _pairing_path(rho.order, rho.size, [lam])(rho)
+    if isinstance(value, ArithmeticError):
+        raise value
+    return value
 
 
 def _character_average_path(order: int, n: int, lambdas):
@@ -255,7 +260,10 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
     """Multiplicity via classical character averaging: sum over classes of
     conj(character) times the Schur evaluation, weighted by class size over
     group order.  Uses no wreath-series products beyond the character itself."""
-    return _character_average_path(rho.order, rho.size, [lam])(rho)(lam)
+    (value,) = _character_average_path(rho.order, rho.size, [lam])(rho)
+    if isinstance(value, ArithmeticError):
+        raise value
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -335,19 +343,19 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
     return sums
 
 
-def _numeric_path(order: int, n: int, max_power: int):
+def _numeric_path(order: int, n: int, lambdas):
     """Path C: per row, rho's conjugated complex characters (its integer
     numerators dotted with the powers of zeta, conjugated in complex
     arithmetic, not read at the inverse classes), once per lambda its
-    numeric class sums, and per cell one dot over the classes.  max_power,
-    the highest traced power, must be >= 1 and >= every |lambda|."""
+    numeric class sums, and per cell one dot over the classes.  The row is
+    the list of those estimates over lambdas."""
     roots = [cmath.exp(2j * cmath.pi * k / order) for k in range(euler_phi(order))]
-    sums = _numeric_class_sums(order, n, max_power)
+    sums = _numeric_class_sums(order, n, max(1, *map(sum, lambdas)))  # traced up to every |lambda|
     group_order = order**n * factorial(n)
 
-    def row(rho: WreathLabel):
+    def row(rho: WreathLabel) -> list[complex]:
         conjugated = [sum(map(mul, roots, nums), 0j).conjugate() for nums in characters(rho)]
-        return lambda lam: sum(map(mul, conjugated, sums(lam))) / group_order
+        return [sum(map(mul, conjugated, sums(lam))) / group_order for lam in lambdas]
 
     return row
 
@@ -355,7 +363,7 @@ def _numeric_path(order: int, n: int, max_power: int):
 def numeric_branching_estimate(rho: WreathLabel, lam: Partition) -> complex:
     """Floating-point multiplicity: average conj(character) * s_lam(eigenvalues)
     over every element of the group, all computed numerically."""
-    return _numeric_path(rho.order, rho.size, max(1, sum(lam)))(rho)(lam)
+    return _numeric_path(rho.order, rho.size, [lam])(rho)[0]
 
 
 def _numeric_fails(exact: int, numeric: complex) -> bool:
@@ -568,19 +576,30 @@ def evaluation_kernel_agreement_check(order: int, n_cap: int, degree_cap: int) -
 # ----------------------------------------------------------------------
 
 def _suite_cells(order: int, n: int, degree_cap: int, lambdas, paths, compare):
-    """The cells of a suite, row by row in table order: per cell, what
-    compare(rho, lam, main, *values) returns, None for a passing cell.  main
-    is read off the series table_series builds for rho, as branching_table
-    reads it, and values holds each path's value from the row that path
-    builds for rho.  An ArithmeticError raised in a row, by a row builder or
-    at a cell, is reported as that cell's counterexample and ends the cells."""
-    read = branching._reader(lambdas)
+    """The cells of a suite, row by row in table order, None for a passing
+    cell.  main is read off the series table_series builds for rho, as
+    branching_table reads it, keeping an error at its cell; each path builds
+    its own row.  compare(rho, at, main, *values) gets the cells at the slice
+    at of grid positions and is None when all pass: first for the whole row,
+    and for a row that fails, cell by cell, where it is the counterexample
+    after any error kept at the cell, main's first, is raised.  An
+    ArithmeticError is reported as its cell's counterexample and ends the cells."""
+    read, whole = branching._reader(lambdas), slice(0, len(lambdas))
     for rho, series in branching.table_series(order, n, degree_cap):
-        lam = lambdas[0]
+        lam, main = lambdas[0], []
         try:
-            main, rows = read(series), [path(rho) for path in paths]
-            for lam in lambdas:
-                yield compare(rho, lam, next(main), *(row(lam) for row in rows))
+            rows = [path(rho) for path in paths]
+            try:
+                main.extend(read(series))  # extend keeps the cells read before an error
+            except ArithmeticError as exc:
+                main.append(exc)
+            if not isinstance(main[-1], ArithmeticError) and compare(rho, whole, main, *rows) is None:
+                yield from itertools.repeat(None, len(lambdas))
+                continue
+            for i, (lam, *values) in enumerate(zip(lambdas, main, *rows)):
+                if error := next((value for value in values if isinstance(value, ArithmeticError)), None):
+                    raise error
+                yield compare(rho, slice(i, i + 1), *([value] for value in values))
         except ArithmeticError as exc:
             yield {"rho": format_label(rho), "lambda": format_partition(lam), "error": str(exc)}
             return
@@ -590,33 +609,30 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
     """Triple agreement of the three branching paths on every cell, plus the
     weighted dimension sums; any disagreement is reported with its cell."""
     lambdas = branching._lambda_grid(n, degree_cap)
-    weighted = dict.fromkeys(lambdas, 0)
+    weighted = [0] * len(lambdas)
 
     def agreement():
         paths = _pairing_path(order, n, lambdas), _character_average_path(order, n, lambdas)
         dims = {rho: irreducible_dimension(rho) for rho in wreath_class_labels(n, order)}
 
-        def compare(rho, lam, main, pairing, average):
-            weighted[lam] += main * dims[rho]
-            return None if main == pairing == average else {
-                "rho": format_label(rho),
-                "lambda": format_partition(lam),
-                "main": main,
-                "pairing": pairing,
-                "character_average": average,
-            }
+        def compare(rho, at, main, pairing, average):
+            # one list comparison; cells that agree add to the dimension sums
+            if main == pairing == average:
+                dim = dims[rho]
+                weighted[at] = [w + value * dim for w, value in zip(weighted[at], main)]
+                return None
+            return {"rho": format_label(rho), "lambda": format_partition(lambdas[at.start]),
+                    "main": main[0], "pairing": pairing[0], "character_average": average[0]}
 
         yield from _suite_cells(order, n, degree_cap, lambdas, paths, compare)
 
     def dimension_sums():
-        for lam in lambdas:
+        for lam, total in zip(lambdas, weighted):
             # dim V^lam = s_lam(1^n) = f^lam prod over boxes (i, j) of (n + j - i) / |lam|!, the hook-content formula
             contents = [n + j - i for i, row in enumerate(lam) for j in range(row)]
             expected = partitions.specht_dimension(lam) * prod(contents) // factorial(sum(lam))
-            yield None if weighted[lam] == expected else {
-                "lambda": format_partition(lam),
-                "weighted_sum": weighted[lam],
-                "schur_at_identity": str(expected),
+            yield None if total == expected else {
+                "lambda": format_partition(lam), "weighted_sum": total, "schur_at_identity": str(expected)
             }
 
     agreed = _check("triple_agreement", agreement())
@@ -629,12 +645,12 @@ def run_numeric_suite(order: int, n: int, degree_cap: int) -> VerificationReport
     """Numeric brute force over all monomial matrices against the exact path."""
     lambdas = branching._lambda_grid(n, degree_cap)
 
-    def compare(rho, lam, exact, numeric):
-        # a passing cell builds no detail
-        return _numeric_detail(rho, lam, exact, numeric) if _numeric_fails(exact, numeric) else None
+    def compare(rho, at, exact, numeric):
+        # one pass of the tolerance test; a passing row builds no detail
+        return _numeric_detail(rho, lambdas[at.start], exact[0], numeric[0]) if any(map(_numeric_fails, exact, numeric)) else None
 
     def cells():
-        paths = [_numeric_path(order, n, max(1, degree_cap))]
+        paths = [_numeric_path(order, n, lambdas)]
         yield from _suite_cells(order, n, degree_cap, lambdas, paths, compare)
 
     scope = {"m": order, "n": n, "max_degree": degree_cap}

@@ -166,13 +166,14 @@ def _class_labels(n: int, order: int) -> tuple[WreathLabel, ...]:
 
 # Label structure only, like _class_labels; a run asks for few (size, order) pairs.
 @lru_cache(maxsize=1 << 6)
-def _class_structure(n: int, order: int) -> tuple[tuple[Partition, int], ...]:
-    # Per label, by position: its cycle type, and the sum over its cycles of each one's slot t.
-    return tuple(
-        (tuple(sorted(chain.from_iterable(part for _, part in sigma.slots), reverse=True)),
-         sum(t * len(part) for t, part in sigma.slots))
-        for sigma in _class_labels(n, order)
-    )
+def _cycle_type_classes(n: int, order: int) -> tuple[tuple[Partition, tuple[tuple[int, int], ...]], ...]:
+    # The labels grouped by cycle type: per type, each label's position and the sum
+    # over its cycles of each one's slot t.
+    groups: dict[Partition, list[tuple[int, int]]] = {}
+    for i, sigma in enumerate(_class_labels(n, order)):
+        cycle_type = tuple(sorted(chain.from_iterable(part for _, part in sigma.slots), reverse=True))
+        groups.setdefault(cycle_type, []).append((i, sum(t * len(part) for t, part in sigma.slots)))
+    return tuple((cycle_type, tuple(members)) for cycle_type, members in groups.items())
 
 
 def centralizer_order(rho: WreathLabel) -> int:
@@ -203,11 +204,14 @@ def _digit_bits(bound: int) -> int:
 
 def _unpack(packed: int, bits: int, count: int) -> list[int]:
     # The count signed digits of packed at x = 2^bits, lowest first: an offset of
-    # 2^(bits-1) per digit makes each one a non-negative bit field.
-    half, width = 1 << bits - 1, bits * count
-    offset = ((1 << width) - 1) // ((1 << bits) - 1) * half
-    text = format(packed + offset & (1 << width) - 1, f"0{width}b")
-    return [int(text[i - bits:i], 2) - half for i in range(width, 0, -bits)]
+    # 2^(bits-1) per digit makes each one a non-negative bit field.  Halving the integer
+    # until each part holds at most 48 digits keeps the decoding linear in its size.
+    half, mask, width = 1 << bits - 1, (1 << bits) - 1, bits * count
+    parts = [(packed + ((1 << width) - 1) // mask * half & (1 << width) - 1, count)]
+    while parts[-1][1] > 48:  # the last part is a largest one
+        parts = [piece for value, k in parts for low in [k // 2]
+                 for piece in ((value & (1 << bits * low) - 1, low), (value >> bits * low, k - low))]
+    return [(value >> i & mask) - half for value, k in parts for i in range(0, bits * k, bits)]
 
 
 def power_trace(rho: WreathLabel, r: int) -> Cyclotomic:
@@ -244,16 +248,19 @@ def schur_evaluator(lambdas, n: int):
     n^len(mu), so every product is exact.  A lam with more rows than there
     are eigenvalues gives 0.
     """
-    rows, dens, bound = {}, [], 0
+    top = max(map(sum, lambdas), default=0)
+    # every mu up to degree top by position, () first; per later mu, mu[:-1]'s position and mu[-1]
+    position = {mu: i for i, mu in enumerate(mu for k in range(top + 1) for mu in partitions.partitions_of(k))}
+    steps = [(position[mu[:-1]], mu[-1]) for mu in position if mu]
+    rows, dens, bound, packed_rows = {}, [], 0, {}
     for i, lam in enumerate(lambdas):
         k = sum(lam)
         row, den = partitions.character_table(k)[partitions.partition_index(k)[lam]], factorial(k)
         scaled = [(mu, chi * (den // partitions.centralizer_order(mu))) for mu, chi in zip(partitions.partitions_of(k), row)]
         for mu, c in scaled:
-            rows.setdefault(mu, []).append((i, c))
+            rows.setdefault(position[mu], []).append((i, c))
         bound = max(bound, sum(abs(c) * n ** len(mu) for mu, c in scaled))
         dens.append(den)
-    top, packed_rows = max(map(sum, lambdas), default=0), {}
 
     def at(rho: WreathLabel, bits: int, spacing: int) -> int:
         m = rho.order
@@ -261,10 +268,9 @@ def schur_evaluator(lambdas, n: int):
             step = bits * spacing
             packed_rows[bits, spacing] = [(mu, sum(c << step * i for i, c in row)) for mu, row in rows.items()]
         traces = [None] + [_cyclic_trace(rho, r, bits) for r in range(1, top + 1)]
-        products = {(): 1}
-        for k in range(1, top + 1):
-            for mu in partitions.partitions_of(k):
-                products[mu] = _cyclic_product(products[mu[:-1]], traces[mu[-1]], m, bits)
+        products = [1]
+        for parent, part in steps:
+            products.append(_cyclic_product(products[parent], traces[part], m, bits))
         return sum(products[mu] * row for mu, row in packed_rows[bits, spacing])
 
     return dens, bound, at
@@ -409,12 +415,11 @@ def wreath_inner_product(f: WreathSeries, g: WreathSeries):
 
 
 def _schur_isotypic_factor(order: int, j: int, lam: Partition) -> list[tuple[int, int, int]]:
-    # s_lam[phi_j] in closed form (see the convention note), z-scaled, in one pass over
-    # the labels: (position of sigma, chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns)
-    # != 0, with chi read once per distinct cycle type.
-    structure = _class_structure(sum(lam), order)
-    chis = {mu: partitions.symmetric_group_character(lam, mu) for mu in dict.fromkeys(mu for mu, _ in structure)}
-    return [(i, chi, j * turns) for i, (cycle_type, turns) in enumerate(structure) if (chi := chis[cycle_type])]
+    # s_lam[phi_j] in closed form (see the convention note), z-scaled: (position of sigma,
+    # chi, j turns) for z_sigma [P_sigma] = chi zeta^(j turns) != 0, with chi read once per
+    # cycle type and only that type's labels visited.
+    return [(i, chi, j * turns) for cycle_type, members in _cycle_type_classes(sum(lam), order)
+            if (chi := partitions.symmetric_group_character(lam, cycle_type)) for i, turns in members]
 
 
 # Label structure only, like _class_labels: for labels a and b of sizes k1 and k2, by

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,15 @@ def test_signed_digits_round_trip_at_every_width(words):
     packed = sum(d << bits * i for i, d in enumerate(digits))
     assert _signed_digits(packed, bits, len(digits)) == digits
     assert _signed_digits(-top, bits, 1) == [-top]
+    # A block is split in halves down to at most 48 fields: counts on each side of
+    # that and of one split, and a long block, with the extreme digits at both ends.
+    if words <= 3:
+        for count in (1, 48, 49, 97, 1000):
+            rng = random.Random(count)
+            digits = [rng.randint(-top, top) for _ in range(count)]
+            digits[0], digits[-1], digits[count // 2] = -top, top, top
+            packed = sum(d << bits * i for i, d in enumerate(digits))
+            assert _signed_digits(packed, bits, count) == digits, count
 
 
 @pytest.mark.parametrize("exponent", [0, 1, 62, 63, 64, 65, 127, 128, 129, 191, 200])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -428,8 +429,7 @@ def test_corrupted_pairing_fails_only_path_a(monkeypatch):
         path = true_path(order, n, lambdas)
 
         def row(rho):
-            cell = path(rho)
-            return lambda lam: cell(lam) + ((rho, lam) == target)
+            return [value + ((rho, lam) == target) for lam, value in zip(lambdas, path(rho))]
 
         return row
 
@@ -497,7 +497,7 @@ def test_a_row_needing_wider_digits_repacks_the_schur_values(monkeypatch):
 
     labels, lambdas = wreath_class_labels(3, 3), _grid(3, 5)
     path = oracle_module._character_average_path(3, 3, lambdas)
-    expected = [[path(rho)(lam) for lam in lambdas] for rho in labels]
+    expected = [path(rho) for rho in labels]
     true_evaluator, widths = oracle_module.schur_evaluator, []
 
     def recorded(lambdas, n):
@@ -512,7 +512,7 @@ def test_a_row_needing_wider_digits_repacks_the_schur_values(monkeypatch):
     monkeypatch.setattr(oracle_module, "schur_evaluator", recorded)
     path = oracle_module._character_average_path(3, 3, lambdas)
     for i in [9, 1, 0, 9, 1]:
-        assert [path(labels[i])(lam) for lam in lambdas] == expected[i], i
+        assert path(labels[i]) == expected[i], i
     assert len(widths) == 3 * len(labels) and widths[::len(labels)] == sorted(set(widths))
 
 
@@ -548,16 +548,16 @@ def test_suites_build_each_row_once(monkeypatch):
 def test_rows_hash_no_label(monkeypatch):
     # The characters come as a list by class position, and each path reads
     # them by position: once the merge tables, which are built from labels,
-    # are filled, building a row and reading its cells hashes no label.
+    # are filled, building a row hashes no label.
     import wreathlitt.oracle as oracle_module
 
     labels = wreath_class_labels(3, 3)
     for rho in labels:
         oracle_module.characters(rho)
     paths = [
-        (oracle_module._pairing_path(3, 3, _grid(3, 5)), _grid(3, 5)),
-        (oracle_module._character_average_path(3, 3, _grid(3, 5)), _grid(3, 5)),
-        (oracle_module._numeric_path(3, 3, 4), _grid(3, 4)),
+        oracle_module._pairing_path(3, 3, _grid(3, 5)),
+        oracle_module._character_average_path(3, 3, _grid(3, 5)),
+        oracle_module._numeric_path(3, 3, _grid(3, 4)),
     ]
     hashed, true_hash = [], WreathLabel.__hash__
 
@@ -566,12 +566,137 @@ def test_rows_hash_no_label(monkeypatch):
         return true_hash(self)
 
     monkeypatch.setattr(WreathLabel, "__hash__", counted_hash)
-    for path, lambdas in paths:
+    for path in paths:
         for rho in labels:
-            row = path(rho)
-            for lam in lambdas:
-                row(lam)
+            path(rho)
     assert hashed == []
+
+
+def test_a_passing_run_hashes_labels_per_row_and_compares_rows_whole(monkeypatch):
+    # A passing row is compared once, as a whole, and looks dim rho up once:
+    # over a clean run the labels are hashed a fixed number of times per row,
+    # whatever the number of lambdas, and compare never sees a single cell.
+    import sys
+
+    import wreathlitt.oracle as oracle_module
+
+    labels = wreath_class_labels(3, 3)
+    assert run_verification(3, 3, 5).passed
+    true_hash, hashed, compared = WreathLabel.__hash__, [], []
+
+    def counted_hash(self):
+        hashed.append(self)
+        return true_hash(self)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "compare" and frame.f_code.co_filename == oracle_module.__file__:
+            compared.append(frame.f_locals.get("at"))
+
+    monkeypatch.setattr(WreathLabel, "__hash__", counted_hash)
+    for degree_cap in (3, 4, 5):
+        hashed.clear(), compared.clear()
+        sys.setprofile(profile)
+        try:
+            report = run_verification(3, 3, degree_cap)
+        finally:
+            sys.setprofile(None)
+        whole = slice(0, len(_grid(3, degree_cap)))
+        assert report.passed and report.checks[0].cells == len(labels) * whole.stop
+        # dims and dims[rho], and each packed path's class positions and its row's inverse lookup
+        assert len(hashed) == 6 * len(labels), degree_cap
+        assert compared == [whole] * len(labels), degree_cap
+
+
+def _dens_scaled_in_path(monkeypatch, name, scales):
+    # The path `name` builds its own evaluator with lambda's denominator times
+    # scales[lambda], so its cell of value d reads d / scales[lambda] there.
+    import wreathlitt.oracle as oracle_module
+
+    true_path, true_evaluator = getattr(oracle_module, name), oracle_module.schur_evaluator
+
+    def evaluator(lambdas, n):
+        dens, bound, schur = true_evaluator(lambdas, n)
+        return [den * scales.get(lam, 1) for lam, den in zip(lambdas, dens)], bound, schur
+
+    def path(order, n, lambdas):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle_module, "schur_evaluator", evaluator)
+            return true_path(order, n, lambdas)
+
+    monkeypatch.setattr(oracle_module, name, path)
+
+
+# At (2, 3, 4) the first row, 0:3, holds 1 at [] and (2), 2 at (4) and 1 at
+# (2, 2).  Half the denominator doubles a cell, a disagreement; twice it halves
+# a 1, an error.  Pinned as the per-cell suites reported them.
+BULK_ROW_FAULTS = {
+    "pairing raises later": (
+        {"_pairing_path": {(2, 2): 2}, "_character_average_path": {(2,): Fraction(1, 2)}},
+        {"rho": "0:3", "lambda": "2", "main": 1, "pairing": 1, "character_average": 2},
+    ),
+    "average raises later": (
+        {"_pairing_path": {(2,): Fraction(1, 2)}, "_character_average_path": {(2, 2): 2}},
+        {"rho": "0:3", "lambda": "2", "main": 1, "pairing": 2, "character_average": 1},
+    ),
+    "pairing raises earlier": (
+        {"_pairing_path": {(2,): 2}, "_character_average_path": {(4,): Fraction(1, 2)}},
+        {"rho": "0:3", "lambda": "2", "error": "pairing at (0:3, 2): expected a non-negative integer, got 1/2"},
+    ),
+    "average raises earlier": (
+        {"_pairing_path": {(4,): Fraction(1, 2)}, "_character_average_path": {(2,): 2}},
+        {"rho": "0:3", "lambda": "2", "error": "character average at (0:3, 2): expected a non-negative integer, got 1/2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_ROW_FAULTS))
+def test_a_failing_row_reports_its_earliest_cell(name, monkeypatch):
+    # One path fails at one lambda of the first row and the other at another:
+    # whichever of the disagreement and the error comes first in grid order is
+    # reported, at that cell's count.
+    scales, counterexample = BULK_ROW_FAULTS[name]
+    for path, by_lambda in scales.items():
+        _dens_scaled_in_path(monkeypatch, path, by_lambda)
+    check = run_verification(2, 3, 4).checks[0]
+    assert (check.counterexample, check.cells) == (counterexample, 3)
+
+
+@pytest.mark.parametrize("raised, shifted", [((4,), (2,)), ((2,), (4,))], ids=["raises-later", "raises-earlier"])
+def test_a_failing_numeric_row_reports_its_earliest_cell(raised, shifted, monkeypatch):
+    # The main read-off gains 1 on the first digit of raised's degree block, a
+    # remainder, and path C's class sums for shifted gain the group order at the
+    # identity class, so its estimate there gains dim rho: in the first row, the
+    # earlier of the two cells is reported.
+    import wreathlitt.branching as branching_module
+    import wreathlitt.oracle as oracle_module
+
+    true_digits, true_sums = branching_module._signed_digits, oracle_module._numeric_class_sums
+    identity = wreath_class_labels(3, 2).index(lab(2, {0: (1, 1, 1)}))
+    block = sum(sum(lam) == sum(raised) for lam in _grid(3, 4))  # the size of raised's degree block
+
+    def faulty_digits(packed, bits, count):
+        digits = true_digits(packed, bits, count)
+        return [digits[0] + 1, *digits[1:]] if count == block else digits
+
+    def shifted_sums(order, n, max_power):
+        sums = true_sums(order, n, max_power)
+
+        def at(lam):
+            row = list(sums(lam))
+            row[identity] += (lam == shifted) * order**n * factorial(n)
+            return row
+
+        return at
+
+    monkeypatch.setattr(branching_module, "_signed_digits", faulty_digits)
+    monkeypatch.setattr(oracle_module, "_numeric_class_sums", shifted_sums)
+    check = run_numeric_suite(2, 3, 4).checks[0]
+    if raised < shifted:
+        assert (check.counterexample, check.cells) == ({"rho": "0:3", "lambda": "2", "error": "multiplicity at 2 came out 3/2"}, 3)
+    else:
+        detail = check.counterexample
+        assert (detail["rho"], detail["lambda"], detail["exact"], check.cells) == ("0:3", "2", 1, 3)
+        assert abs(detail["numeric"][0] - 2) < 1e-9
 
 
 def test_arithmetic_error_in_a_row_builder_is_reported_at_its_first_cell(monkeypatch):
@@ -733,9 +858,9 @@ def test_a_failing_integer_cell_raises_the_error_of_its_cyclotomic(factor, messa
     monkeypatch.setattr(oracle_module, "schur_evaluator", scaled)
     rho = lab(3, {0: (1,), 1: (1,)})
     for build, path in [(oracle_module._pairing_path, "pairing"), (oracle_module._character_average_path, "character average")]:
-        with pytest.raises(NotRationalError) as info:
-            build(3, 2, [(), (1,)])(rho)((1,))
-        assert str(info.value) == message.format(path=path)
+        # the row keeps the cell's error in its place
+        error = build(3, 2, [(), (1,)])(rho)[1]
+        assert isinstance(error, NotRationalError) and str(error) == message.format(path=path)
     # the suite reports path A's error, at the tenth cell
     check = run_verification(3, 2, 2).checks[0]
     error = message.format(path="pairing")
@@ -997,11 +1122,11 @@ def test_no_oracle_path_uses_the_main_read_off(monkeypatch):
 
     for name in MAIN_READ_OFF:
         monkeypatch.setattr(branching_module, name, refuse)
-    paths = _pairing_path(3, 3, table.lambdas), _character_average_path(3, 3, table.lambdas), _numeric_path(3, 3, 4)
+    paths = [build(3, 3, table.lambdas) for build in (_pairing_path, _character_average_path, _numeric_path)]
     for rho, row in zip(table.labels, table.rows):
         pairing, average, numeric = (path(rho) for path in paths)
-        for lam, d in zip(table.lambdas, row):
-            assert pairing(lam) == average(lam) == d and abs(numeric(lam) - d) < 1e-9, (rho, lam)
+        for lam, d, a, b, c in zip(table.lambdas, row, pairing, average, numeric):
+            assert a == b == d and abs(c - d) < 1e-9, (rho, lam)
 
 
 def test_suites_check_the_series_the_table_builds(monkeypatch):

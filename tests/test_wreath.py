@@ -535,6 +535,16 @@ def test_unpack_reads_signed_digits():
     packed = sum(d << 4 * i for i, d in enumerate(digits))
     assert _unpack(packed, 4, 6) == digits and _unpack(0, 3, 0) == []
     assert _digit_bits(7) == 4 and _digit_bits(8) == 5 and _digit_bits(0) == 1
+    # The integer is halved until a part holds at most 48 digits: counts on each side
+    # of that and of one halving, and a long row, with the extreme digits at both ends.
+    for bits in (2, 21, 65, 130):
+        top = (1 << bits - 1) - 1
+        for count in (1, 48, 49, 97, 1000):
+            rng = random.Random(count)
+            digits = [rng.randint(-top, top) for _ in range(count)]
+            digits[0], digits[-1], digits[count // 2] = -top, top, top
+            packed = sum(d << bits * i for i, d in enumerate(digits))
+            assert _unpack(packed, bits, count) == digits, (bits, count)
 
 
 # ----------------------------------------------------------------------

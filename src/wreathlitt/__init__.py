@@ -38,10 +38,8 @@ from .partitions import (
 )
 from .symfunc import (
     SymSeries,
-    h_basis,
     hall_inner_product,
     omega_at_root,
-    p_basis,
     plethysm,
     s_basis,
     stretch,

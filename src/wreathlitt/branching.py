@@ -73,7 +73,7 @@ def _series(order: int, labels: list[WreathLabel], max_degree: int):
     factors = {}
     for j, slot in shapes.items():
         alphabet = _progression_alphabet(order, j, max_degree)
-        built = plethysms([s_basis(part, 1) for part in slot], alphabet, max_degree)
+        built = plethysms([s_basis(part) for part in slot], alphabet, max_degree)
         factors.update(zip([(j, part) for part in slot], built))
     for rho in labels:
         yield rho, _product(map(factors.__getitem__, rho.slots), max_degree)

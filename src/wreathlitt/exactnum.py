@@ -6,8 +6,7 @@ positive denominator, in lowest terms.  Phi_m, the m-th cyclotomic
 polynomial, is monic and integral, so reduction stays in the integers, and
 quotienting by it rather than x^m - 1 gives Q(zeta_m) itself: each number has
 one representation.  No computation divides in Q(zeta_m), so elements only
-add, multiply and conjugate; conjugation moves the numerator of zeta^i to
-x^(-i mod m) and reduces once, and no computation path calls it.
+add and multiply.
 
 Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic.  ``Cyclotomic(order, coeffs)`` is the reduction:
@@ -19,7 +18,6 @@ for a cell that fails.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -95,8 +93,9 @@ class Cyclotomic:
     zeta^(phi-1) over one positive denominator ``den``, in lowest terms.
 
     Supports mixed arithmetic with ``int`` and ``Fraction``.  Arithmetic never
-    mixes orders: it raises ValueError, rational values included, while ``==``
-    still compares rational values across orders.
+    mixes orders: it raises ValueError, rational values included, and ``==``
+    is False across orders.  Defining ``__eq__`` alone leaves it unhashable:
+    no computation keys a dict or set on one.
     """
 
     __slots__ = ("order", "nums", "den")
@@ -125,18 +124,6 @@ class Cyclotomic:
             raise NotRationalError(f"{self!r} has a nonzero zeta-component")
         return Fraction(self.nums[0], self.den)
 
-    def to_complex(self) -> complex:
-        root = cmath.exp(2j * cmath.pi / self.order)
-        return sum((c * root**i for i, c in enumerate(self.nums)), 0j) / self.den
-
-    def conjugate(self) -> "Cyclotomic":
-        """Image under zeta -> zeta^(-1); fixes rationals, is an involution.
-        The numerator of zeta^i moves to x^(-i mod m), then one reduction."""
-        work = [0] * self.order
-        for i, c in enumerate(self.nums):
-            work[-i % self.order] = c
-        return Cyclotomic(self.order, _reduce(work, self.order), self.den)
-
     def _coerced(self, other):
         if isinstance(other, Cyclotomic):
             if other.order != self.order:
@@ -155,17 +142,6 @@ class Cyclotomic:
         return Cyclotomic(self.order, tuple(a * db + b * da for a, b in zip(self.nums, o.nums)), da * db)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(self.order, tuple(-a for a in self.nums), self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (Cyclotomic, int, Fraction)):
-            return self + -other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -188,21 +164,10 @@ class Cyclotomic:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclotomic):
-            if other.order == self.order:
-                return self.nums == other.nums and self.den == other.den
-            return (
-                self.is_rational()
-                and other.is_rational()
-                and (self.nums[0], self.den) == (other.nums[0], other.den)
-            )
+            return (self.order, self.nums, self.den) == (other.order, other.nums, other.den)
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and (self.nums[0], self.den) == (other.numerator, other.denominator)
         return NotImplemented
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.to_rational())
-        return hash((self.order, self.nums, self.den))
 
     def __repr__(self) -> str:
         if not self:

@@ -25,10 +25,8 @@ __all__ = [
     "SymSeries",
     "TruncationTooShortError",
     "constant",
-    "h_basis",
     "hall_inner_product",
     "omega_at_root",
-    "p_basis",
     "plethysm",
     "plethysms",
     "s_basis",
@@ -84,9 +82,6 @@ class SymSeries:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def restricted(self, max_degree: int) -> "SymSeries":
-        return SymSeries(self.terms, _min_trunc(self.truncation, max_degree))
-
     def __add__(self, other: "SymSeries") -> "SymSeries":
         if not isinstance(other, SymSeries):
             return NotImplemented
@@ -99,22 +94,11 @@ class SymSeries:
         # 0 + f, as in sum() or a dict.get(key, 0) accumulator
         return self if other == 0 else NotImplemented
 
-    def __sub__(self, other: "SymSeries") -> "SymSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "SymSeries":
-        return SymSeries({lam: -c for lam, c in self.terms.items()}, self.truncation)
-
     def __mul__(self, other):
         if isinstance(other, SymSeries):
             trunc = _min_trunc(self.truncation, other.truncation)
             return SymSeries(_graded_product(self.terms, other.terms, trunc), trunc)
         return SymSeries({lam: c * other for lam, c in self.terms.items()}, self.truncation)
-
-    def __rmul__(self, other):
-        if isinstance(other, SymSeries):
-            return NotImplemented
-        return SymSeries({lam: other * c for lam, c in self.terms.items()}, self.truncation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymSeries):
@@ -128,24 +112,10 @@ class SymSeries:
         return f"SymSeries[p; D={self.truncation}]({body or '0'})"
 
 
-def p_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
-    lam = tuple(lam)
-    return SymSeries({lam: coeff * _z(lam)}, truncation)
-
-
-def h_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
-    # h_k has F_mu = 1 at every mu of size k; h_lam is the product over its parts.
-    terms = {(): coeff}
-    for part in lam:
-        terms = _graded_product(terms, dict.fromkeys(partitions.partitions_of(part), 1), None)
-    return SymSeries(terms, truncation)
-
-
-def s_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
+def s_basis(lam: Partition) -> SymSeries:
     # s_lam has F_mu = chi^lam(mu), the Frobenius formula.
     lam = tuple(lam)
-    shapes = partitions.partitions_of(sum(lam))
-    return SymSeries({mu: coeff * partitions.symmetric_group_character(lam, mu) for mu in shapes}, truncation)
+    return SymSeries({mu: partitions.symmetric_group_character(lam, mu) for mu in partitions.partitions_of(sum(lam))})
 
 
 def constant(value, truncation: int | None = None) -> SymSeries:
@@ -204,7 +174,7 @@ def stretch(f: SymSeries, n: int) -> SymSeries:
     )
 
 
-def plethysm(f: SymSeries, g: SymSeries, max_degree: int | None = None) -> SymSeries:
+def plethysm(f: SymSeries, g: SymSeries, max_degree: int) -> SymSeries:
     """The substitution f[g]: ``plethysms`` for the one series f."""
     return plethysms([f], g, max_degree)[0]
 
@@ -217,21 +187,16 @@ def _quotient(value, den: int):
     return value * Fraction(1, den)
 
 
-def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries]:
+def plethysms(fs, g: SymSeries, max_degree: int) -> list[SymSeries]:
     """The substitutions f[g] for every f in fs, on power sums up to max_degree.
 
     Each p_mu in f maps to the product of the stretched copies p_r[g] over
     mu's parts.  One depth-first walk builds these products for all of fs,
     with each mu's parts in ascending order, so that the mu share the dense
-    p_1[g] factors, and it holds only the products on its current path.  When
-    max_degree is omitted, the truncation of g is used; an exact g gives an
-    exact result for polynomial f."""
-    if max_degree is None:
-        degree = g.truncation
-    else:
-        degree = max_degree
-        if g.truncation is not None and g.truncation < max_degree:
-            raise TruncationTooShortError(f"argument known to degree {g.truncation}, need {max_degree}")
+    p_1[g] factors, and it holds only the products on its current path.  g
+    must be known to max_degree, or TruncationTooShortError is raised."""
+    if g.truncation is not None and g.truncation < max_degree:
+        raise TruncationTooShortError(f"argument known to degree {g.truncation}, need {max_degree}")
     dens, leaves = [], {}
     for i, f in enumerate(fs):
         # f[g] sums (F_mu / z_mu) p_mu[g]; over den = lcm(z_mu), F_mu * den / z_mu is integral when F is.
@@ -252,15 +217,15 @@ def plethysms(fs, g: SymSeries, max_degree: int | None = None) -> list[SymSeries
                 stretched[r] = {
                     tuple(r * part for part in nu): r ** len(nu) * c
                     for nu, c in g.terms.items()
-                    if degree is None or r * sum(nu) <= degree
+                    if r * sum(nu) <= max_degree
                 }
-            stack.append(stretched[r] if len(stack) == 1 else _graded_product(stack[-1], stretched[r], degree))
+            stack.append(stretched[r] if len(stack) == 1 else _graded_product(stack[-1], stretched[r], max_degree))
         path = parts
         for nu, c in stack[-1].items():
             row = totals.setdefault(nu, [0] * len(dens))
             for i, weight in leaves[parts]:
                 row[i] += weight * c
-    return [SymSeries({nu: _quotient(row[i], den) for nu, row in totals.items()}, degree) for i, den in enumerate(dens)]
+    return [SymSeries({nu: _quotient(row[i], den) for nu, row in totals.items()}, max_degree) for i, den in enumerate(dens)]
 
 
 def omega_at_root(exponent: int, order: int, max_degree: int) -> SymSeries:

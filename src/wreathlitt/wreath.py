@@ -369,12 +369,12 @@ class WreathSeries:
             if other.order != self.order:
                 raise OrderMismatchError("cannot multiply series of different orders")
             trunc = _min_trunc(self.truncation, other.truncation)
-            pairs: dict[WreathLabel, list] = {}
+            out: dict = {}
             for la, ca in self.terms.items():
                 for lb, cb in other.terms.items():
                     if trunc is None or la.size + lb.size <= trunc:
-                        pairs.setdefault(merge_labels(la, lb), []).append((ca, cb))
-            out = {key: sum(a * b for a, b in pair) for key, pair in pairs.items()}
+                        key = merge_labels(la, lb)
+                        out[key] = out.get(key, 0) + ca * cb
             return WreathSeries(self.order, out, trunc)
         return WreathSeries(
             self.order,
@@ -385,9 +385,7 @@ class WreathSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WreathSeries):
             return NotImplemented
-        if self.order != other.order or self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        return self.order == other.order and self.terms == other.terms
 
     def __repr__(self) -> str:
         body = " + ".join(

@@ -14,7 +14,10 @@ lowest-terms number at a time, and ``packed_numerators``, which dots two
 such vectors with one reduction: the integer dot that oracle paths A and B
 took per cell before they read whole rows off Kronecker-packed integers.
 ``plain_read_off`` is the main path's read-off as it was before it packed a
-degree's cells into one integer: one Hall dot per cell.
+degree's cells into one integer: one Hall dot per cell.  The last four are
+references that no computation path calls: ``to_complex`` and ``conjugate``
+on cyclotomic numbers, and the power-sum and homogeneous elements
+``p_basis`` and ``h_basis`` as series.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from operator import mul
 
 from wreathlitt import partitions
 from wreathlitt.exactnum import Cyclotomic, _reduce, euler_phi, zeta
-from wreathlitt.partitions import format_partition
+from wreathlitt.partitions import Partition, format_partition
+from wreathlitt.symfunc import SymSeries
 from wreathlitt.wreath import NonIntegralError, WreathLabel, centralizer_order
 
 Mono = dict  # exponent tuple -> coefficient
@@ -245,7 +249,7 @@ def characteristic_polynomial(rho: WreathLabel) -> tuple[Cyclotomic, ...]:
             root = zeta(m, j)
             poly = [
                 (poly[i] if i < len(poly) else Cyclotomic.from_rational(0, m))
-                - (root * poly[i - ell] if i >= ell else Cyclotomic.from_rational(0, m))
+                + (root * poly[i - ell] * -1 if i >= ell else Cyclotomic.from_rational(0, m))
                 for i in range(len(poly) + ell)
             ]
     return tuple(poly)
@@ -307,3 +311,33 @@ def plain_read_off(series, lambdas) -> list[int]:
             raise NonIntegralError(f"multiplicity at {format_partition(lam)} came out {Fraction(total, den)}")
         values.append(value)
     return values
+
+
+def to_complex(value: Cyclotomic) -> complex:
+    """value at zeta_order = exp(2 pi i / order)."""
+    root = cmath.exp(2j * cmath.pi / value.order)
+    return sum((c * root**i for i, c in enumerate(value.nums)), 0j) / value.den
+
+
+def conjugate(value):
+    """Image of an exact scalar under zeta -> zeta^(-1); fixes rationals, is an
+    involution.  The numerator of zeta^i moves to x^(-i mod m), then one reduction."""
+    if not isinstance(value, Cyclotomic):
+        return value
+    work = [0] * value.order
+    for i, c in enumerate(value.nums):
+        work[-i % value.order] = c
+    return Cyclotomic(value.order, _reduce(work, value.order), value.den)
+
+
+def p_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
+    lam = tuple(lam)
+    return SymSeries({lam: coeff * partitions.centralizer_order(lam)}, truncation)
+
+
+def h_basis(lam: Partition, coeff=1, truncation: int | None = None) -> SymSeries:
+    # h_k has F_mu = 1 at every mu of size k; h_lam is the product over its parts.
+    f = SymSeries({(): coeff})
+    for part in lam:
+        f = f * SymSeries(dict.fromkeys(partitions.partitions_of(part), 1))
+    return SymSeries(f.terms, truncation)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import young_permutation_character
+from bruteforce import conjugate, h_basis, p_basis, young_permutation_character
 from wreathlitt import branching, partitions
 from wreathlitt.branching import branching_coefficient
 from wreathlitt.exactnum import Cyclotomic
@@ -27,14 +27,7 @@ from wreathlitt.oracle import (
     eigenvalue_substitution_check,
 )
 from wreathlitt.partitions import partitions_of
-from wreathlitt.symfunc import (
-    SymSeries,
-    h_basis,
-    hall_inner_product,
-    p_basis,
-    plethysm,
-    s_basis,
-)
+from wreathlitt.symfunc import SymSeries, hall_inner_product, plethysm, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
     centralizer_order,
@@ -177,17 +170,17 @@ def test_criterion_6_symmetric_function_kernel_properties():
 
     for _ in range(3):
         f1, f2 = random_poly(3), random_poly(3)
-        g = random_poly(6).restricted(6)
+        g = SymSeries(random_poly(6).terms, 6)
         if plethysm(f1 * f2, g, 6).terms != (plethysm(f1, g, 6) * plethysm(f2, g, 6)).terms:
             failures.append(("plethysm_product",))
         if plethysm(f1 + f2, g, 6).terms != (plethysm(f1, g, 6) + plethysm(f2, g, 6)).terms:
             failures.append(("plethysm_sum",))
-    g = random_poly(16).restricted(16)
+    g = SymSeries(random_poly(16).terms, 16)
     for a in (1, 2, 3, 4):
         for b in (1, 2, 3, 4):
             lhs = plethysm(p_basis((a,)), plethysm(p_basis((b,)), g, 16), 16)
             rhs = plethysm(p_basis((a * b,)), g, 16)
-            if lhs.restricted(6).terms != rhs.restricted(6).terms:
+            if SymSeries(lhs.terms, 6) != SymSeries(rhs.terms, 6):
                 failures.append(("plethysm_associativity", a, b))
 
     # symmetric group character orthogonality to degree 7
@@ -210,7 +203,7 @@ def test_criterion_6_symmetric_function_kernel_properties():
                 for b in labels:
                     total = 0
                     for s in labels:
-                        pair = chars[a][s] * chars[b][s].conjugate()
+                        pair = chars[a][s] * conjugate(chars[b][s])
                         total = total + Fraction(1, centralizer_order(s)) * pair
                     if total != (1 if a == b else 0):
                         failures.append(("wreath_orthogonality", m, n, a, b))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import plain_read_off
+from bruteforce import h_basis, plain_read_off
 from wreathlitt.branching import (
     HypothesisViolationError,
     _lambda_grid,
@@ -16,7 +16,7 @@ from wreathlitt.branching import (
 )
 from wreathlitt.oracle import branching_by_pairing
 from wreathlitt.partitions import partitions_of
-from wreathlitt.symfunc import constant, h_basis, hall_inner_product, omega_at_root, plethysm, s_basis
+from wreathlitt.symfunc import constant, hall_inner_product, omega_at_root, plethysm, s_basis
 from wreathlitt.wreath import NonIntegralError, WreathLabel, wreath_class_labels
 
 
@@ -153,11 +153,11 @@ def test_packed_read_off_of_digits_wider_than_a_word():
     lambdas, c = _lambda_grid(6, 7), 3**100
     read = _reader(lambdas)
     for mu in partitions_of(6):
-        series = s_basis(mu, c, 7)
+        series = s_basis(mu) * c
         assert list(read(series)) == plain_read_off(series, lambdas) == [c * (lam == mu) for lam in lambdas]
         for reader in (lambda f: list(read(f)), lambda f: plain_read_off(f, lambdas)):
             with pytest.raises(NonIntegralError, match=f"came out -{c}$"):
-                reader(s_basis(mu, -c, 7))
+                reader(s_basis(mu) * -c)
 
 
 @pytest.mark.parametrize("words", range(1, 9))

@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import cyclotomic_from_roots, pack, packed_numerators
+from bruteforce import conjugate, cyclotomic_from_roots, pack, packed_numerators, to_complex
 from wreathlitt.exactnum import (
     Cyclotomic,
     NotRationalError,
@@ -42,17 +43,17 @@ def test_reduce_examples():
 
 
 def test_conjugation_examples():
-    assert zeta(4).conjugate() == -zeta(4)
-    assert Cyclotomic.from_rational(Fraction(3, 2), 5).conjugate() == Fraction(3, 2)
+    assert conjugate(zeta(4)) == zeta(4) * -1
+    assert conjugate(Cyclotomic.from_rational(Fraction(3, 2), 5)) == Fraction(3, 2)
     # conj(zeta_3) = zeta_3^2 = -1 - zeta_3
-    assert zeta(3).conjugate() == Cyclotomic(3, (Fraction(-1), Fraction(-1)))
+    assert conjugate(zeta(3)) == Cyclotomic(3, (Fraction(-1), Fraction(-1)))
 
 
 def test_to_rational():
     assert Cyclotomic.from_rational(5, 3).to_rational() == 5
     with pytest.raises(NotRationalError):
         zeta(3).to_rational()
-    assert (zeta(3) + zeta(3).conjugate()).to_rational() == -1
+    assert (zeta(3) + conjugate(zeta(3))).to_rational() == -1
     assert to_rational(Fraction(2, 3)) == Fraction(2, 3)
 
 
@@ -91,23 +92,21 @@ def test_reduction_is_multiplicative(m, p, q):
 def test_conjugation_is_multiplicative_and_involutive(m, p, q):
     a = Cyclotomic(m, p)
     b = Cyclotomic(m, q)
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    assert a.conjugate().conjugate() == a
+    assert conjugate(a * b) == conjugate(a) * conjugate(b)
+    assert conjugate(conjugate(a)) == a
 
 
 def test_mixed_scalar_arithmetic():
     a = zeta(4)
     assert Fraction(1, 2) * a == a * Fraction(1, 2)
-    assert 1 + a - 1 == a
+    assert 1 + a + -1 == a
     assert (2 * a) * Fraction(1, 2) == a
-    assert a * a * a * a == 1 and a * a.conjugate() == 1
+    assert a * a * a * a == 1 and a * conjugate(a) == 1
 
 
 def test_complex_embedding():
     for m in range(1, 9):
-        value = zeta(m).to_complex()
-        import cmath
-
+        value = to_complex(zeta(m))
         assert abs(value - cmath.exp(2j * cmath.pi / m)) < 1e-12
 
 
@@ -135,7 +134,7 @@ def _is_canonical(x):
 @given(pair=_pairs(), k=st.integers(-4, 4), q=st.fractions(max_denominator=7))
 def test_results_are_canonical(pair, k, q):
     a, b = pair
-    for x in (a, b, a + b, a - b, a * b, -a, a.conjugate(), k * a, a * q, a + q, q - a):
+    for x in (a, b, a + b, a + b * -1, a * b, a * -1, conjugate(a), k * a, a * q, a + q, q + a * -1):
         assert _is_canonical(x), x
 
 
@@ -148,31 +147,31 @@ def test_equal_values_have_equal_representations(a, extra):
     for i, e in enumerate(extra):
         for k, c in enumerate(phi):
             coeffs[i + k] += e * c
-    for b in (Cyclotomic(a.order, coeffs), (a * 3) * Fraction(1, 3), a + a - a):
-        assert a == b and a.nums == b.nums and a.den == b.den and hash(a) == hash(b)
+    for b in (Cyclotomic(a.order, coeffs), (a * 3) * Fraction(1, 3), a + a + a * -1):
+        assert a == b and a.nums == b.nums and a.den == b.den
     # same numerators over another denominator is another number
     assert (a * 2 == a) == (a * Fraction(1, 2) == a) == (not a)
 
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 12), q=st.fractions(max_denominator=9), k=st.integers(-9, 9))
-def test_rational_hash_matches_int_and_fraction(m, q, k):
+def test_rational_values_equal_int_and_fraction(m, q, k):
     for value in (q, k, Fraction(k)):
         x = Cyclotomic.from_rational(value, m)
         # a rational reached through non-rational intermediates
-        y = (x * zeta(m)) * zeta(m).conjugate()
+        y = (x * zeta(m)) * conjugate(zeta(m))
         for c in (x, y):
-            assert c == value and hash(c) == hash(value) and _is_canonical(c)
+            assert c == value and _is_canonical(c)
 
 
 @settings(max_examples=80, deadline=None)
 @given(pair=_pairs())
 def test_arithmetic_agrees_with_complex_embedding(pair):
     a, b = pair
-    za, zb = a.to_complex(), b.to_complex()
-    assert abs((a + b).to_complex() - (za + zb)) < 1e-9
-    assert abs((a * b).to_complex() - za * zb) < 1e-9
-    assert abs(a.conjugate().to_complex() - za.conjugate()) < 1e-9
+    za, zb = to_complex(a), to_complex(b)
+    assert abs(to_complex(a + b) - (za + zb)) < 1e-9
+    assert abs(to_complex(a * b) - za * zb) < 1e-9
+    assert abs(to_complex(conjugate(a)) - za.conjugate()) < 1e-9
 
 
 @pytest.mark.parametrize("order", [15, 30, 60, 150])
@@ -181,11 +180,11 @@ def test_arithmetic_agrees_with_complex_embedding(pair):
 def test_conjugation_at_large_orders(order, data):
     # phi(order) from 8 to 40, past the orders 1..12 drawn above
     a = data.draw(_elements(order))
-    assert abs(a.conjugate().to_complex() - a.to_complex().conjugate()) < 1e-9
-    twice = a.conjugate().conjugate()
+    assert abs(to_complex(conjugate(a)) - to_complex(a).conjugate()) < 1e-9
+    twice = conjugate(conjugate(a))
     assert twice == a and twice.nums == a.nums and twice.den == a.den
     for k in (1, 2, order // 3, order - 1):
-        assert zeta(order, k).conjugate() == zeta(order, -k)
+        assert conjugate(zeta(order, k)) == zeta(order, -k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,14 +193,16 @@ def test_mixing_orders_raises(a, b, q):
     # arithmetic never mixes fields, whether or not a side is rational
     r3, r4 = Cyclotomic.from_rational(q, 3), Cyclotomic.from_rational(q, 4)
     for left, right in [(a, b), (r3, b), (a, r4), (r3, r4)]:
-        for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x - y):
+        for op in (lambda x, y: x + y, lambda x, y: x * y):
             with pytest.raises(ValueError):
                 op(left, right)
             with pytest.raises(ValueError):
                 op(right, left)
-    # equality still compares rational values across orders, consistently with the hash
-    assert r3 == r4 == q and hash(r3) == hash(r4) == hash(q)
-    assert (a == b) == (a.is_rational() and b.is_rational() and a.to_rational() == b.to_rational())
+    # equality is False across orders, rational values included; each still equals q
+    assert r3 == q and r4 == q and r3 != r4 and r4 != r3 and a != b
+    # no computation keys on a cyclotomic number, so it is unhashable
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 # Sums of products: one value, one representation, whatever the route.
@@ -244,7 +245,7 @@ def test_sum_of_products_equals_naive_sum(case):
         _naive_sum(order, cancelling + terms + terms),
         Cyclotomic(order, *packed_numerators(order, xs, ys)),
     ):
-        assert (other.nums, other.den, hash(other)) == (total.nums, total.den, hash(total))
+        assert (other.nums, other.den) == (total.nums, total.den)
 
 
 @pytest.mark.parametrize("order", range(1, 13))
@@ -252,7 +253,7 @@ def test_sum_of_products_of_nothing_is_zero(order):
     # the wreath pairing of series that share no label sums no products
     total = wreath_inner_product(WreathSeries.one(order), WreathSeries(order, {}))
     assert total.order == order and total.nums == (0,) * euler_phi(order) and total.den == 1
-    assert total == 0 and hash(total) == hash(0)
+    assert total == 0
 
 
 # The tests' pack and packed_numerators: two vectors packed once, dotted with one reduction.

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from bruteforce import conjugacy_class_size, pack
+from bruteforce import conjugacy_class_size, p_basis, pack, to_complex
 from wreathlitt import partitions
 from wreathlitt.branching import HypothesisViolationError, branching_coefficient, branching_table
 from wreathlitt.oracle import (
@@ -23,7 +23,7 @@ from wreathlitt.oracle import (
     _omega_composite_xy,
 )
 from wreathlitt.exactnum import Cyclotomic, NotRationalError, to_rational, zeta
-from wreathlitt.symfunc import SymSeries, hall_inner_product, omega_at_root, p_basis, s_basis
+from wreathlitt.symfunc import SymSeries, hall_inner_product, omega_at_root, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
     _unpack,
@@ -186,7 +186,7 @@ def test_numeric_class_sums_match_exact_schur_values(order, n):
     sums = _numeric_class_sums(order, n, 4)
     for lam in _grid(4, 4):
         for sigma, total in zip(wreath_class_labels(n, order), sums(lam)):
-            exact = conjugacy_class_size(sigma) * schur_at_eigenvalues(lam, sigma).to_complex()
+            exact = conjugacy_class_size(sigma) * to_complex(schur_at_eigenvalues(lam, sigma))
             assert abs(total - exact) < 1e-9, (sigma, lam)
 
 
@@ -1055,6 +1055,40 @@ def test_character_rows_are_read_per_run(monkeypatch):
         {"rho": "0:2", "lambda": "2,1", "error": "multiplicity at 2,1 came out 4/3"},
         6,
     )
+
+
+def _transposed(lam):
+    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0] if lam else 0))
+
+
+# Each scope's outcome under the transposed table: verify's checks, then path C's.
+TRANSPOSED_TABLE_OUTCOMES = [
+    ((3, 3, 5), 352, {"lambda": "2", "weighted_sum": 3, "schur_at_identity": "6"}, (3, 3, 4), 242),
+    ((1, 4, 5), 90, {"lambda": "2", "weighted_sum": 6, "schur_at_identity": "10"}, (1, 4, 4), 60),
+    ((2, 4, 6), 540, {"lambda": "2", "weighted_sum": 6, "schur_at_identity": "10"}, (2, 4, 4), 240),
+]
+
+
+def test_transposed_character_table_fails_only_the_dimension_sums(monkeypatch):
+    # chi^(lam') under the key of lam at every degree up to 8: the main path and
+    # paths A, B and C all read the one table, so they agree with each other, and
+    # only the dimension sums, which compare with the hook-content formula, fail.
+    partitions.character_table(8)
+    built = set(partitions._TABLES)
+    for k in range(9):
+        table, index = partitions.character_table(k), partitions.partition_index(k)
+        swapped = tuple(table[index[_transposed(lam)]] for lam in partitions.partitions_of(k))
+        monkeypatch.setitem(partitions._TABLES, k, swapped)
+    for scope, agreement_cells, counterexample, numeric_scope, numeric_cells in TRANSPOSED_TABLE_OUTCOMES:
+        assert run_verification(*scope).to_json_obj()["checks"] == [
+            {"name": "triple_agreement", "passed": True, "cells": agreement_cells},
+            {"name": "dimension_sums", "passed": False, "cells": 3, "counterexample": counterexample},
+        ], scope
+        assert run_numeric_suite(*numeric_scope).to_json_obj()["checks"] == [
+            {"name": "numeric_matrix", "passed": True, "cells": numeric_cells}
+        ], numeric_scope
+    # no table above degree 8 was built from the swapped ones, to outlive this test
+    assert set(partitions._TABLES) == built
 
 
 def test_main_read_off_decoder_fault_fails_only_the_main_path(monkeypatch):

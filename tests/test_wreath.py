@@ -9,11 +9,19 @@ from math import factorial, lcm
 
 import pytest
 
-from bruteforce import characteristic_polynomial, conjugacy_class_size, newton_power_sums_from_poly, ssyt_schur_mono
+from bruteforce import (
+    characteristic_polynomial,
+    conjugacy_class_size,
+    conjugate,
+    h_basis,
+    newton_power_sums_from_poly,
+    ssyt_schur_mono,
+    to_complex,
+)
 from wreathlitt import partitions
 from wreathlitt.exactnum import Cyclotomic, _reduce, euler_phi, zeta
 from wreathlitt.oracle import _class_label
-from wreathlitt.symfunc import constant, h_basis, omega_at_root, s_basis
+from wreathlitt.symfunc import constant, omega_at_root, s_basis
 from wreathlitt.wreath import (
     OrderMismatchError,
     WreathLabel,
@@ -127,7 +135,7 @@ def test_characteristic_polynomial_examples():
     assert [c.to_rational() for c in poly] == [1, -2, 1]  # (1-t)^2
     quartic = characteristic_polynomial(lab(4, {1: (1,), 2: (1,)}))
     # (1 - z4 t)(1 + t) = 1 + (1 - z4)t - z4 t^2
-    assert quartic == (zeta(4, 0), 1 - zeta(4), -zeta(4))
+    assert quartic == (zeta(4, 0), 1 + zeta(4) * -1, zeta(4) * -1)
 
 
 def test_characteristic_polynomial_shape():
@@ -174,7 +182,7 @@ def test_power_trace_against_explicit_eigenvalues():
             ]
             for r in range(1, 9):
                 expected = sum(value**r for value in eigenvalues)
-                assert abs(power_trace(rho, r).to_complex() - expected) < 1e-9, (rho, r)
+                assert abs(to_complex(power_trace(rho, r)) - expected) < 1e-9, (rho, r)
 
 
 def test_schur_at_eigenvalues():
@@ -192,7 +200,7 @@ def test_evaluation_kernel():
     assert evaluation_kernel(lab(1, {0: (1,)}), 3) == omega_at_root(0, 1, 3)
     signs = evaluation_kernel(lab(2, {1: (1,)}), 2)
     # product over (1 + x_i)^(-1): alternating homogeneous sum
-    assert signs == constant(1) - h_basis((1,)) + h_basis((2,))
+    assert signs == constant(1) + h_basis((1,), -1) + h_basis((2,))
 
 
 def test_evaluation_kernel_dual_construction():
@@ -229,7 +237,7 @@ def test_wreath_character_orthogonality():
                 for b in labels:
                     total = zero
                     for s in labels:
-                        pair = chars[a][s] * chars[b][s].conjugate()
+                        pair = chars[a][s] * conjugate(chars[b][s])
                         total = total + Fraction(1, centralizer_order(s)) * pair
                     assert total == (1 if a == b else 0), (a, b)
 
@@ -264,7 +272,7 @@ def test_wreath_inner_product():
 
 def _bar(f):
     # the bar involution: every P-coefficient conjugated (a Fraction's conjugate is itself)
-    return WreathSeries(f.order, {label: coeff.conjugate() for label, coeff in f.terms.items()})
+    return WreathSeries(f.order, {label: conjugate(coeff) for label, coeff in f.terms.items()})
 
 
 def test_schur_elements_are_orthonormal_under_bar_pairing():
@@ -293,7 +301,7 @@ def test_characteristic_at_inverse_class_is_conjugate():
                 f = frobenius_characteristic(rho)
                 for sigma in labels:
                     at_inverse, at_sigma = f.terms.get(sigma.inverse(), 0), f.terms.get(sigma, 0)
-                    assert at_inverse == at_sigma.conjugate(), (rho, sigma)
+                    assert at_inverse == conjugate(at_sigma), (rho, sigma)
 
 
 def test_label_parse_format():
@@ -598,7 +606,7 @@ def test_series_product_stores_no_cancelled_term(order):
     x, y = lab(order, {0: (1,)}), lab(order, {order - 1: (2,)})
     for c in [Fraction(1, 3), zeta(order) * Fraction(1, 2)]:
         f = WreathSeries(order, {x: c, y: c})
-        g = WreathSeries(order, {x: -c, y: c})
+        g = WreathSeries(order, {x: c * -1, y: c})
         # the cross terms x*y cancel
         product = f * g
         assert set(product.terms) == {merge_labels(x, x), merge_labels(y, y)}

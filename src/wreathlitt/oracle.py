@@ -8,12 +8,14 @@ brute force over the actual monomial matrices at tiny sizes.  A bug in any
 single layer cannot produce silent three-way agreement.  Each path hands
 back a label's whole row, and a suite compares it with the main row in one
 go.  Paths A and B keep their values mod x^m - 1 as big integers (Kronecker
-substitution): per class one integer holds every lambda's Schur value, from
-their own evaluator, and per row one dot per power of zeta with their own
-characters yields every cell's work polynomial, reduced mod Phi_m once and
-tested with one divmod; a failing cell keeps its error in its place.  The
-dimension sums weigh each agreed row by dim rho against the hook-content
-formula for s_lam(1^n), which no path uses.
+substitution): per class one integer holds every lambda's Schur value at
+the inverse class, from their own evaluator, so that conj chi(sigma) =
+chi(sigma^-1) needs no relabelling of the characters, and per row one dot
+per power of zeta with their own characters, by class position, yields
+every cell's work polynomial, reduced mod Phi_m once and tested with one
+divmod; a failing cell keeps its error in its place.  The dimension sums
+weigh each agreed row by dim rho against the hook-content formula for
+s_lam(1^n), which no path uses.
 
 The module also checks, coefficient by coefficient at explicit truncations,
 every intermediate identity the main computation rests on: the two-variable
@@ -21,7 +23,8 @@ kernel expansion, the restriction-characteristic formula, the alphabet
 transform under the isotypic maps (against the progression alphabets the
 main path substitutes), the reproducing kernel property, the substitution
 rule for eigenvalue evaluations, and the dual construction of the
-evaluation kernel.
+evaluation kernel.  Every check is a generator of per-cell counterexamples
+run by _check, and walks labels in wreath_class_labels order.
 """
 
 from __future__ import annotations
@@ -177,32 +180,24 @@ def _packed_multiplicity(order: int, work: list[int], den: int, path: str, rho: 
     return value
 
 
-def _conjugated_characters(classes):
-    # rho -> chi^rho(sigma^-1) per class, as power-basis numerators, as conj chi(g) =
-    # chi(g^-1): characters lists by class position, so each row is read through
-    # one list of the inverse classes' positions.
-    position = {sigma: i for i, sigma in enumerate(classes)}
-    inverses = [position[sigma.inverse()] for sigma in classes]
-    return lambda rho: list(map(characters(rho).__getitem__, inverses))
-
-
 def _packed_path(order: int, n: int, lambdas, path: str):
     """The row builder of paths A and B, on Kronecker-packed integers.  Per
-    class sigma, the path's own Schur evaluator packs every lambda's value
-    times w_sigma = L / z_sigma over L = m^n n! = lcm(z_sigma), one slot of
-    m + phi(m) - 1 digits per lambda.  Per row, one integer dot per power of
-    zeta, of those values with that power's column of rho's conjugated
-    characters, gives every lambda's work polynomial, the sum over the
-    classes of s_lam(sigma) conj chi(sigma) / z_sigma; the row is their
-    values, each reduced mod Phi_m once, or its NotRationalError.  As the
-    w_sigma sum to L, a work digit is at most the Schur bound times the sum
-    over sigma of w_sigma times rho's largest |numerator| at sigma.  A row
-    whose digits need more bits repacks the Schur values at its width, so
-    each width is packed at most once."""
+    class sigma, the path's own Schur evaluator packs every lambda's value at
+    the inverse class sigma^-1 times w_sigma = L / z_sigma over L = m^n n! =
+    lcm(z_sigma), one slot of m + phi(m) - 1 digits per lambda.  Per row, one
+    integer dot per power of zeta, of those values with that power's column
+    of rho's characters as they come, gives every lambda's work polynomial,
+    the sum over the classes of s_lam(sigma^-1) chi(sigma) / z_sigma, which
+    is the sum of s_lam(sigma) conj chi(sigma) / z_sigma: inversion permutes
+    the classes, and z_sigma = z_sigma^-1.  The row is their values, each
+    reduced mod Phi_m once, or its NotRationalError.  As the w_sigma sum to
+    L, a work digit is at most the Schur bound times the sum over sigma of
+    w_sigma times rho's largest |numerator| at sigma.  A row whose digits
+    need more bits repacks the Schur values at its width, so each width is
+    packed at most once."""
     _require_rows(lambdas, n)
     classes = wreath_class_labels(n, order)
     dens, bound, schur = schur_evaluator(lambdas, n)
-    conjugated_characters = _conjugated_characters(classes)
     common, spacing = order**n * factorial(n), order + euler_phi(order) - 1
     weights = [common // centralizer_order(sigma) for sigma in classes]
     cells = [(i * spacing, den * common) for i, den in enumerate(dens)]
@@ -210,13 +205,13 @@ def _packed_path(order: int, n: int, lambdas, path: str):
 
     def row(rho: WreathLabel) -> list:
         nonlocal packed
-        conjugated = conjugated_characters(rho)
-        tops = map(max, map(max, conjugated), map(neg, map(min, conjugated)))
+        chi = characters(rho)
+        tops = map(max, map(max, chi), map(neg, map(min, chi)))
         bits = _digit_bits(bound * sum(map(mul, tops, weights)))
         if bits > packed[0]:
-            packed = bits, [schur(sigma, bits, spacing) * w for sigma, w in zip(classes, weights)]
+            packed = bits, [schur(sigma.inverse(), bits, spacing) * w for sigma, w in zip(classes, weights)]
         bits, values = packed
-        total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*conjugated)))
+        total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*chi)))
         digits = _unpack(total, bits, len(lambdas) * spacing)
         return [
             _packed_multiplicity(order, digits[start:start + spacing], den, path, rho, lam)
@@ -233,11 +228,13 @@ def _packed_path(order: int, n: int, lambdas, path: str):
 # path reads a value another path computed.
 
 def _pairing_path(order: int, n: int, lambdas):
-    """Path A: each lambda's restriction characteristic s_lam(sigma) / z_sigma,
-    from its own Schur evaluator, times the pairing norm z_sigma, against
-    rho's conjugated characters over z_sigma.  The norm cancels the
-    characteristic's 1 / z_sigma, so the path packs the same integers as path
-    B, from its own evaluator and its own characters."""
+    """Path A: each lambda's restriction characteristic read at the inverse
+    classes, s_lam(sigma^-1) / z_sigma, from its own Schur evaluator, times
+    the pairing norm z_sigma, against rho's characters over z_sigma: the
+    pairing with rho's conjugated characteristic, its terms relabelled by
+    sigma -> sigma^-1.  The norm cancels the characteristic's 1 / z_sigma, so
+    the path packs the same integers as path B, from its own evaluator and
+    its own characters."""
     return _packed_path(order, n, lambdas, "pairing")
 
 
@@ -251,8 +248,8 @@ def branching_by_pairing(rho: WreathLabel, lam: Partition) -> int:
 
 
 def _character_average_path(order: int, n: int, lambdas):
-    """Path B: its own Schur values, from its own evaluator, against its own
-    conjugated characters of rho over z_sigma, as in path A."""
+    """Path B: its own Schur values at the inverse classes, from its own
+    evaluator, against its own characters of rho over z_sigma, as in path A."""
     return _packed_path(order, n, lambdas, "character average")
 
 
@@ -272,24 +269,26 @@ def branching_by_character_average(rho: WreathLabel, lam: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _group_trace_data(order: int, n: int, max_power: int):
-    """The class label of every group element, and per element the tuple of
-    the numeric traces of its first max_power powers (max_power >= 1), from
-    an explicit enumeration of all monomial matrices."""
+    """The class position, in wreath_class_labels order, of every group
+    element, and per element the tuple of the numeric traces of its first
+    max_power powers (max_power >= 1), from an explicit enumeration of all
+    monomial matrices."""
     roots = [cmath.exp(2j * cmath.pi * k / order) for k in range(order)]
-    labels, traces = [], []
+    position = {sigma: i for i, sigma in enumerate(wreath_class_labels(n, order))}
+    classes, traces = [], []
     for exponents in itertools.product(range(order), repeat=n):
         for perm in itertools.permutations(range(n)):
             matrix = [[0j] * n for _ in range(n)]
             for col in range(n):
                 matrix[perm[col]][col] = roots[exponents[col]]
-            labels.append(_class_label(order, exponents, perm))
+            classes.append(position[_class_label(order, exponents, perm)])
             columns = list(zip(*matrix))
             power, row = matrix, [sum(matrix[i][i] for i in range(n))]
             while len(row) < max_power:
                 power = [[sum(map(mul, line, column)) for column in columns] for line in power]
                 row.append(sum(power[i][i] for i in range(n)))
             traces.append(tuple(row))
-    return tuple(labels), tuple(traces)
+    return tuple(classes), tuple(traces)
 
 
 def _class_label(order: int, exponents, perm) -> WreathLabel:
@@ -314,22 +313,20 @@ def _numeric_class_sums(order: int, n: int, max_power: int):
     once per run at every element from that element's own traces, and summed
     over each class into a class row of p_mu / z_mu; lambda's sums are those
     class rows dotted with lambda's character row."""
-    labels, traces = _group_trace_data(order, n, max_power)
-    index = {sigma: i for i, sigma in enumerate(wreath_class_labels(n, order))}
-    class_of = [index[label] for label in labels]
+    classes, traces = _group_trace_data(order, n, max_power)
     columns = list(zip(*traces))  # columns[t - 1]: every element's trace of its t-th power
 
     @cache
     def power_sums(mu: Partition):
         # p_mu without its last part, times that part's trace column
         if not mu:
-            return [1] * len(labels)
+            return [1] * len(classes)
         return list(map(mul, power_sums(mu[:-1]), columns[mu[-1] - 1]))
 
     @cache
     def class_row(mu: Partition):
-        row = [0] * len(index)
-        for c, value in zip(class_of, power_sums(mu)):
+        row = [0] * len(wreath_class_labels(n, order))
+        for c, value in zip(classes, power_sums(mu)):
             row[c] += value
         z = partitions.centralizer_order(mu)
         return [total / z for total in row]
@@ -427,34 +424,27 @@ def _omega_composite_xy(order: int, size_cap: int, degree_cap: int) -> WreathSer
 
 def kernel_identity_check(order: int, size_cap: int, degree_cap: int) -> CheckResult:
     """The generating function of all evaluation kernels, label by label,
-    equals the plethystic exponential of the composite alphabet."""
-    started = time.perf_counter()
-    rhs = _omega_composite_xy(order, size_cap, degree_cap)
-    lhs = WreathSeries(order, {
-        rho: evaluation_kernel(rho, degree_cap) * Fraction(1, centralizer_order(rho))
-        for k in range(size_cap + 1)
-        for rho in wreath_class_labels(k, order)
-    })
-    counterexample = _first_two_sided_mismatch(lhs, rhs)
-    # Not run by _check: its cells are the terms of the larger side, all
-    # compared at once, not a count up to the first failure.
-    terms = max(sum(len(ys.terms) for ys in side.terms.values()) for side in (lhs, rhs))
-    return CheckResult(
-        "kernel_identity", counterexample is None, terms, counterexample, time.perf_counter() - started
-    )
+    equals the plethystic exponential of the composite alphabet: one cell per
+    (label, Y-index) term of either side, lhs's labels in table order first."""
+    def cells():
+        rhs = _omega_composite_xy(order, size_cap, degree_cap)
+        lhs = WreathSeries(order, {
+            rho: evaluation_kernel(rho, degree_cap) * Fraction(1, centralizer_order(rho))
+            for k in range(size_cap + 1)
+            for rho in wreath_class_labels(k, order)
+        })
+        no_terms = SymSeries({})
+        for label in lhs.terms | rhs.terms:
+            a, b = lhs.terms.get(label, no_terms), rhs.terms.get(label, no_terms)
+            for nu in sorted(a.terms.keys() | b.terms.keys()):
+                if a.terms.get(nu, 0) == b.terms.get(nu, 0):
+                    yield None
+                else:
+                    # the power-sum coefficients, 0 where a side has no term
+                    shown = [repr(side.coefficient(nu) if nu in side.terms else 0) for side in (a, b)]
+                    yield {"rho": format_label(label), "y_index": list(nu), "lhs": shown[0], "rhs": shown[1]}
 
-
-def _first_two_sided_mismatch(lhs: WreathSeries, rhs: WreathSeries) -> dict | None:
-    no_terms = SymSeries({})
-    for label in sorted(lhs.terms.keys() | rhs.terms.keys(), key=WreathLabel.sort_key):
-        a = lhs.terms.get(label, no_terms)
-        b = rhs.terms.get(label, no_terms)
-        for nu in sorted(a.terms.keys() | b.terms.keys()):
-            if a.terms.get(nu, 0) != b.terms.get(nu, 0):
-                # the power-sum coefficients, 0 where a side has no term
-                shown = [repr(side.coefficient(nu) if nu in side.terms else 0) for side in (a, b)]
-                return {"rho": format_label(label), "y_index": list(nu), "lhs": shown[0], "rhs": shown[1]}
-    return None
+    return _check("kernel_identity", cells())
 
 
 def _schur_in_power_sums(degree_cap: int) -> dict[Partition, SymSeries]:
@@ -475,10 +465,9 @@ def restriction_formula_check(order: int, n_cap: int, degree_cap: int) -> CheckR
         kernel = _omega_composite_xy(order, n_cap, degree_cap)
         schur = _schur_in_power_sums(degree_cap)
         for n in range(n_cap + 1):
-            labels = sorted(wreath_class_labels(n, order), key=WreathLabel.sort_key)
             for lam, series in restriction_characteristics(branching._lambda_grid(n, degree_cap), n, order).items():
                 direct = series.terms
-                for label in labels:
+                for label in wreath_class_labels(n, order):
                     # a zero pairing reads as 0, as an absent direct term does
                     extracted = hall_inner_product(kernel.terms[label], schur[lam]) or 0
                     if extracted != direct.get(label, 0):
@@ -613,12 +602,11 @@ def run_verification(order: int, n: int, degree_cap: int) -> VerificationReport:
 
     def agreement():
         paths = _pairing_path(order, n, lambdas), _character_average_path(order, n, lambdas)
-        dims = {rho: irreducible_dimension(rho) for rho in wreath_class_labels(n, order)}
 
         def compare(rho, at, main, pairing, average):
             # one list comparison; cells that agree add to the dimension sums
             if main == pairing == average:
-                dim = dims[rho]
+                dim = irreducible_dimension(rho)
                 weighted[at] = [w + value * dim for w, value in zip(weighted[at], main)]
                 return None
             return {"rho": format_label(rho), "lambda": format_partition(lambdas[at.start]),

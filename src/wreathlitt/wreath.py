@@ -107,13 +107,6 @@ class WreathLabel:
             slots[k] = tuple(part)
         return cls(order, tuple(sorted(slots.items())))
 
-    def sort_key(self):
-        # The order of the dense m-tuples of partitions, empty slots included:
-        # at the first slot where two labels differ, an empty partition sorts
-        # first, and so does the label whose next nonempty slot lies further
-        # on, hence -j.
-        return (self.size, tuple((-j, part) for j, part in self.slots))
-
     def inverse(self) -> "WreathLabel":
         """As a class label, the class of the inverse elements: inverting
         turns each cycle product zeta^t into zeta^(-t), so slot t moves to
@@ -388,12 +381,7 @@ class WreathSeries:
         return self.order == other.order and self.terms == other.terms
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"({coeff})*P[{format_label(label) or 'empty'}]"
-            for label, coeff in sorted(
-                self.terms.items(), key=lambda kv: kv[0].sort_key()
-            )
-        )
+        body = " + ".join(f"({coeff})*P[{format_label(label) or 'empty'}]" for label, coeff in self.terms.items())
         return f"WreathSeries[m={self.order}; D={self.truncation}]({body or '0'})"
 
 

@@ -320,6 +320,8 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         (["identities", "--m", "3", "--dx", "3", "--dy", "4"], "identities_m3_dx3_dy4.json"),
         (["identities", "--m", "4", "--dx", "3", "--dy", "2"], "identities_m4_dx3_dy2.json"),
         (["identities", "--m", "6", "--dx", "3", "--dy", "3"], "identities_m6_dx3_dy3.json"),
+        (["identities", "--m", "2", "--dx", "4", "--dy", "4"], "identities_m2_dx4_dy4.json"),
+        (["identities", "--m", "12", "--dx", "2", "--dy", "3"], "identities_m12_dx2_dy3.json"),
         (["table", "--m", "3", "--n", "3", "--max-deg", "5"], "table_m3_n3_d5.json"),
     ],
     ids=[
@@ -338,6 +340,8 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         "identities",
         "identities-dx-above-dy",
         "identities-non-prime-power-order",
+        "identities-four-box-labels",
+        "identities-order-12",
         "table",
     ],
 )

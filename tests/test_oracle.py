@@ -545,6 +545,18 @@ def test_suites_build_each_row_once(monkeypatch):
     assert characteristics == labels and builders == [(3, 3, 4)]
 
 
+def _counted_label_hashes(monkeypatch) -> list:
+    # every WreathLabel hashed from here on, in order
+    hashed, true_hash = [], WreathLabel.__hash__
+
+    def counted_hash(self):
+        hashed.append(self)
+        return true_hash(self)
+
+    monkeypatch.setattr(WreathLabel, "__hash__", counted_hash)
+    return hashed
+
+
 def test_rows_hash_no_label(monkeypatch):
     # The characters come as a list by class position, and each path reads
     # them by position: once the merge tables, which are built from labels,
@@ -559,40 +571,31 @@ def test_rows_hash_no_label(monkeypatch):
         oracle_module._character_average_path(3, 3, _grid(3, 5)),
         oracle_module._numeric_path(3, 3, _grid(3, 4)),
     ]
-    hashed, true_hash = [], WreathLabel.__hash__
-
-    def counted_hash(self):
-        hashed.append(self)
-        return true_hash(self)
-
-    monkeypatch.setattr(WreathLabel, "__hash__", counted_hash)
+    hashed = _counted_label_hashes(monkeypatch)
     for path in paths:
         for rho in labels:
             path(rho)
     assert hashed == []
 
 
-def test_a_passing_run_hashes_labels_per_row_and_compares_rows_whole(monkeypatch):
-    # A passing row is compared once, as a whole, and looks dim rho up once:
-    # over a clean run the labels are hashed a fixed number of times per row,
-    # whatever the number of lambdas, and compare never sees a single cell.
+def test_a_warm_verification_hashes_no_label_and_compares_rows_whole(monkeypatch):
+    # A passing row is compared once, as a whole, and every label is read by
+    # its table position: once the caches that hold label structure are
+    # filled, a run hashes no label, whatever the number of lambdas, and
+    # compare never sees a single cell.
     import sys
 
     import wreathlitt.oracle as oracle_module
 
     labels = wreath_class_labels(3, 3)
     assert run_verification(3, 3, 5).passed
-    true_hash, hashed, compared = WreathLabel.__hash__, [], []
-
-    def counted_hash(self):
-        hashed.append(self)
-        return true_hash(self)
+    compared = []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "compare" and frame.f_code.co_filename == oracle_module.__file__:
             compared.append(frame.f_locals.get("at"))
 
-    monkeypatch.setattr(WreathLabel, "__hash__", counted_hash)
+    hashed = _counted_label_hashes(monkeypatch)
     for degree_cap in (3, 4, 5):
         hashed.clear(), compared.clear()
         sys.setprofile(profile)
@@ -602,9 +605,36 @@ def test_a_passing_run_hashes_labels_per_row_and_compares_rows_whole(monkeypatch
             sys.setprofile(None)
         whole = slice(0, len(_grid(3, degree_cap)))
         assert report.passed and report.checks[0].cells == len(labels) * whole.stop
-        # dims and dims[rho], and each packed path's class positions and its row's inverse lookup
-        assert len(hashed) == 6 * len(labels), degree_cap
+        assert hashed == [], degree_cap
         assert compared == [whole] * len(labels), degree_cap
+
+
+def test_a_warm_numeric_suite_hashes_no_label(monkeypatch):
+    # The cached enumeration holds each element's class position, so a warm
+    # run sums the classes without a label lookup.
+    assert run_numeric_suite(3, 3, 4).passed
+    hashed = _counted_label_hashes(monkeypatch)
+    assert run_numeric_suite(3, 3, 4).passed
+    assert hashed == []
+
+
+@pytest.mark.parametrize("suite, scope", [
+    (run_identity_suite, (3, 2, 2)),
+    (run_verification, (3, 3, 5)),
+    (run_numeric_suite, (3, 3, 4)),
+])
+def test_every_check_runs_through_the_driver(suite, scope, monkeypatch):
+    import wreathlitt.oracle as oracle_module
+
+    true_check, names = oracle_module._check, []
+
+    def recorded(name, cells):
+        names.append(name)
+        return true_check(name, cells)
+
+    monkeypatch.setattr(oracle_module, "_check", recorded)
+    report = suite(*scope)
+    assert report.passed and names == [check.name for check in report.checks]
 
 
 def _dens_scaled_in_path(monkeypatch, name, scales):
@@ -900,22 +930,23 @@ def _product_form_plus_box(true, rho, degree):
 
 # For each identity check: the oracle input corrupted, how, the check's scope,
 # and the first failing cell and cell count it reported while two-sided series
-# were still dicts keyed by (label, index) pairs.  The alphabet_transform
-# series show the same cell's power-sum coefficients, as every SymSeries
-# repr does.
+# were still dicts keyed by (label, index) pairs; kernel_identity's cells
+# counted up to its first failure and restriction_formula's first label in
+# table order, as every check walks them.  The alphabet_transform series show
+# the same cell's power-sum coefficients, as every SymSeries repr does.
 IDENTITY_FAULTS = {
     "kernel_identity": (
         "evaluation_kernel",
         _kernel_plus_box,
         lambda: kernel_identity_check(3, 3, 4),
-        ({"rho": "0:2", "y_index": [1], "lhs": "Fraction(1, 6)", "rhs": "0"}, 346),
+        ({"rho": "0:2", "y_index": [1], "lhs": "Fraction(1, 6)", "rhs": "0"}, 39),
     ),
     "restriction_formula": (
         "restriction_characteristics",
         _restriction_doubled_at_21,
         lambda: restriction_formula_check(3, 3, 3),
         (
-            {"n": 2, "lambda": "2,1", "rho": "2:1,1", "kernel": "Cyclotomic(1/9)", "direct": "Cyclotomic(2/9)"},
+            {"n": 2, "lambda": "2,1", "rho": "0:1,1", "kernel": "Cyclotomic(1/9)", "direct": "Cyclotomic(2/9)"},
             11,
         ),
     ),

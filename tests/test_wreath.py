@@ -404,16 +404,6 @@ def test_label_constructor_rejects_noncanonical_slots(slots):
         WreathLabel(3, slots)
 
 
-def test_label_sort_key_keeps_the_dense_order():
-    # sort_key orders labels of every size as (size, dense m-tuple) does
-    rng = random.Random(5)
-    for order in range(1, 6):
-        labels = [rho for n in range(5) for rho in wreath_class_labels(n, order)]
-        rng.shuffle(labels)
-        expected = sorted(labels, key=lambda rho: (rho.size, _dense(rho)))
-        assert sorted(labels, key=WreathLabel.sort_key) == expected, order
-
-
 def test_label_memory_does_not_grow_with_the_order():
     # a dense label of size 1 would hold 3000 slots, about 69 MB for the 3000 labels
     tracemalloc.start()

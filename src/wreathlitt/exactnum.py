@@ -11,9 +11,9 @@ add and multiply.
 Each operation reduces and normalises its result, and so does the wreath
 ring's series arithmetic.  ``Cyclotomic(order, coeffs)`` is the reduction:
 it takes the rational coordinates of any polynomial in zeta and reduces them
-mod Phi_order once.  The exact oracles reduce their integer work
-polynomials with ``_reduce``, once per cell, and build a ``Cyclotomic`` only
-for a cell that fails.
+mod Phi_order once.  The exact oracles ``_reduce`` a slot's monomials once
+per path and reduce each packed row through that table, and build a
+``Cyclotomic`` only for a failing cell.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ substitution): per class one integer holds every lambda's Schur value at
 the inverse class, from their own evaluator, so that conj chi(sigma) =
 chi(sigma^-1) needs no relabelling of the characters, and per row one dot
 per power of zeta with their own characters, by class position, yields
-every cell's work polynomial, reduced mod Phi_m once and tested with one
-divmod; a failing cell keeps its error in its place.  The dimension sums
+every cell's work polynomial.  One Phi_m reduction of those digit planes
+tests the whole row; only a row that fails decodes and tests each cell's
+reduced numerators, and a failing cell keeps its error in its place.  The dimension sums
 weigh each agreed row by dim rho against the hook-content formula for
 s_lam(1^n), which no path uses.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
-from operator import mul, neg
+from operator import mul
 
 from . import branching, partitions
 
@@ -164,11 +165,10 @@ def restriction_characteristics(lambdas, n: int, order: int) -> dict[Partition, 
     }
 
 
-def _packed_multiplicity(order: int, work: list[int], den: int, path: str, rho: WreathLabel, lam: Partition):
-    # One cell of path A or B: its work polynomial reduced mod Phi_m once, and one
-    # divmod.  Only a failing cell builds its Cyclotomic, and returns the error that
-    # value reports, which its row keeps in the cell's place.
-    nums = _reduce(work, order)
+def _packed_multiplicity(order: int, nums: tuple, den: int, path: str, rho: WreathLabel, lam: Partition):
+    # One cell of path A or B: its reduced numerators, read from _packed_path's row
+    # integers, and one divmod.  Only a failing cell builds its Cyclotomic, and returns
+    # the error that value reports, which its row keeps in the cell's place.
     value, rest = divmod(nums[0], den)
     if rest or value < 0 or any(nums[1:]):
         try:
@@ -184,39 +184,62 @@ def _packed_path(order: int, n: int, lambdas, path: str):
     """The row builder of paths A and B, on Kronecker-packed integers.  Per
     class sigma, the path's own Schur evaluator packs every lambda's value at
     the inverse class sigma^-1 times w_sigma = L / z_sigma over L = m^n n! =
-    lcm(z_sigma), one slot of m + phi(m) - 1 digits per lambda.  Per row, one
-    integer dot per power of zeta, of those values with that power's column
-    of rho's characters as they come, gives every lambda's work polynomial,
-    the sum over the classes of s_lam(sigma^-1) chi(sigma) / z_sigma, which
-    is the sum of s_lam(sigma) conj chi(sigma) / z_sigma: inversion permutes
-    the classes, and z_sigma = z_sigma^-1.  The row is their values, each
-    reduced mod Phi_m once, or its NotRationalError.  As the w_sigma sum to
-    L, a work digit is at most the Schur bound times the sum over sigma of
-    w_sigma times rho's largest |numerator| at sigma.  A row whose digits
-    need more bits repacks the Schur values at its width, so each width is
-    packed at most once."""
+    lcm(z_sigma), one slot of s = m + phi(m) - 1 digits per lambda.  Per row,
+    one integer dot per power of zeta, of those values with that power's
+    column of rho's characters as they come, gives every lambda's work
+    polynomial, the sum over the classes of s_lam(sigma^-1) chi(sigma) /
+    z_sigma, which is the sum of s_lam(sigma) conj chi(sigma) / z_sigma:
+    inversion permutes the classes, and z_sigma = z_sigma^-1.  As the w_sigma
+    sum to L, a work digit is below 2^(b-1), b the bits of the Schur bound
+    times the sum over sigma of w_sigma times rho's largest |numerator| at
+    sigma; a row needing a larger b repacks the Schur values, so each width
+    is packed at most once.  The row is tested whole: with 2^(b-1) added to
+    every digit, one shift and one mask cut out plane k, digit k of every
+    slot, and the nonzero planes times the table of x^k mod Phi_m, built once
+    per path, give phi(m) integers whose s*b-bit field lambda is slot
+    lambda's reduced numerator of that power of zeta.  A numerator is below
+    s * beta * 2^(b-1), beta the table's largest |numerator|, so the fields
+    cannot overlap while s * beta <= 2^((s-1) * b), checked at b = 1.  The
+    row passes when the non-constant integers are 0 and each field of the
+    constant one divides by its den with a non-negative quotient.  Any other
+    row decodes all phi(m) integers at width s*b, and each cell tests its own
+    reduced numerators, giving its value or NotRationalError."""
     _require_rows(lambdas, n)
     classes = wreath_class_labels(n, order)
     dens, bound, schur = schur_evaluator(lambdas, n)
-    common, spacing = order**n * factorial(n), order + euler_phi(order) - 1
+    phi = euler_phi(order)
+    common, spacing = order**n * factorial(n), order + phi - 1
     weights = [common // centralizer_order(sigma) for sigma in classes]
-    cells = [(i * spacing, den * common) for i, den in enumerate(dens)]
+    dens = [den * common for den in dens]
+    # per digit k of a slot, the nonzero numerators (j, c) of x^k mod Phi_m
+    table = [[(j, c) for j, c in enumerate(_reduce([0] * k + [1], order)) if c] for k in range(spacing)]
+    assert spacing * max(abs(c) for terms in table for _, c in terms) <= 1 << spacing - 1
     packed = 0, []
 
     def row(rho: WreathLabel) -> list:
         nonlocal packed
         chi = characters(rho)
-        tops = map(max, map(max, chi), map(neg, map(min, chi)))
+        tops = map(max, map(map, itertools.repeat(abs), chi))  # per class, rho's largest |numerator|
         bits = _digit_bits(bound * sum(map(mul, tops, weights)))
         if bits > packed[0]:
-            packed = bits, [schur(sigma.inverse(), bits, spacing) * w for sigma, w in zip(classes, weights)]
-        bits, values = packed
+            # a 1 at each slot's lowest digit, and 2^(bits-1) at every digit
+            ones = ((1 << bits * spacing * len(lambdas)) - 1) // ((1 << bits * spacing) - 1)
+            offset = ones * (((1 << bits * spacing) - 1) // ((1 << bits) - 1)) << bits - 1
+            packed = bits, [schur(sigma.inverse(), bits, spacing) * w for sigma, w in zip(classes, weights)], ones, offset
+        bits, values, ones, offset = packed
         total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*chi)))
-        digits = _unpack(total, bits, len(lambdas) * spacing)
-        return [
-            _packed_multiplicity(order, digits[start:start + spacing], den, path, rho, lam)
-            for lam, (start, den) in zip(lambdas, cells)
-        ]
+        shifted, mask, half, numerators = total + offset, ones * ((1 << bits) - 1), ones << bits - 1, [0] * phi
+        for k, terms in enumerate(table if total else ()):  # plane k: digit k of every slot, at its lowest digit
+            if plane := (shifted >> bits * k & mask) - half:
+                for j, c in terms:
+                    numerators[j] += c * plane
+        width, count = bits * spacing, len(lambdas)
+        fields = [] if any(numerators[1:]) else _unpack(numerators[0], width, count)
+        quotients = [q for v, den in zip(fields, dens) for q, r in [divmod(v, den)] if q >= 0 and not r]
+        if len(quotients) == count:
+            return quotients
+        fields = zip(*(_unpack(v, width, count) for v in numerators))  # per cell, its reduced numerators
+        return [_packed_multiplicity(order, nums, den, path, rho, lam) for lam, den, nums in zip(lambdas, dens, fields)]
 
     return row
 

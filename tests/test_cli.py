@@ -313,6 +313,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         (["verify", "--m", "1", "--n", "7", "--max-deg", "11"], "verify_m1_n7_d11.json"),
         (["verify", "--m", "2", "--n", "6", "--max-deg", "10"], "verify_m2_n6_d10.json"),
         (["verify", "--m", "150", "--n", "1", "--max-deg", "0"], "verify_m150_n1_d0.json"),
+        (["verify", "--m", "105", "--n", "1", "--max-deg", "2"], "verify_m105_n1_d2.json"),
         (["verify", "--m", "12", "--n", "2", "--max-deg", "3"], "verify_m12_n2_d3.json"),
         (["verify", "--m", "3", "--n", "5", "--max-deg", "8"], "verify_m3_n5_d8.json"),
         (["verify", "--m", "4", "--n", "4", "--max-deg", "4"], "verify_m4_n4_d4.json"),
@@ -333,6 +334,7 @@ def test_coeff_dump_is_byte_identical_to_golden(args, out, golden, tmp_path, cap
         "verify-table-scope",
         "verify-wider-scope",
         "verify-large-order",
+        "verify-order-105",
         "verify-order-12",
         "verify-two-column-cells",
         "verify-inverse-classes",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -22,17 +23,20 @@ from wreathlitt.oracle import (
     eigenvalue_substitution_check,
     _omega_composite_xy,
 )
-from wreathlitt.exactnum import Cyclotomic, NotRationalError, to_rational, zeta
+from wreathlitt.exactnum import Cyclotomic, NotRationalError, _reduce, euler_phi, to_rational, zeta
 from wreathlitt.symfunc import SymSeries, hall_inner_product, omega_at_root, s_basis
 from wreathlitt.wreath import (
     WreathLabel,
+    _digit_bits,
     _unpack,
     centralizer_order,
+    characters,
     evaluation_kernel,
     format_label,
     irreducible_dimension,
     power_trace,
     schur_at_eigenvalues,
+    schur_evaluator,
     wreath_class_labels,
 )
 
@@ -514,6 +518,61 @@ def test_a_row_needing_wider_digits_repacks_the_schur_values(monkeypatch):
     for i in [9, 1, 0, 9, 1]:
         assert path(labels[i]) == expected[i], i
     assert len(widths) == 3 * len(labels) and widths[::len(labels)] == sorted(set(widths))
+
+
+def _per_cell_rows(order, n, lambdas):
+    # The reference for the packed rows: per row every digit of the packed
+    # total decoded, each slot reduced mod Phi_m on its own, and one divmod
+    # per cell.  Every cell of the scopes it runs on is a non-negative integer.
+    classes = wreath_class_labels(n, order)
+    dens, bound, schur = schur_evaluator(lambdas, n)
+    common, spacing = order**n * factorial(n), order + euler_phi(order) - 1
+    weights = [common // centralizer_order(sigma) for sigma in classes]
+    for rho in classes:
+        chi = characters(rho)
+        bits = _digit_bits(bound * sum(w * max(map(abs, nums)) for w, nums in zip(weights, chi)))
+        values = [schur(sigma.inverse(), bits, spacing) * w for sigma, w in zip(classes, weights)]
+        total = sum(sum(map(mul, values, column)) << bits * i for i, column in enumerate(zip(*chi)))
+        digits = _unpack(total, bits, len(lambdas) * spacing)
+        row = []
+        for i, den in enumerate(dens):
+            nums = _reduce(digits[i * spacing:(i + 1) * spacing], order)
+            value, rest = divmod(nums[0], den * common)
+            assert value >= 0 and not rest and not any(nums[1:]), (format_label(rho), i)
+            row.append(value)
+        yield rho, row
+
+
+@pytest.mark.parametrize("order, n, degree_cap", [
+    (1, 5, 6), (2, 6, 8), (3, 3, 5), (4, 4, 4), (6, 3, 3), (12, 2, 3), (105, 1, 2), (150, 1, 0),
+])
+def test_a_row_tested_whole_equals_its_cells_reduced_one_by_one(order, n, degree_cap):
+    # The packed row test reduces digit planes through a table of x^k mod
+    # Phi_m; at m = 105 that table first has a numerator of absolute value 2.
+    import wreathlitt.oracle as oracle_module
+
+    lambdas = _grid(n, degree_cap)
+    path = oracle_module._pairing_path(order, n, lambdas)
+    for rho, expected in _per_cell_rows(order, n, lambdas):
+        assert path(rho) == expected, format_label(rho)
+
+
+def test_a_passing_verification_reduces_only_the_monomial_tables(monkeypatch):
+    # Each packed path reduces x^k mod Phi_m once for each of the s = m +
+    # phi(m) - 1 digits of a slot, and a passing row is tested whole: a
+    # passing run reduces no cell.  A row test that silently fell back to
+    # its cells would still give every right answer.
+    import wreathlitt.oracle as oracle_module
+
+    true_reduce, reduced = oracle_module._reduce, []
+
+    def counted(work, order):
+        reduced.append(list(work))
+        return true_reduce(work, order)
+
+    monkeypatch.setattr(oracle_module, "_reduce", counted)
+    assert run_verification(3, 3, 5).passed
+    assert reduced == [[0] * k + [1] for k in range(4)] * 2
 
 
 def test_suites_build_each_row_once(monkeypatch):

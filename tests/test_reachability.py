@@ -34,6 +34,7 @@ ALLOWLIST = {
     "oracle.numeric_branching_estimate": _PATCHED,
     "oracle.VerificationReport.first_failure": _FAILURE,
     "oracle._numeric_detail": _FAILURE,
+    "oracle._packed_multiplicity": _FAILURE,
     "exactnum.Cyclotomic.__repr__": _FAILURE,
     "exactnum.Cyclotomic.to_rational": _FAILURE,
     "symfunc.SymSeries.__repr__": _FAILURE,
